@@ -91,6 +91,15 @@ def _check_tau(text: str) -> float:
     return tau
 
 
+def _check_h(text: str) -> float | None:
+    if text == "auto":
+        return None
+    h = float(text)
+    if not (np.isfinite(h) and h > 0):
+        raise argparse.ArgumentTypeError(f"bandwidth must be finite and positive, got {text}")
+    return h
+
+
 def _check_trim(text: str) -> float:
     alpha = float(text)
     if not (0.0 <= alpha < 0.5):
@@ -111,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--y-col", required=True, help="response column name or index")
     fit.add_argument("--tau", type=_check_tau, default=0.5)
     fit.add_argument("--loss", choices=("quantile", "squared"), default="quantile")
-    fit.add_argument("--h", default="auto", help='bandwidth, or "auto"')
+    fit.add_argument("--h", type=_check_h, default="auto", help='bandwidth, or "auto"')
     fit.add_argument("--trim", type=_check_trim, default=0.05)
     fit.add_argument("--out", required=True, help="report file to write")
     fit.add_argument("--format", choices=("csv", "json"), default="json")
@@ -169,10 +178,7 @@ def _cmd_fit(args) -> int:
         loss = LossSpec.quantile(args.tau)
     else:
         loss = LossSpec.squared()
-    h = None if args.h == "auto" else float(args.h)
-    if h is not None and not h > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {h}")
-    cfg = QmaveConfig(loss=loss, h=h, trim=TrimSpec(args.trim))
+    cfg = QmaveConfig(loss=loss, h=args.h, trim=TrimSpec(args.trim))
     result = qmave_fit(data, cfg)
     text = _fit_report_json(result) if args.format == "json" else _fit_report_csv(result)
     with open(args.out, "w") as fh:

@@ -33,7 +33,7 @@ from .errors import (
     QmaveError,
 )
 from .initial import TrimSpec, ade_initial_estimate, trim_mask
-from .localfit import Dataset, LocalFit, index_fit_batch
+from .localfit import Dataset, _check_bandwidth, _index_offsets, index_fit_batch
 from .solver import (
     SolverOptions,
     WeightedRegressionProblem,
@@ -80,8 +80,8 @@ class QmaveConfig:
             raise InvalidInputError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.h is not None and not self.h > 0:
-            raise InvalidInputError(f"bandwidth must be positive, got {self.h}")
+        if self.h is not None:
+            _check_bandwidth(self.h)
 
 
 @dataclass
@@ -122,8 +122,10 @@ def resolve_bandwidth(data: Dataset, theta, cfg: QmaveConfig) -> float:
 def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     """Local-linear fits along ``theta`` at every untrimmed anchor.
 
-    Returns ``[(j, LocalFit), ...]``; anchors with too little local data
-    are dropped for this iteration.
+    Returns the arrays ``(anchors, a, b, effective_weight)`` of
+    ``index_fit_batch``, one entry per kept anchor in increasing anchor
+    order; anchors with too little local data are dropped for this
+    iteration.
     """
     theta = _as_unit(theta, "theta")
     h = resolve_bandwidth(data, theta, cfg)
@@ -133,17 +135,7 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
         raise InsufficientDataError(
             f"only {idx.size} anchors admit a local fit at h={h:.4g}"
         )
-    return [
-        (int(j), LocalFit(float(ai), float(bi), float(wi)))
-        for j, ai, bi, wi in zip(idx, a, b, effw)
-    ]
-
-
-def _fits_arrays(fits):
-    j = np.array([jj for jj, _ in fits], dtype=int)
-    a = np.array([f.a for _, f in fits], dtype=float)
-    b = np.array([f.b for _, f in fits], dtype=float)
-    return j, a, b
+    return idx, a, b, effw
 
 
 def outer_problem(
@@ -151,15 +143,15 @@ def outer_problem(
 ) -> WeightedRegressionProblem:
     """Pooled regression of the index update.
 
-    One row per (i, j) pair with positive kernel weight: response
-    ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight ``K(theta'(X_i-X_j)/h)``.
+    ``fits`` is the ``(anchors, a, b, effective_weight)`` tuple of
+    ``inner_step``.  One row per (i, j) pair with positive kernel weight:
+    response ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight
+    ``K(theta'(X_i-X_j)/h)``.
     """
     theta = _as_unit(theta, "theta")
     h = resolve_bandwidth(data, theta, cfg)
-    j, a, b = _fits_arrays(fits)
-    t = data.X @ theta
-    T = t[:, None] - t[j][None, :]
-    W = kernel_eval(cfg.kernel, T / h)
+    j, a, b, _ = fits
+    _, W = _index_offsets(data, theta, j, h, cfg.kernel)
     ii, cc = np.nonzero(W > 0)
     design = b[cc, None] * (data.X[ii] - data.X[j[cc]])
     response = data.Y[ii] - a[cc]
@@ -167,11 +159,12 @@ def outer_problem(
 
 
 def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
-    """One global index update: solve the pooled regression, normalise,
-    and align the sign with the incoming ``theta``."""
-    if not fits:
+    """One global index update from the ``inner_step`` tuple ``fits``:
+    solve the pooled regression, normalise, and align the sign with the
+    incoming ``theta``."""
+    j, _, b, _ = fits
+    if j.size == 0:
         raise InsufficientDataError("no local fits supplied to the outer step")
-    _, _, b = _fits_arrays(fits)
     if np.all(b == 0):
         raise DegenerateUpdateError("all local slopes are zero")
     problem = outer_problem(data, theta, fits, cfg)
@@ -192,22 +185,30 @@ def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
 
 
 def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
-    """Pooled local-fit objective at ``theta`` given the fitted (a_j, b_j):
+    """Pooled local-fit objective at ``theta`` given the fitted (a_j, b_j)
+    of the ``(anchors, a, b, effective_weight)`` tuple ``fits``:
     ``sum_{i,j} K(theta'(X_i-X_j)/h) loss(Y_i - a_j - b_j theta'(X_i-X_j))``."""
     theta = _as_unit(theta, "theta")
     h = resolve_bandwidth(data, theta, cfg)
-    j, a, b = _fits_arrays(fits)
-    t = data.X @ theta
-    T = t[:, None] - t[j][None, :]
-    W = kernel_eval(cfg.kernel, T / h)
+    j, a, b, _ = fits
+    T, W = _index_offsets(data, theta, j, h, cfg.kernel)
     R = data.Y[:, None] - a[None, :] - b[None, :] * T
     return float(np.sum(W * check_loss(R, cfg.loss)))
 
 
-def _median_window_count(data: Dataset, anchors, h0: float, kernel) -> float:
-    D = data.X[:, None, :] - data.X[None, anchors, :]
-    W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
-    return float(np.median(np.count_nonzero(W > 0, axis=0)))
+def _median_window_count(data: Dataset, anchors, h0s, kernel) -> np.ndarray:
+    """Median over anchors of the rows with positive product-kernel weight,
+    one median per bandwidth in ``h0s``.
+
+    The product kernel is positive exactly where the kernel of the largest
+    coordinate offset is, so one (n, m) matrix of those offsets serves
+    every bandwidth.
+    """
+    R = np.zeros((data.n, anchors.size))
+    for col in data.X.T:
+        np.maximum(R, np.abs(col[:, None] - col[anchors][None, :]), out=R)
+    counts = [np.count_nonzero(kernel_eval(kernel, R / h0) > 0, axis=0) for h0 in h0s]
+    return np.median(counts, axis=1)
 
 
 def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
@@ -225,12 +226,11 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
     if anchors.size == 0:
         raise InsufficientDataError("trimming removed every anchor point")
     target = max(4 * (data.d + 1), 24)
-    counts = [
-        _median_window_count(data, anchors, base * mult, cfg.kernel)
-        for mult in _INIT_LADDER
-    ]
-    enough = [k for k, c in enumerate(counts) if c >= target]
-    start = enough[0] if enough else int(np.argmax(counts))
+    counts = _median_window_count(
+        data, anchors, [base * mult for mult in _INIT_LADDER], cfg.kernel
+    )
+    enough = np.flatnonzero(counts >= target)
+    start = int(enough[0]) if enough.size else int(np.argmax(counts))
     for k in range(start, len(_INIT_LADDER)):
         try:
             est = ade_initial_estimate(

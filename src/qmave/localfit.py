@@ -1,10 +1,12 @@
 """Local-linear fits: along a candidate index and in full dimension.
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
-an anchor point and delegates the actual minimisation to the solvers in
-``qmave.solver``.  Batched variants (`index_fit_batch`, `full_fit_batch`)
-solve many anchors at once with identical semantics; they exist because
-the alternating estimator refits every anchor on every iteration.
+an anchor point and delegates the actual minimisation to the stacked
+solvers in ``qmave.solver``.  One core per kind of fit solves a whole
+matrix of anchor columns at once: `index_fit_batch` and `full_fit_batch`
+return its kept columns as arrays, and the single-anchor fits
+`local_linear_index_fit` and `local_linear_full_fit` are thin wrappers
+that run it on one column.
 """
 
 from __future__ import annotations
@@ -15,18 +17,11 @@ import numpy as np
 
 from .core import KernelSpec, LossSpec, kernel_eval
 from .errors import (
-    DegenerateProblemError,
+    ConvergenceError,
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import (
-    SolverOptions,
-    WeightedRegressionProblem,
-    _solve_ls_batch,
-    _solve_qr_batch,
-    solve_weighted_ls,
-    solve_weighted_qr,
-)
+from .solver import SolverOptions, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -97,6 +92,24 @@ def _unit_or_raise(theta, d):
     return theta
 
 
+def _check_bandwidth(h):
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
+
+
+def _single_fit(fits, opts, reason) -> LocalFit:
+    """The one fit of a single-column core call; raises when it was dropped."""
+    cols, a, b, effw, complete = fits
+    if cols.size == 0:
+        raise InsufficientLocalDataError(reason)
+    if not complete:
+        raise ConvergenceError(
+            f"no convergence within {opts.max_iterations} iterations",
+            best=np.append(a[0], b[0]),
+        )
+    return LocalFit(float(a[0]), b[0], float(effw[0]))
+
+
 def local_linear_index_fit(
     data: Dataset,
     theta,
@@ -112,31 +125,16 @@ def local_linear_index_fit(
     over (a, b); rows with zero kernel weight are dropped before solving.
     """
     theta = _unit_or_raise(theta, data.d)
-    if not h > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {h}")
+    _check_bandwidth(h)
+    opts = opts or SolverOptions()
     x0 = np.asarray(x0, dtype=float).ravel()
-    t = (data.X - x0) @ theta
-    w = kernel_eval(kernel, t / h)
-    keep = w > 0
-    tk = t[keep]
-    if tk.size < 2 or np.max(tk) <= np.min(tk):
-        raise InsufficientLocalDataError(
-            "fewer than 2 distinct index values carry positive weight"
-        )
-    Z = np.column_stack([np.ones(tk.size), tk])
-    problem = WeightedRegressionProblem(Z, data.Y[keep], w[keep], loss)
-    try:
-        if loss.is_quantile:
-            beta = solve_weighted_qr(problem, opts)
-        else:
-            beta = solve_weighted_ls(problem, opts)
-    except DegenerateProblemError as exc:
-        raise InsufficientLocalDataError(str(exc)) from exc
-    return LocalFit(float(beta[0]), float(beta[1]), float(np.sum(w[keep])))
-
-
-def _product_kernel_weights(kernel, U):
-    return np.prod(kernel_eval(kernel, U), axis=-1)
+    T = ((data.X - x0) @ theta)[:, None]
+    return _single_fit(
+        _index_core(T, kernel_eval(kernel, T / h), data.Y, loss, opts),
+        opts,
+        "no usable local fit: needs 2 distinct positively-weighted index "
+        "values and a finite solution",
+    )
 
 
 def local_linear_full_fit(
@@ -153,49 +151,94 @@ def local_linear_full_fit(
     Raises ``InsufficientLocalDataError`` when fewer than d+1 rows in
     general position carry positive weight.
     """
-    if not h0 > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {h0}")
+    _check_bandwidth(h0)
+    opts = opts or SolverOptions()
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape != (data.d,):
         raise InvalidInputError(f"anchor must have length {data.d}")
-    D = data.X - x0
-    w = _product_kernel_weights(kernel, D / h0)
-    keep = w > 0
-    k = int(np.count_nonzero(keep))
-    if k < data.d + 1:
-        raise InsufficientLocalDataError(
-            f"only {k} positively-weighted rows inside the window, "
-            f"need at least {data.d + 1}"
-        )
-    Z = np.column_stack([np.ones(k), D[keep]])
-    wk = w[keep]
-    A = (Z * wk[:, None]).T @ Z
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= _RANK_RTOL * eigs[-1]:
-        raise InsufficientLocalDataError(
-            "weighted local design is not in general position"
-        )
-    problem = WeightedRegressionProblem(Z, data.Y[keep], wk, loss)
-    try:
-        if loss.is_quantile:
-            beta = solve_weighted_qr(problem, opts)
-        else:
-            beta = solve_weighted_ls(problem, opts)
-    except DegenerateProblemError as exc:
-        raise InsufficientLocalDataError(str(exc)) from exc
-    return LocalFit(float(beta[0]), beta[1:].copy(), float(np.sum(wk)))
+    D = (data.X - x0)[:, None, :]
+    return _single_fit(
+        _full_core(D, _product_kernel_weights(kernel, D / h0), data.Y, loss, opts),
+        opts,
+        f"no usable local fit: needs {data.d + 1} positively-weighted rows "
+        "in general position and a finite solution",
+    )
+
+
+def _product_kernel_weights(kernel, U):
+    return np.prod(kernel_eval(kernel, U), axis=-1)
 
 
 def _padded_gather(weights):
     """Pack positive-weight rows first along axis 0, preserving row order.
 
     ``weights`` is (n, m); returns gather indices of shape (m, L) with
-    L = max positive count, plus the per-anchor positive counts.
+    L = max positive count.
     """
-    counts = np.count_nonzero(weights > 0, axis=0)
-    max_len = max(int(counts.max()), 1)
+    max_len = max(int(np.count_nonzero(weights > 0, axis=0).max()), 1)
     order = np.argsort(weights <= 0, axis=0, kind="stable")
-    return order[:max_len].T, counts
+    return order[:max_len].T
+
+
+def _solve_batch(Z, y, w, loss, opts):
+    """Stacked solve under ``loss``; returns ``(beta, complete)``."""
+    if loss.is_quantile:
+        beta, _, complete = _solve_qr_batch(Z, y, w, loss.tau, opts)
+        return beta, complete
+    return _solve_ls_batch(Z, y, w, opts), True
+
+
+def _index_core(T, W, Y, loss, opts):
+    """Fits of ``Y`` on each column of the (n, m) index offsets ``T`` with
+    weights ``W``.  Returns ``(cols, a, b, effective_weight, complete)``
+    for the columns with two distinct weighted offsets and a finite fit;
+    ``complete`` is False when the iteration budget truncated the solve."""
+    pos = W > 0
+    tmax = np.max(np.where(pos, T, -np.inf), axis=0)
+    tmin = np.min(np.where(pos, T, np.inf), axis=0)
+    usable = (np.count_nonzero(pos, axis=0) >= 2) & (tmax > tmin)
+    cols = np.flatnonzero(usable)
+    if cols.size == 0:
+        return cols, np.empty(0), np.empty(0), np.empty(0), True
+    gather = _padded_gather(W[:, cols])
+    Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
+    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
+    Zb = np.stack([np.ones_like(Tg), Tg], axis=2)
+    beta, complete = _solve_batch(Zb, Y[gather], Wg, loss, opts)
+    ok = np.all(np.isfinite(beta), axis=1)
+    return cols[ok], beta[ok, 0], beta[ok, 1], np.sum(Wg, axis=1)[ok], complete
+
+
+def _full_core(D, W, Y, loss, opts):
+    """Fits of ``Y`` on each slice ``D[:, c, :]`` of the (n, m, d) offsets
+    with weights ``W`` (n, m); returns as `_index_core` does, keeping the
+    columns with d+1 weighted rows in general position and a finite fit."""
+    d = D.shape[2]
+    usable = np.count_nonzero(W > 0, axis=0) >= d + 1
+    cols = np.flatnonzero(usable)
+    if cols.size == 0:
+        return cols, np.empty(0), np.empty((0, d)), np.empty(0), True
+    gather = _padded_gather(W[:, cols])
+    Dg = np.take_along_axis(D[:, cols, :].transpose(1, 0, 2), gather[:, :, None], axis=1)
+    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
+    Zb = np.concatenate([np.ones((cols.size, gather.shape[1], 1)), Dg], axis=2)
+    A = np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None])
+    eigs = np.linalg.eigvalsh(A)
+    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
+    if sub.size == 0:
+        return sub, np.empty(0), np.empty((0, d)), np.empty(0), True
+    Wg = Wg[sub]
+    beta, complete = _solve_batch(Zb[sub], Y[gather[sub]], Wg, loss, opts)
+    ok = np.all(np.isfinite(beta), axis=1)
+    return cols[sub[ok]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
+
+
+def _index_offsets(data, theta, anchors, h, kernel):
+    """Index offsets ``T[i, c] = theta'X_i - theta'X_anchors[c]`` (n, m)
+    and their kernel weights ``K(T / h)``."""
+    t = data.X @ theta
+    T = t[:, None] - t[anchors][None, :]
+    return T, kernel_eval(kernel, T / h)
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
@@ -205,39 +248,19 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     lacking two distinct weighted index values (or producing non-finite
     solutions) silently omitted, in the same order as ``anchors``.
     """
-    opts = opts or SolverOptions()
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    t = data.X @ theta
-    T = t[:, None] - t[anchors][None, :]
-    W = kernel_eval(kernel, T / h)
-    pos = W > 0
-    tmax = np.max(np.where(pos, T, -np.inf), axis=0)
-    tmin = np.min(np.where(pos, T, np.inf), axis=0)
-    usable = (np.count_nonzero(pos, axis=0) >= 2) & (tmax > tmin)
-    if not np.any(usable):
-        return anchors[:0], np.empty(0), np.empty(0), np.empty(0)
-    cols = np.flatnonzero(usable)
-    gather, _ = _padded_gather(W[:, cols])
-    Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
-    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-    Yg = data.Y[gather]
-    Zb = np.stack([np.ones_like(Tg), Tg], axis=2)
-    if loss.is_quantile:
-        beta, _, _ = _solve_qr_batch(Zb, Yg, Wg, loss.tau, opts)
-    else:
-        beta = _solve_ls_batch(Zb, Yg, Wg, opts)
-    ok = np.all(np.isfinite(beta), axis=1)
-    return (
-        anchors[cols[ok]],
-        beta[ok, 0],
-        beta[ok, 1],
-        np.sum(Wg, axis=1)[ok],
-    )
+    T, W = _index_offsets(data, theta, anchors, h, kernel)
+    cols, a, b, effw, _ = _index_core(T, W, data.Y, loss, opts or SolverOptions())
+    return anchors[cols], a, b, effw
 
 
-def full_fit_batch(data, anchors, h0, loss, kernel, opts=None, chunk=256):
-    """Full-dimensional local fits at ``X[anchors]``, anchors in chunks.
+# Anchors per block of full fits: bounds the (n, block, d) offset tensor.
+_FULL_BLOCK = 256
+
+
+def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
+    """Full-dimensional local fits at ``X[anchors]``, anchors in blocks.
 
     Returns ``(kept_anchor_indices, a, B, effective_weight)`` where ``B``
     has one slope row per kept anchor.  Anchors with too few weighted
@@ -245,47 +268,14 @@ def full_fit_batch(data, anchors, h0, loss, kernel, opts=None, chunk=256):
     """
     opts = opts or SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
-    d = data.d
-    kept_idx, kept_a, kept_b, kept_w = [], [], [], []
-    for start in range(0, anchors.size, chunk):
-        block = anchors[start : start + chunk]
+    parts = []
+    for start in range(0, anchors.size, _FULL_BLOCK):
+        block = anchors[start : start + _FULL_BLOCK]
         D = data.X[:, None, :] - data.X[None, block, :]
         W = _product_kernel_weights(kernel, D / h0)
-        counts = np.count_nonzero(W > 0, axis=0)
-        usable = counts >= d + 1
-        if not np.any(usable):
-            continue
-        cols = np.flatnonzero(usable)
-        gather, _ = _padded_gather(W[:, cols])
-        L = gather.shape[1]
-        Dg = np.take_along_axis(
-            D[:, cols, :].transpose(1, 0, 2), gather[:, :, None], axis=1
-        )
-        Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-        Yg = data.Y[gather]
-        Zb = np.concatenate([np.ones((cols.size, L, 1)), Dg], axis=2)
-        wz = Zb * Wg[:, :, None]
-        A = np.matmul(Zb.transpose(0, 2, 1), wz)
-        eigs = np.linalg.eigvalsh(A)
-        sane = eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
-        if not np.any(sane):
-            continue
-        sub = np.flatnonzero(sane)
-        Zb, Yg, Wg = Zb[sub], Yg[sub], Wg[sub]
-        if loss.is_quantile:
-            beta, _, _ = _solve_qr_batch(Zb, Yg, Wg, loss.tau, opts)
-        else:
-            beta = _solve_ls_batch(Zb, Yg, Wg, opts)
-        ok = np.all(np.isfinite(beta), axis=1)
-        kept_idx.append(block[cols[sub[ok]]])
-        kept_a.append(beta[ok, 0])
-        kept_b.append(beta[ok, 1:])
-        kept_w.append(np.sum(Wg, axis=1)[ok])
-    if not kept_idx:
-        return anchors[:0], np.empty(0), np.empty((0, d)), np.empty(0)
-    return (
-        np.concatenate(kept_idx),
-        np.concatenate(kept_a),
-        np.vstack(kept_b),
-        np.concatenate(kept_w),
-    )
+        cols, a, B, effw, _ = _full_core(D, W, data.Y, loss, opts)
+        parts.append((block[cols], a, B, effw))
+    if not parts:
+        return anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0)
+    idx, a, B, effw = zip(*parts)
+    return np.concatenate(idx), np.concatenate(a), np.vstack(B), np.concatenate(effw)

@@ -219,6 +219,40 @@ def _polish_batch(Z, y, w, tau, beta, obj):
     return beta, obj
 
 
+def _irls(Z, y, w, tau, lin, reg, beta, best, deltas, step_tol, budget):
+    """Follow the smoothed fixed point from ``beta`` at each delta in turn,
+    ending a stage early once no coefficient moves more than ``step_tol``
+    (relative), and keep each stage's iterate where it beats ``best``.
+    Returns ``(beta_best, obj_best, iterations, complete)``."""
+    beta_best, obj_best = best
+    iters = 0
+    complete = True
+    for delta in deltas:
+        for _ in range(_MAX_INNER_PER_STAGE):
+            if iters >= budget:
+                complete = False
+                break
+            r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
+            s = w / np.maximum(np.abs(r), delta)
+            sz = Z * s[:, :, None]
+            A = np.matmul(Z.transpose(0, 2, 1), sz) + reg
+            rhs = np.matmul(sz.transpose(0, 2, 1), y[:, :, None])[:, :, 0] + lin
+            new = _batch_solve(A, rhs)
+            iters += 1
+            move = np.max(np.abs(new - beta), axis=1)
+            beta = new
+            if np.all(move <= step_tol * (1.0 + np.max(np.abs(beta), axis=1))):
+                break
+        obj = _batch_objective(Z, y, w, beta, tau)
+        improved = np.isfinite(obj) & (obj < obj_best)
+        if np.any(improved):
+            beta_best = np.where(improved[:, None], beta, beta_best)
+            obj_best = np.where(improved, obj, obj_best)
+        if not complete:
+            break
+    return beta_best, obj_best, iters, complete
+
+
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     """Smoothed-IRLS solve of stacked weighted quantile regressions.
 
@@ -230,12 +264,11 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     B, n, p = Z.shape
-    ridge = opts.regularization_floor
-    eye = np.eye(p)
+    reg = opts.regularization_floor * np.eye(p)
 
     wz = Z * w[:, :, None]
     lin = (2.0 * tau - 1.0) * np.sum(wz, axis=1)
-    A0 = np.matmul(Z.transpose(0, 2, 1), wz) + ridge * eye
+    A0 = np.matmul(Z.transpose(0, 2, 1), wz) + reg
     rhs0 = np.matmul(wz.transpose(0, 2, 1), y[:, :, None])[:, :, 0]
     beta = _batch_solve(A0, rhs0)
 
@@ -250,62 +283,27 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
         0,
         int(np.ceil(np.log(_DELTA_MIN / np.max(delta0)) / np.log(_DELTA_SHRINK))),
     )
-    obj_best = _batch_objective(Z, y, w, beta, tau)
-    beta_best = beta.copy()
-
+    schedule = (np.maximum(delta0 * _DELTA_SHRINK**k, _DELTA_MIN)[:, None] for k in range(n_stages))
+    best = (beta.copy(), _batch_objective(Z, y, w, beta, tau))
     step_tol = max(opts.objective_tolerance, 1e-12)
-    iters = 0
-    complete = True
-    for stage in range(n_stages):
-        if not complete:
-            break
-        delta = np.maximum(delta0 * _DELTA_SHRINK**stage, _DELTA_MIN)[:, None]
-        for _ in range(_MAX_INNER_PER_STAGE):
-            if iters >= opts.max_iterations:
-                complete = False
-                break
-            r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
-            s = w / np.maximum(np.abs(r), delta)
-            sz = Z * s[:, :, None]
-            A = np.matmul(Z.transpose(0, 2, 1), sz) + ridge * eye
-            rhs = np.matmul(sz.transpose(0, 2, 1), y[:, :, None])[:, :, 0] + lin
-            new = _batch_solve(A, rhs)
-            iters += 1
-            move = np.max(np.abs(new - beta), axis=1)
-            beta = new
-            if np.all(move <= step_tol * (1.0 + np.max(np.abs(beta), axis=1))):
-                break
-        obj = _batch_objective(Z, y, w, beta, tau)
-        improved = np.isfinite(obj) & (obj < obj_best)
-        if np.any(improved):
-            beta_best = np.where(improved[:, None], beta, beta_best)
-            obj_best = np.where(improved, obj, obj_best)
+    beta_best, obj_best, iters, complete = _irls(
+        Z, y, w, tau, lin, reg, beta, best, schedule, step_tol, opts.max_iterations
+    )
 
     beta_best, obj_best = _polish_batch(Z, y, w, tau, beta_best, obj_best)
 
     # refinement cycles: a short fixed point at the floor delta restarted
     # from the polished vertex can slide into a better basin, after which
-    # the vertex search snaps to its optimum
+    # the vertex search snaps to its optimum.  A step tolerance of zero
+    # ends a cycle early only at an exact fixed point.
     for _ in range(_REFINE_CYCLES):
         if not complete:
             break
-        beta = beta_best.copy()
-        for _ in range(_MAX_INNER_PER_STAGE):
-            if iters >= opts.max_iterations:
-                complete = False
-                break
-            r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
-            s = w / np.maximum(np.abs(r), _DELTA_MIN)
-            sz = Z * s[:, :, None]
-            A = np.matmul(Z.transpose(0, 2, 1), sz) + ridge * eye
-            rhs = np.matmul(sz.transpose(0, 2, 1), y[:, :, None])[:, :, 0] + lin
-            beta = _batch_solve(A, rhs)
-            iters += 1
-        obj = _batch_objective(Z, y, w, beta, tau)
-        improved = np.isfinite(obj) & (obj < obj_best)
-        if np.any(improved):
-            beta_best = np.where(improved[:, None], beta, beta_best)
-            obj_best = np.where(improved, obj, obj_best)
+        beta_best, obj_best, used, complete = _irls(
+            Z, y, w, tau, lin, reg, beta_best, (beta_best, obj_best),
+            (_DELTA_MIN,), 0.0, opts.max_iterations - iters,
+        )
+        iters += used
         new_beta, new_obj = _polish_batch(Z, y, w, tau, beta_best, obj_best)
         moved = new_obj < obj_best * (1.0 - 1e-14)
         beta_best, obj_best = new_beta, new_obj
@@ -328,9 +326,10 @@ def _solve_ls_batch(Z, y, w, opts: SolverOptions):
 def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
     """Coefficients minimising the weighted check-loss objective.
 
-    The returned vector attains the optimal objective value up to
-    ``opts.objective_tolerance`` (relative); coefficients themselves may
-    be non-unique.  Deterministic for fixed inputs.
+    Optimality of the objective value is verified only against
+    ``qr_oracle``, for n <= 15 and p <= 4; larger problems carry no
+    certificate.  Coefficients themselves may be non-unique.
+    Deterministic for fixed inputs.
 
     Raises
     ------

@@ -107,6 +107,13 @@ class TestCliSimulateAndFit:
                   "--out", str(tmp_path / "o.json")])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("h", ["abc", "-1", "0", "nan", "inf"])
+    def test_invalid_bandwidth_is_usage_error(self, tmp_path, h):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fit", "--input", "x.csv", "--y-col", "y", "--h", h,
+                  "--out", str(tmp_path / "o.json")])
+        assert exc_info.value.code == 2
+
     def test_missing_file_is_single_line_error(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "nope.csv"), "--y-col", "y",
                      "--out", str(tmp_path / "o.json")])

@@ -21,8 +21,9 @@ from qmave import (
     qmave_fit,
     qr_oracle,
 )
-from qmave.fit import eq_objective, resolve_bandwidth
-from qmave.localfit import LocalFit
+from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth, kernel_eval
+from qmave.fit import _INIT_LADDER, _median_window_count, eq_objective, resolve_bandwidth
+from qmave.initial import TrimSpec, trim_mask
 
 EPA = KernelSpec.epanechnikov()
 
@@ -60,19 +61,19 @@ class TestInnerStep:
         X = rng.normal(size=(40, 2))
         data = Dataset(X, X @ theta)
         fits = inner_step(data, theta, median_cfg(h=1.0))
-        assert len(fits) >= 2
-        for j, fit in fits:
-            assert fit.a == pytest.approx(float(theta @ X[j]), abs=1e-7)
-            assert fit.b == pytest.approx(1.0, abs=1e-7)
+        assert fits[0].size >= 2
+        for j, a, b, _ in zip(*fits):
+            assert a == pytest.approx(float(theta @ X[j]), abs=1e-7)
+            assert b == pytest.approx(1.0, abs=1e-7)
 
     def test_constant_response(self):
         rng = np.random.default_rng(61)
         X = rng.normal(size=(30, 2))
         data = Dataset(X, np.full(30, 2.5))
         fits = inner_step(data, unit([1.0, 0.0]), median_cfg(h=1.5))
-        for _, fit in fits:
-            assert fit.a == pytest.approx(2.5, abs=1e-10)
-            assert fit.b == pytest.approx(0.0, abs=1e-10)
+        for _, a, b, _ in zip(*fits):
+            assert a == pytest.approx(2.5, abs=1e-10)
+            assert b == pytest.approx(0.0, abs=1e-10)
 
     def test_each_fit_matches_oracle(self):
         from qmave import WeightedRegressionProblem
@@ -86,7 +87,7 @@ class TestInnerStep:
         h = 1.2
         fits = inner_step(data, theta, median_cfg(h=h, trim=__import__("qmave").TrimSpec(0.0)))
         t = X @ theta
-        for j, fit in fits:
+        for j, a, b, _ in zip(*fits):
             tj = t - t[j]
             w = kernel_eval(EPA, tj / h)
             keep = w > 0
@@ -96,7 +97,7 @@ class TestInnerStep:
                 w[keep],
                 LossSpec.quantile(0.5),
             )
-            o_fit = prob.objective([fit.a, fit.b])
+            o_fit = prob.objective([a, b])
             o_orc = prob.objective(qr_oracle(prob))
             assert abs(o_fit - o_orc) <= 1e-8 * (1 + abs(o_orc))
 
@@ -124,7 +125,7 @@ class TestOuterStep:
         data = Dataset(X, np.full(30, 1.0))
         cfg = median_cfg(h=2.0)
         fits = inner_step(data, unit([1.0, 0.0]), cfg)
-        assert all(abs(f.b) < 1e-12 for _, f in fits)
+        assert all(abs(b) < 1e-12 for b in fits[2])
         with pytest.raises(DegenerateUpdateError):
             outer_step(data, unit([1.0, 0.0]), fits, cfg)
 
@@ -232,8 +233,9 @@ class TestQmaveFit:
             QmaveConfig(tol=0.0)
         with pytest.raises(InvalidInputError):
             QmaveConfig(max_iter=0)
-        with pytest.raises(InvalidInputError):
-            QmaveConfig(h=-1.0)
+        for h in (-1.0, np.inf):
+            with pytest.raises(InvalidInputError):
+                QmaveConfig(h=h)
 
 
 class TestObjectiveMonotonicity:
@@ -244,12 +246,12 @@ class TestObjectiveMonotonicity:
         cfg = median_cfg(h=1.0)
         fits = inner_step(data, theta, cfg)
         obj_min = eq_objective(data, theta, fits, cfg)
+        j, a, b, effw = fits
         # perturbed local coefficients can only do worse at the same theta
         for scale in (0.05, 0.3, 1.0):
-            noisy = [
-                (j, LocalFit(f.a + scale * rng.normal(), f.b + scale * rng.normal(), f.effective_weight))
-                for j, f in fits
-            ]
+            # one a draw, then one b draw, per anchor
+            noise = scale * rng.normal(size=(j.size, 2))
+            noisy = (j, a + noise[:, 0], b + noise[:, 1], effw)
             obj_noisy = eq_objective(data, theta, noisy, cfg)
             assert obj_min <= obj_noisy * (1 + 1e-6) + 1e-9
 
@@ -262,9 +264,28 @@ class TestObjectiveMonotonicity:
         fits_a = inner_step(data, theta_a, cfg)
         fits_b = inner_step(data, theta_b, cfg)
         # evaluate the old coefficients at theta_b, restricted to common anchors
-        common = sorted(set(j for j, _ in fits_a) & set(j for j, _ in fits_b))
-        old = [(j, dict(fits_a)[j]) for j in common]
-        new = [(j, dict(fits_b)[j]) for j in common]
+        common = np.intersect1d(fits_a[0], fits_b[0])
+        old = tuple(x[np.isin(fits_a[0], common)] for x in fits_a)
+        new = tuple(x[np.isin(fits_b[0], common)] for x in fits_b)
         o_old = eq_objective(data, theta_b, old, cfg)
         o_new = eq_objective(data, theta_b, new, cfg)
         assert o_new <= o_old * (1 + 1e-6) + 1e-9
+
+
+class TestInitLadder:
+    @pytest.mark.parametrize("kernel", [KernelSpec.epanechnikov(), KernelSpec.quartic()])
+    def test_median_window_count_matches_product_kernel(self, kernel):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=15))
+        assert data.d == 5
+        anchors = np.flatnonzero(trim_mask(data, TrimSpec()))
+        base = default_bandwidth(
+            BandwidthRule.full_dim(data.d), data.n, coordinate_dispersion(data.X)
+        )
+        h0s = [base * mult for mult in _INIT_LADDER]
+        D = data.X[:, None, :] - data.X[None, anchors, :]
+        direct = [
+            np.median(np.count_nonzero(np.prod(kernel_eval(kernel, D / h0), axis=-1) > 0, axis=0))
+            for h0 in h0s
+        ]
+        assert len(set(direct)) > 1
+        np.testing.assert_array_equal(_median_window_count(data, anchors, h0s, kernel), direct)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qmave import (
+    ConvergenceError,
     Dataset,
     InsufficientLocalDataError,
     InvalidInputError,
     KernelSpec,
     LossSpec,
+    SolverOptions,
     WeightedRegressionProblem,
     local_linear_full_fit,
     local_linear_index_fit,
@@ -102,6 +104,24 @@ class TestIndexFit:
         data = Dataset(np.ones((4, 2)) + np.arange(8).reshape(4, 2), np.arange(4))
         with pytest.raises(InvalidInputError):
             local_linear_index_fit(data, np.array([1.0, 1.0]), data.X[0], 1.0, MEDIAN, EPA)
+
+    def test_truncated_solve_raises_convergence_error(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(30, 2))
+        data = Dataset(X, rng.normal(size=30))
+        opts = SolverOptions(max_iterations=1)
+        with pytest.raises(ConvergenceError):
+            local_linear_index_fit(data, unit([1.0, 1.0]), X[0], 2.0, MEDIAN, EPA, opts)
+        with pytest.raises(ConvergenceError):
+            local_linear_full_fit(data, X[0], 2.0, MEDIAN, EPA, opts)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_invalid_bandwidth(self, h):
+        data = Dataset(np.ones((4, 2)) + np.arange(8).reshape(4, 2), np.arange(4))
+        with pytest.raises(InvalidInputError):
+            local_linear_index_fit(data, unit([1.0, 1.0]), data.X[0], h, MEDIAN, EPA)
+        with pytest.raises(InvalidInputError):
+            local_linear_full_fit(data, data.X[0], h, MEDIAN, EPA)
 
 
 class TestIndexFitProperties:
