@@ -39,17 +39,23 @@ _RANK_RTOL = 1e-10
 class Dataset:
     """Observations ``(X, Y)`` with ``X`` of shape (n, d) and ``Y`` (n,).
 
-    Construction checks shape and finiteness only; estimators that need a
-    minimum sample size (n >= 2(d+1)) enforce it at their own entry so
-    that small datasets remain usable with the utility operations.
+    A 1-D ``X`` with one entry per response is read as one covariate
+    column.  Construction checks only shape and that entries are finite
+    real numbers; estimators that need a minimum sample size
+    (n >= 2(d+1)) enforce it at their own entry so that small datasets
+    remain usable with the utility operations.
     """
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.asarray(self.Y, dtype=float).ravel()
+        self.Y = _real_array(self.Y, "Y").ravel()
+        X = _real_array(self.X, "X")
+        if X.ndim > 2:
+            raise InvalidInputError(f"X must be one- or two-dimensional, got shape {X.shape}")
+        # a 1-D X with one entry per response is a single covariate column
+        self.X = X[:, None] if X.ndim == 1 and X.size == self.Y.size else np.atleast_2d(X)
         n, d = self.X.shape
         if d < 1:
             raise InvalidInputError("X needs at least one covariate column")
@@ -81,6 +87,17 @@ class LocalFit:
     a: float
     b: float | np.ndarray
     effective_weight: float
+
+
+def _real_array(values, name):
+    """``values`` as a float array; complex or non-numeric entries raise."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise InvalidInputError(f"{name} must be real, got complex entries")
+        return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be numeric: {exc}") from None
 
 
 def _unit_or_raise(theta, d):

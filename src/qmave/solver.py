@@ -8,6 +8,10 @@ geometrically from the initial residual scale down to 1e-8, and the result
 is polished by comparing against exact-fit candidates through the rows
 with the smallest residuals (an optimum of the weighted check loss
 interpolates ``p`` rows whenever the design is in general position).
+Each polish round sweeps again only the problems whose coefficients the
+previous round moved: a sweep reads nothing but its own problem's rows,
+so a problem it left unchanged would be left unchanged again, and
+skipping it gives the same bits as sweeping the whole batch.
 
 Conformance is defined in objective value, never in coefficients: optima
 of piecewise-linear objectives can sit on flat faces.  ``qr_oracle`` is an
@@ -207,16 +211,31 @@ def _polish_round(Z, y, w, tau, beta, obj):
     return beta, obj
 
 
-def _polish_batch(Z, y, w, tau, beta, obj):
-    """Iterated vertex search: re-rank residuals at each improved vertex
-    and sweep again until no problem in the batch improves."""
+def _polish_batch(Z, y, w, tau, beta, obj, todo):
+    """Iterated vertex search over the problems ``todo`` (indices into the
+    batch): re-rank residuals at each improved vertex and sweep again
+    until no problem in the batch improves.
+
+    Only the problems whose coefficients the last sweep moved are swept
+    again.  A sweep reads nothing but its own problem's rows and iterate,
+    so a problem it left unchanged would be left unchanged by every later
+    sweep: skipping it gives the same bits as sweeping the whole batch.
+    Returns ``(beta, obj, todo)`` with ``todo`` the problems the last
+    sweep moved.
+    """
+    beta, obj = beta.copy(), obj.copy()
     for _ in range(_MAX_POLISH_ROUNDS):
-        new_beta, new_obj = _polish_round(Z, y, w, tau, beta, obj)
-        improved = new_obj < obj * (1.0 - 1e-14) - 1e-300
-        beta, obj = new_beta, new_obj
-        if not np.any(improved):
+        if todo.size == 0:
             break
-    return beta, obj
+        sub = slice(None) if todo.size == beta.shape[0] else todo
+        old_beta, old_obj = beta[sub], obj[sub]
+        new_beta, new_obj = _polish_round(Z[sub], y[sub], w[sub], tau, old_beta, old_obj)
+        improved = np.any(new_obj < old_obj * (1.0 - 1e-14) - 1e-300)
+        todo = todo[np.any(new_beta != old_beta, axis=1)]
+        beta[sub], obj[sub] = new_beta, new_obj
+        if not improved:
+            break
+    return beta, obj, todo
 
 
 def _irls(Z, y, w, tau, lin, reg, beta, best, deltas, step_tol, budget):
@@ -290,21 +309,28 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
         Z, y, w, tau, lin, reg, beta, best, schedule, step_tol, opts.max_iterations
     )
 
-    beta_best, obj_best = _polish_batch(Z, y, w, tau, beta_best, obj_best)
+    # release the schedule's temporaries before the polish copies rows
+    del wz, A0, rhs0, r, absr, beta, best
+    beta_best, obj_best, todo = _polish_batch(Z, y, w, tau, beta_best, obj_best, np.arange(B))
 
     # refinement cycles: a short fixed point at the floor delta restarted
     # from the polished vertex can slide into a better basin, after which
     # the vertex search snaps to its optimum.  A step tolerance of zero
-    # ends a cycle early only at an exact fixed point.
+    # ends a cycle early only at an exact fixed point.  The polish sweeps
+    # the problems its last sweep moved and those this cycle's fixed point
+    # changed; every other problem sits at a vertex a sweep leaves alone.
     for _ in range(_REFINE_CYCLES):
         if not complete:
             break
+        prev_beta, prev_obj = beta_best, obj_best
         beta_best, obj_best, used, complete = _irls(
             Z, y, w, tau, lin, reg, beta_best, (beta_best, obj_best),
             (_DELTA_MIN,), 0.0, opts.max_iterations - iters,
         )
         iters += used
-        new_beta, new_obj = _polish_batch(Z, y, w, tau, beta_best, obj_best)
+        changed = np.any(beta_best != prev_beta, axis=1) | (obj_best != prev_obj)
+        todo = np.union1d(todo, np.flatnonzero(changed))
+        new_beta, new_obj, todo = _polish_batch(Z, y, w, tau, beta_best, obj_best, todo)
         moved = new_obj < obj_best * (1.0 - 1e-14)
         beta_best, obj_best = new_beta, new_obj
         if not np.any(moved):

@@ -45,6 +45,33 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             Dataset(np.ones((1, 2)), [1])
 
+    def test_one_dimensional_x_is_one_column(self):
+        d = Dataset(np.arange(5.0), np.arange(5))
+        assert (d.n, d.d) == (5, 1)
+        np.testing.assert_array_equal(d.X[:, 0], np.arange(5.0))
+
+    def test_rejects_more_than_two_dimensions(self):
+        with pytest.raises(InvalidInputError, match=r"\(4, 2, 3\)"):
+            Dataset(np.ones((4, 2, 3)), np.arange(4))
+
+    @pytest.mark.parametrize("bad", ["X", "Y"])
+    def test_rejects_non_numeric_entries(self, bad):
+        X, Y = [[1.0], ["a"], [3.0]], [1.0, 2.0, 3.0]
+        if bad == "Y":
+            X, Y = [[1.0], [2.0], [3.0]], [1.0, "b", 3.0]
+        with pytest.raises(InvalidInputError, match=f"{bad} must be numeric"):
+            Dataset(X, Y)
+
+    @pytest.mark.parametrize("bad", ["X", "Y"])
+    def test_rejects_complex_entries(self, bad):
+        X, Y = np.ones((3, 2)), np.arange(3.0)
+        if bad == "X":
+            X = X + 1j
+        else:
+            Y = Y.astype(complex)
+        with pytest.raises(InvalidInputError, match=f"{bad} must be real"):
+            Dataset(X, Y)
+
 
 class TestIndexFit:
     def test_exact_linear_data_interpolated(self):

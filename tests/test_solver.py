@@ -15,6 +15,7 @@ from qmave import (
     solve_weighted_qr,
     weighted_quantile,
 )
+from qmave import solver
 
 
 def random_problem(rng, n_max=12, p_max=3, taus=(0.25, 0.5, 0.75)):
@@ -284,3 +285,80 @@ class TestQrOracle:
         )
         with pytest.raises(InvalidInputError):
             qr_oracle(prob)
+
+
+def polish_batches():
+    """Random stacked problems for the vertex polish: integer data (so
+    vertices tie and some moves fall below the improvement threshold),
+    zero-weight rows, p in {2, 3} and n on both sides of 32, each started
+    from the weighted least-squares fit."""
+    for seed in range(10):
+        for n in (20, 50):
+            for p in (2, 3):
+                rng = np.random.default_rng(seed)
+                B = 32
+                Z = rng.integers(-3, 4, size=(B, n, p)).astype(float)
+                Z[:, :, 0] = 1.0
+                y = rng.integers(-5, 6, size=(B, n)).astype(float)
+                w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(B, n))
+                tau = float(rng.choice([0.25, 0.5, 0.7]))
+                beta = solver._ls_normal_solve(Z, y, w, 1e-12)
+                obj = solver._batch_objective(Z, y, w, beta, tau)
+                yield Z, y, w, tau, beta, obj
+
+
+def sweep_everything(Z, y, w, tau, beta, obj):
+    """The polish before it skipped settled problems: every round sweeps
+    the whole batch.  Also returns the problems each round moved."""
+    moved = []
+    for _ in range(solver._MAX_POLISH_ROUNDS):
+        new_beta, new_obj = solver._polish_round(Z, y, w, tau, beta, obj)
+        improved = new_obj < obj * (1.0 - 1e-14) - 1e-300
+        moved.append(np.flatnonzero(np.any(new_beta != beta, axis=1)))
+        beta, obj = new_beta, new_obj
+        if not np.any(improved):
+            break
+    return beta, obj, moved
+
+
+class TestVertexPolish:
+    def test_sweeps_are_independent_per_problem(self):
+        for Z, y, w, tau, beta, obj in polish_batches():
+            B = Z.shape[0]
+            full_beta, full_obj = solver._polish_round(Z, y, w, tau, beta, obj)
+            sub = np.array([0, 2, 3, B - 1])
+            sub_beta, sub_obj = solver._polish_round(
+                Z[sub], y[sub], w[sub], tau, beta[sub], obj[sub]
+            )
+            assert sub_beta.tobytes() == full_beta[sub].tobytes()
+            assert sub_obj.tobytes() == full_obj[sub].tobytes()
+
+    def test_settled_problems_stay_settled(self):
+        settled = 0
+        for Z, y, w, tau, beta, obj in polish_batches():
+            B = Z.shape[0]
+            b1, o1 = solver._polish_round(Z, y, w, tau, beta, obj)
+            b2, o2 = solver._polish_round(Z, y, w, tau, b1, o1)
+            still = np.flatnonzero(np.all(b2 == b1, axis=1))
+            b3, o3 = solver._polish_round(Z, y, w, tau, b2, o2)
+            assert b3[still].tobytes() == b2[still].tobytes()
+            assert o3[still].tobytes() == o2[still].tobytes()
+            # the problems left out of the returned set are settled too
+            pb, po, todo = solver._polish_batch(Z, y, w, tau, beta, obj, np.arange(B))
+            rest = np.setdiff1d(np.arange(B), todo)
+            again, again_obj = solver._polish_round(Z, y, w, tau, pb, po)
+            assert again[rest].tobytes() == pb[rest].tobytes()
+            assert again_obj[rest].tobytes() == po[rest].tobytes()
+            settled += still.size
+        assert settled > 0
+
+    def test_skipping_settled_problems_is_exact(self):
+        partial_rounds = 0
+        for Z, y, w, tau, beta, obj in polish_batches():
+            B = Z.shape[0]
+            want_beta, want_obj, moved = sweep_everything(Z, y, w, tau, beta, obj)
+            got_beta, got_obj, _ = solver._polish_batch(Z, y, w, tau, beta, obj, np.arange(B))
+            assert got_beta.tobytes() == want_beta.tobytes()
+            assert got_obj.tobytes() == want_obj.tobytes()
+            partial_rounds += sum(0 < m.size < B for m in moved[1:])
+        assert partial_rounds > 0

@@ -1,0 +1,162 @@
+"""Check that two source trees of qmave compute the same bits.
+
+Usage::
+
+    python3 tools/same_results.py PARENT_TREE CHANGE_TREE
+
+Each tree's ``src/`` runs in its own subprocess over one fixed set of
+cases, and every case's output is reduced to a SHA-256 digest of its
+bytes.  The cases:
+
+- the n=200 four-law ``run_benchmark`` CSV at the benchmark config and
+  at a fixed-iteration config (``tol=1e-12, max_iter=5``);
+- ``qmave_fit`` theta, objective-trace bytes and iteration count for
+  tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
+  squared-loss (MAVE) fit;
+- ``index_fit_batch`` and ``full_fit_batch`` for both losses;
+- 120 seeded random stacked ``_solve_qr_batch`` solves with
+  ``max_iterations`` between 1 and 200, ties, zero-weight rows, and
+  responses and weights in both memory orders.
+
+Prints each case whose digests differ (or that one tree lacks) and exits
+1 if there is any, else 0.  A full pass takes about a minute per tree.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _grid_cases(qm):
+    laws = list(qm.NoiseLaw)
+    out = {}
+    for label, budget in (("bench", {}), ("timed", {"tol": 1e-12, "max_iter": 5})):
+        report = qm.run_benchmark(
+            ns=[200], laws=laws, replications=2, workers=1, base_seed=7, **budget
+        )
+        out[f"grid/{label}"] = _digest(report.to_csv().encode())
+    return out
+
+
+def _fit_cases(qm, np):
+    out = {}
+    kernels = {"epa": qm.KernelSpec.epanechnikov(), "quartic": qm.KernelSpec.quartic()}
+    for seed in (2, 5):
+        data, _ = qm.gen_model8(qm.SimConfig(n=200, noise=qm.NoiseLaw.SCALED_T5, seed=seed))
+        for tau in (0.1, 0.5, 0.9):
+            for kname, kernel in kernels.items():
+                cfg = qm.QmaveConfig(loss=qm.LossSpec.quantile(tau), kernel=kernel)
+                fit = _fit_or_error(qm, data, cfg)
+                out[f"fit/qmave/seed{seed}/tau{tau}/{kname}"] = fit
+    data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
+    cfg = qm.QmaveConfig(loss=qm.LossSpec.squared())
+    out["fit/mave/n1000"] = _fit_or_error(qm, data, cfg)
+    return out
+
+
+def _fit_or_error(qm, data, cfg):
+    try:
+        fit = qm.qmave_fit(data, cfg)
+    except qm.QmaveError as exc:
+        return _digest(type(exc).__name__, str(exc))
+    objective = b"".join(float(v).hex().encode() for v in fit.objective_trace)
+    return _digest(fit.theta.tobytes(), objective, fit.iterations)
+
+
+def _batch_cases(qm, np):
+    from qmave.localfit import full_fit_batch, index_fit_batch
+
+    data, theta0 = qm.gen_model8(qm.SimConfig(n=200, noise=qm.NoiseLaw.SCALED_T1, seed=11))
+    anchors = np.arange(0, 200, 3)
+    out = {}
+    for lname, loss in (("q0.3", qm.LossSpec.quantile(0.3)), ("ls", qm.LossSpec.squared())):
+        for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
+            res = index_fit_batch(data, theta0, anchors, 0.3, loss, kernel)
+            out[f"batch/index/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
+            res = full_fit_batch(data, anchors, 2.0, loss, kernel)
+            out[f"batch/full/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
+    return out
+
+
+def _solver_cases(qm, np):
+    from qmave.solver import _solve_qr_batch
+
+    rng = np.random.default_rng(20240601)
+    out = {}
+    for k in range(120):
+        B = int(rng.integers(1, 13))
+        p = int(rng.integers(1, 5))
+        n = int(rng.integers(p + 1, 70))
+        Z = rng.normal(size=(B, n, p))
+        Z[:, :, 0] = 1.0
+        y = rng.standard_t(3, size=(B, n))
+        if k % 4 == 0:
+            y = np.round(y, 1)  # ties
+        w = rng.uniform(0.0, 2.0, size=(B, n))
+        w[rng.random((B, n)) < 0.2] = 0.0
+        if k % 2:
+            y, w = np.asfortranarray(y), np.asfortranarray(w)
+        tau = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
+        opts = qm.SolverOptions(max_iterations=int(rng.integers(1, 201)))
+        beta, obj, complete = _solve_qr_batch(Z, y, w, tau, opts)
+        out[f"solver/{k:03d}"] = _digest(beta.tobytes(), obj.tobytes(), bool(complete))
+    return out
+
+
+def _emit(src: str) -> None:
+    """Child side: run every case on the library under ``src``."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    import qmave as qm
+
+    cases = {}
+    cases.update(_solver_cases(qm, np))
+    cases.update(_batch_cases(qm, np))
+    cases.update(_fit_cases(qm, np))
+    cases.update(_grid_cases(qm))
+    json.dump(cases, sys.stdout)
+
+
+def _run(tree: Path) -> dict:
+    src = tree / "src"
+    if not (src / "qmave").is_dir():
+        sys.exit(f"{tree}: no src/qmave")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--emit", str(src.resolve())],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: case run failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[1] == "--emit":
+        _emit(argv[2])
+        return 0
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = _run(Path(argv[1])), _run(Path(argv[2]))
+    differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    for name in differ:
+        print(f"DIFFERS {name}")
+    print(f"{len(parent.keys() | change.keys()) - len(differ)} same, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
