@@ -33,7 +33,7 @@ from .errors import (
     QmaveError,
 )
 from .initial import TrimSpec, ade_initial_estimate, trim_mask
-from .localfit import Dataset, _check_bandwidth, _index_offsets, index_fit_batch
+from .localfit import Dataset, _check_bandwidth, _index_pairs, index_fit_batch
 from .solver import (
     SolverOptions,
     WeightedRegressionProblem,
@@ -78,6 +78,8 @@ class QmaveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidInputError(f"tol must be positive, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise InvalidInputError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise InvalidInputError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.h is not None:
@@ -98,12 +100,15 @@ class IndexFit:
 def estimation_error(theta_hat, theta_0) -> float:
     """Sign-invariant Euclidean distance between unit index vectors."""
     a = _as_unit(theta_hat, "theta_hat")
-    b = _as_unit(theta_0, "theta_0")
+    b = _as_unit(theta_0, "theta_0", a.size)
     return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
-def _as_unit(v, name):
+def _as_unit(v, name, size=None):
+    """``v`` as a flat unit vector; with ``size`` given, also of that length."""
     v = np.asarray(v, dtype=float).ravel()
+    if size is not None and v.size != size:
+        raise InvalidInputError(f"{name} must have length {size}, got length {v.size}")
     nrm = np.linalg.norm(v)
     if not np.all(np.isfinite(v)) or abs(nrm - 1.0) > 1e-6:
         raise InvalidInputError(f"{name} must be a finite unit vector")
@@ -127,7 +132,7 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     order; anchors with too little local data are dropped for this
     iteration.
     """
-    theta = _as_unit(theta, "theta")
+    theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     anchors = np.flatnonzero(trim_mask(data, cfg.trim))
     idx, a, b, effw = index_fit_batch(data, theta, anchors, h, cfg.loss, cfg.kernel)
@@ -148,14 +153,16 @@ def outer_problem(
     response ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight
     ``K(theta'(X_i-X_j)/h)``.
     """
-    theta = _as_unit(theta, "theta")
+    theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    _, W = _index_offsets(data, theta, j, h, cfg.kernel)
-    ii, cc = np.nonzero(W > 0)
+    t, rows, cols = _index_pairs(data, theta, j, h, cfg.kernel)
+    # rows in the row-major order of the (n, m) weight matrix's nonzeros
+    ii, cc = np.divmod(np.sort(rows * j.size + cols), j.size)
+    W = kernel_eval(cfg.kernel, (t[ii] - t[j[cc]]) / h)
     design = b[cc, None] * (data.X[ii] - data.X[j[cc]])
     response = data.Y[ii] - a[cc]
-    return WeightedRegressionProblem(design, response, W[ii, cc], cfg.loss)
+    return WeightedRegressionProblem(design, response, W, cfg.loss)
 
 
 def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
@@ -188,12 +195,16 @@ def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
     """Pooled local-fit objective at ``theta`` given the fitted (a_j, b_j)
     of the ``(anchors, a, b, effective_weight)`` tuple ``fits``:
     ``sum_{i,j} K(theta'(X_i-X_j)/h) loss(Y_i - a_j - b_j theta'(X_i-X_j))``."""
-    theta = _as_unit(theta, "theta")
+    theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    T, W = _index_offsets(data, theta, j, h, cfg.kernel)
-    R = data.Y[:, None] - a[None, :] - b[None, :] * T
-    return float(np.sum(W * check_loss(R, cfg.loss)))
+    t, ii, cc = _index_pairs(data, theta, j, h, cfg.kernel)
+    T = t[ii] - t[j[cc]]
+    terms = kernel_eval(cfg.kernel, T / h) * check_loss(data.Y[ii] - a[cc] - b[cc] * T, cfg.loss)
+    # summing the (n, m) array, zero outside the windows, fixes the bits
+    dense = np.zeros((data.n, j.size))
+    dense.reshape(-1)[ii * j.size + cc] = terms
+    return float(np.sum(dense))
 
 
 def _median_window_count(data: Dataset, anchors, h0s, kernel) -> np.ndarray:
@@ -259,7 +270,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
             f"need n >= 2(d+1) = {2 * (data.d + 1)} observations, got {data.n}"
         )
     if cfg.init is not None:
-        theta = _as_unit(cfg.init, "init")
+        theta = _as_unit(cfg.init, "init", data.d)
     else:
         theta = _auto_init(data, cfg)
     run = replace(cfg, h=resolve_bandwidth(data, theta, cfg), init=None)

@@ -3,10 +3,18 @@
 Each fit minimises a kernel-weighted loss of local-linear residuals around
 an anchor point and delegates the actual minimisation to the stacked
 solvers in ``qmave.solver``.  One core per kind of fit solves a whole
-matrix of anchor columns at once: `index_fit_batch` and `full_fit_batch`
-return its kept columns as arrays, and the single-anchor fits
+batch of anchors at once: `index_fit_batch` and `full_fit_batch` return
+its kept anchors as arrays, and the single-anchor fits
 `local_linear_index_fit` and `local_linear_full_fit` are thin wrappers
-that run it on one column.
+that run it on one anchor.
+
+Along an index the neighbourhoods are sorted windows: the index values
+``t = X theta`` are sorted once, and the rows with positive kernel weight
+at an anchor are one run of the sorted rows (`_index_windows`).  The index
+fits gather each window, and the pooled (row, anchor) pairs of the outer
+problem and the objective come from the same runs (`_index_pairs`), so no
+dense (n, m) offset or weight matrix is built.  Both give the same bits as
+that dense construction.
 """
 
 from __future__ import annotations
@@ -145,13 +153,17 @@ def local_linear_index_fit(
     _check_bandwidth(h)
     opts = opts or SolverOptions()
     x0 = np.asarray(x0, dtype=float).ravel()
-    T = ((data.X - x0) @ theta)[:, None]
-    return _single_fit(
-        _index_core(T, kernel_eval(kernel, T / h), data.Y, loss, opts),
-        opts,
+    T = (data.X - x0) @ theta
+    W = kernel_eval(kernel, T / h)
+    rows = np.flatnonzero(W > 0)
+    reason = (
         "no usable local fit: needs 2 distinct positively-weighted index "
-        "values and a finite solution",
+        "values and a finite solution"
     )
+    if rows.size < 2 or not T[rows].max() > T[rows].min():
+        raise InsufficientLocalDataError(reason)
+    fits = _index_core(T[None, rows], W[None, rows], data.Y[None, rows], loss, opts)
+    return _single_fit(fits, opts, reason)
 
 
 def local_linear_full_fit(
@@ -205,25 +217,16 @@ def _solve_batch(Z, y, w, loss, opts):
     return _solve_ls_batch(Z, y, w, opts), True
 
 
-def _index_core(T, W, Y, loss, opts):
-    """Fits of ``Y`` on each column of the (n, m) index offsets ``T`` with
-    weights ``W``.  Returns ``(cols, a, b, effective_weight, complete)``
-    for the columns with two distinct weighted offsets and a finite fit;
-    ``complete`` is False when the iteration budget truncated the solve."""
-    pos = W > 0
-    tmax = np.max(np.where(pos, T, -np.inf), axis=0)
-    tmin = np.min(np.where(pos, T, np.inf), axis=0)
-    usable = (np.count_nonzero(pos, axis=0) >= 2) & (tmax > tmin)
-    cols = np.flatnonzero(usable)
-    if cols.size == 0:
-        return cols, np.empty(0), np.empty(0), np.empty(0), True
-    gather = _padded_gather(W[:, cols])
-    Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
-    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
+def _index_core(Tg, Wg, Yg, loss, opts):
+    """Fits of the gathered responses ``Yg`` on the gathered index offsets
+    ``Tg`` with weights ``Wg``, one problem per row of these (B, L)
+    arrays.  Returns ``(kept, a, b, effective_weight, complete)`` with
+    ``kept`` the rows whose fit is finite; ``complete`` is False when the
+    iteration budget truncated the solve."""
     Zb = np.stack([np.ones_like(Tg), Tg], axis=2)
-    beta, complete = _solve_batch(Zb, Y[gather], Wg, loss, opts)
+    beta, complete = _solve_batch(Zb, Yg, Wg, loss, opts)
     ok = np.all(np.isfinite(beta), axis=1)
-    return cols[ok], beta[ok, 0], beta[ok, 1], np.sum(Wg, axis=1)[ok], complete
+    return np.flatnonzero(ok), beta[ok, 0], beta[ok, 1], np.sum(Wg, axis=1)[ok], complete
 
 
 def _full_core(D, W, Y, loss, opts):
@@ -250,12 +253,62 @@ def _full_core(D, W, Y, loss, opts):
     return cols[sub[ok]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
 
 
-def _index_offsets(data, theta, anchors, h, kernel):
-    """Index offsets ``T[i, c] = theta'X_i - theta'X_anchors[c]`` (n, m)
-    and their kernel weights ``K(T / h)``."""
+def _index_windows(data, theta, anchors, h, kernel):
+    """Kernel windows of ``anchors`` along the index ``t = X theta``.
+
+    Returns ``(t, order, lo, hi)``: ``order`` is the stable argsort of
+    ``t``, and the rows with positive weight ``K((t_i - t_c)/h)`` at
+    anchor c are exactly ``order[lo[c]:hi[c]]``.  Positivity is monotone
+    in ``|t_i - t_c|`` and IEEE subtraction and division are monotone,
+    so every window is one run of the sorted rows.  Its edges start at
+    ``searchsorted(t_c -/+ h)`` and then move, one tie group at a time,
+    until the kernel test on ``(t_i - t_c) / h`` agrees at both ends.
+    """
     t = data.X @ theta
-    T = t[:, None] - t[anchors][None, :]
-    return T, kernel_eval(kernel, T / h)
+    order = np.argsort(t, kind="stable")
+    ts, tc = t[order], t[anchors]
+    lo = np.searchsorted(ts, tc - h, side="left")
+    hi = np.searchsorted(ts, tc + h, side="right")
+
+    def weighted(k, c):
+        return kernel_eval(kernel, (ts[k] - tc[c]) / h) > 0
+
+    every, last = np.arange(tc.size), ts.size - 1
+    while True:
+        grow_lo = every[(lo > 0) & weighted(np.maximum(lo - 1, 0), every)]
+        cut_lo = every[~weighted(lo, every)]
+        grow_hi = every[(hi <= last) & weighted(np.minimum(hi, last), every)]
+        cut_hi = every[~weighted(hi - 1, every)]
+        if grow_lo.size + cut_lo.size + grow_hi.size + cut_hi.size == 0:
+            return t, order, lo, hi
+        lo[grow_lo] = np.searchsorted(ts, ts[lo[grow_lo] - 1], side="left")
+        lo[cut_lo] = np.searchsorted(ts, ts[lo[cut_lo]], side="right")
+        hi[grow_hi] = np.searchsorted(ts, ts[hi[grow_hi]], side="right")
+        hi[cut_hi] = np.searchsorted(ts, ts[hi[cut_hi] - 1], side="left")
+
+
+def _window_gather(order, lo, hi):
+    """The (B, L) gather of `_padded_gather` on the windows
+    ``order[lo:hi]``: each window's rows in increasing row order, then the
+    first rows outside it in increasing row order, up to the longest
+    window L.  Laid out in Fortran order, as that gather is, since the
+    layout of the gathered arrays changes the solver's bits."""
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    outside = (rank < lo[:, None]) | (rank >= hi[:, None])
+    L = int((hi - lo).max())
+    return np.asfortranarray(np.argsort(outside, axis=1, kind="stable")[:, :L])
+
+
+def _index_pairs(data, theta, anchors, h, kernel):
+    """(row, anchor) pairs with positive index-kernel weight, window by
+    window.  Returns ``(t, rows, cols)`` with ``t = X theta`` and ``cols``
+    positions in ``anchors``."""
+    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
+    count = hi - lo
+    cols = np.repeat(np.arange(anchors.size), count)
+    pos = np.arange(cols.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return t, order[pos], cols
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
@@ -267,9 +320,17 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    T, W = _index_offsets(data, theta, anchors, h, kernel)
-    cols, a, b, effw, _ = _index_core(T, W, data.Y, loss, opts or SolverOptions())
-    return anchors[cols], a, b, effw
+    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
+    ts, tc = t[order], t[anchors]
+    usable = (hi - lo >= 2) & (ts[hi - 1] - tc > ts[lo] - tc)
+    cols = np.flatnonzero(usable)
+    if cols.size == 0:
+        return anchors[:0], np.empty(0), np.empty(0), np.empty(0)
+    gather = _window_gather(order, lo[cols], hi[cols])
+    Tg = t[gather] - tc[cols, None]
+    Wg = kernel_eval(kernel, Tg / h)
+    kept, a, b, effw, _ = _index_core(Tg, Wg, data.Y[gather], loss, opts or SolverOptions())
+    return anchors[cols[kept]], a, b, effw
 
 
 # Anchors per block of full fits: bounds the (n, block, d) offset tensor.

@@ -349,6 +349,14 @@ def _solve_ls_batch(Z, y, w, opts: SolverOptions):
     return beta
 
 
+def _active_rows(problem, active):
+    """``Z``, ``y`` and ``w`` on the rows where ``active``; the arrays as
+    they are, without a masked copy, when every row is active."""
+    if active.all():
+        return tuple(np.ascontiguousarray(v) for v in (problem.Z, problem.y, problem.w))
+    return problem.Z[active], problem.y[active], problem.w[active]
+
+
 def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
     """Coefficients minimising the weighted check-loss objective.
 
@@ -374,9 +382,7 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
             f"need at least p={problem.p} positively-weighted rows, "
             f"got {int(np.count_nonzero(active))}"
         )
-    Za = problem.Z[active]
-    ya = problem.y[active]
-    wa = problem.w[active]
+    Za, ya, wa = _active_rows(problem, active)
 
     if problem.p == 1 and np.all(Za[:, 0] == Za[0, 0]):
         c = Za[0, 0]
@@ -407,10 +413,7 @@ def solve_weighted_ls(problem: WeightedRegressionProblem, opts: SolverOptions | 
     if problem.loss.is_quantile:
         raise InvalidInputError("solve_weighted_ls requires the squared loss")
     floor = opts.regularization_floor
-    active = problem.w > 0
-    Za = problem.Z[active]
-    ya = problem.y[active]
-    wa = problem.w[active]
+    Za, ya, wa = _active_rows(problem, problem.w > 0)
     A = (Za * wa[:, None]).T @ Za
     rhs = Za.T @ (wa * ya)
     eigs = np.linalg.eigvalsh(A)

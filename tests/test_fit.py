@@ -53,6 +53,10 @@ class TestEstimationError:
         with pytest.raises(InvalidInputError):
             estimation_error([1.0, 1.0], [1.0, 0.0])
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(InvalidInputError, match="length 3, got length 2"):
+            estimation_error(unit([1, 2, 2]), [1.0, 0.0])
+
 
 class TestInnerStep:
     def test_exact_linear_data(self):
@@ -106,6 +110,24 @@ class TestInnerStep:
         data = Dataset(X, np.arange(12, dtype=float))
         with pytest.raises(InsufficientDataError):
             inner_step(data, np.array([1.0]), median_cfg(h=1e-8))
+
+
+class TestStepsRejectWrongLengthTheta:
+    @pytest.mark.parametrize("step", ["inner_step", "outer_problem", "outer_step", "eq_objective"])
+    def test_wrong_length_theta(self, step):
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(40, 3))
+        data = Dataset(X, X @ unit([1.0, 2.0, 0.0]))
+        cfg = median_cfg(h=1.0)
+        fits = inner_step(data, unit([1.0, 2.0, 0.0]), cfg)
+        call = {
+            "inner_step": lambda theta: inner_step(data, theta, cfg),
+            "outer_problem": lambda theta: outer_problem(data, theta, fits, cfg),
+            "outer_step": lambda theta: outer_step(data, theta, fits, cfg),
+            "eq_objective": lambda theta: eq_objective(data, theta, fits, cfg),
+        }[step]
+        with pytest.raises(InvalidInputError, match="length 3, got length 2"):
+            call(unit([1.0, 2.0]))
 
 
 class TestOuterStep:
@@ -176,6 +198,11 @@ class TestQmaveFit:
         assert result.iterations <= 2
         assert estimation_error(result.theta, theta0) <= 1e-6
 
+    def test_init_of_wrong_length(self):
+        data, _ = gen_model8(SimConfig(n=60, seed=3))
+        with pytest.raises(InvalidInputError, match="init must have length 5, got length 2"):
+            qmave_fit(data, median_cfg(init=[1.0, 0.0]))
+
     def test_too_small_sample(self):
         X = np.ones((3, 5)) + np.arange(15).reshape(3, 5)
         with pytest.raises(InsufficientDataError):
@@ -227,6 +254,10 @@ class TestQmaveFit:
         data = Dataset(X, np.full(30, 3.0))  # constant response
         with pytest.raises(DegenerateUpdateError, match="iteration 1"):
             qmave_fit(data, median_cfg(init=unit([1.0, 0.0]), h=2.0))
+
+    def test_max_iter_must_be_integer(self):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer, got 2.5"):
+            QmaveConfig(max_iter=2.5)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

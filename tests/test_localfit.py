@@ -16,8 +16,9 @@ from qmave import (
     local_linear_index_fit,
     qr_oracle,
 )
-from qmave.core import kernel_eval
-from qmave.localfit import full_fit_batch, index_fit_batch
+from qmave.core import check_loss, kernel_eval
+from qmave.fit import QmaveConfig, eq_objective, outer_problem
+from qmave.localfit import _index_core, _padded_gather, full_fit_batch, index_fit_batch
 
 EPA = KernelSpec.epanechnikov()
 MEDIAN = LossSpec.quantile(0.5)
@@ -291,3 +292,71 @@ class TestBatchedFitsAgreeWithSingleFits:
         )
         assert 10 not in set(X[idx, 0])
         assert set(np.round(X[idx, 0]).astype(int)) <= {0, 5}
+
+
+def dense_index_steps(data, theta, anchors, h, loss, kernel):
+    """The index fits, outer problem and pooled objective built on the
+    dense (n, m) offset and weight matrices: the reference for windows."""
+    X, Y, t = data.X, data.Y, data.X @ theta
+
+    def offsets(cols):
+        T = t[:, None] - t[cols][None, :]
+        return T, kernel_eval(kernel, T / h)
+
+    T, W = offsets(anchors)
+    pos = W > 0
+    tmax = np.max(np.where(pos, T, -np.inf), axis=0)
+    tmin = np.min(np.where(pos, T, np.inf), axis=0)
+    cols = np.flatnonzero((np.count_nonzero(pos, axis=0) >= 2) & (tmax > tmin))
+    gather = _padded_gather(W[:, cols])
+    Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
+    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
+    kept, a, b, effw, _ = _index_core(Tg, Wg, Y[gather], loss, SolverOptions())
+    j = anchors[cols[kept]]
+    T, W = offsets(j)
+    ii, cc = np.nonzero(W > 0)
+    outer = (b[cc, None] * (X[ii] - X[j[cc]]), Y[ii] - a[cc], W[ii, cc])
+    objective = float(np.sum(W * check_loss(Y[:, None] - a - b * T, loss)))
+    return (j, a, b, effw), outer, objective
+
+
+def window_data(kind):
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(120, 3))
+    theta = unit([1.0, -0.5, 2.0])
+    if kind == "ties":
+        # index values on a quarter grid, so kernel edges fall exactly on rows
+        X, theta = np.round(X * 4) / 4, np.array([1.0, 0.0, 0.0])
+    elif kind == "duplicates":
+        X[60:] = X[:60]
+    elif kind == "shifted":
+        X = X * 1e-3 + 1e6
+    Y = np.round(X @ np.ones(3) + rng.standard_t(3, size=120), 1)
+    return Dataset(X, Y), theta
+
+
+class TestSortedWindowsAreExact:
+    """Index fits, outer problem and pooled objective read each anchor's
+    kernel window as a run of the index-sorted rows; every byte must equal
+    the dense (n, m) construction."""
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicates", "shifted"])
+    @pytest.mark.parametrize("width", [0.02, 0.1, 3.0])
+    def test_matches_dense_construction(self, kind, width):
+        data, theta = window_data(kind)
+        sd = np.std(data.X @ theta, ddof=1)
+        # on the quarter grid take widths that are grid multiples
+        h = {0.02: 0.5, 0.1: 0.75, 3.0: 3.0}[width] if kind == "ties" else width * sd
+        anchors = np.arange(1, 120, 2)
+        for kernel in (EPA, KernelSpec.quartic()):
+            for loss in (MEDIAN, LossSpec.squared()):
+                fits, outer, objective = dense_index_steps(data, theta, anchors, h, loss, kernel)
+                got = index_fit_batch(data, theta, anchors, h, loss, kernel)
+                assert fits[0].size >= 2
+                for want, have in zip(fits, got):
+                    assert have.tobytes() == want.tobytes()
+                cfg = QmaveConfig(loss=loss, kernel=kernel, h=h)
+                problem = outer_problem(data, theta, got, cfg)
+                for want, have in zip(outer, (problem.Z, problem.y, problem.w)):
+                    assert have.tobytes() == want.tobytes()
+                assert eq_objective(data, theta, got, cfg).hex() == objective.hex()

@@ -14,12 +14,18 @@ bytes.  The cases:
   tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
   squared-loss (MAVE) fit;
 - ``index_fit_batch`` and ``full_fit_batch`` for both losses;
+- ``index_fit_batch``, ``outer_problem`` (design, response and weight
+  bytes) and ``eq_objective`` on adversarial n=200 data (index ties,
+  index values and bandwidths on one grid so that kernel edges fall on
+  rows, duplicate rows, ``X*1e-3 + 1e6``) with bandwidths from 0.02 to 3
+  index standard deviations, both kernels and both losses, and directly
+  at n=1000 for two directions;
 - 120 seeded random stacked ``_solve_qr_batch`` solves with
   ``max_iterations`` between 1 and 200, ties, zero-weight rows, and
   responses and weights in both memory orders.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
-1 if there is any, else 0.  A full pass takes about a minute per tree.
+1 if there is any, else 0.  A full pass takes under a minute per tree.
 """
 
 from __future__ import annotations
@@ -89,6 +95,68 @@ def _batch_cases(qm, np):
     return out
 
 
+def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None):
+    """Digests of the index fits, the outer problem built on them and the
+    pooled objective, all at bandwidth ``h``."""
+    from qmave.fit import eq_objective, outer_problem
+    from qmave.localfit import index_fit_batch
+
+    cfg = qm.QmaveConfig(loss=loss, kernel=kernel, h=h)
+    if fits is None:
+        fits = index_fit_batch(data, theta, anchors, h, loss, kernel)
+    out = {"index": _digest(*(np.asarray(v).tobytes() for v in fits))}
+    if fits[0].size:
+        problem = outer_problem(data, theta, fits, cfg)
+        out["outer"] = _digest(problem.Z.tobytes(), problem.y.tobytes(), problem.w.tobytes())
+        out["objective"] = _digest(float(eq_objective(data, theta, fits, cfg)).hex())
+    return out
+
+
+def _window_cases(qm, np):
+    from qmave.localfit import index_fit_batch
+
+    kernels = (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic()))
+    losses = (("q0.5", qm.LossSpec.quantile(0.5)), ("ls", qm.LossSpec.squared()))
+    out = {}
+    for kind in ("plain", "ties", "grid", "duplicates", "shifted"):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(200, 4))
+        theta = np.array([1.0, -0.5, 2.0, 0.5]) / np.linalg.norm([1.0, -0.5, 2.0, 0.5])
+        if kind in ("ties", "grid"):
+            X = np.round(X * 4) / 4
+        if kind == "grid":
+            # index on a quarter grid: kernel edges fall exactly on rows
+            theta = np.array([1.0, 0.0, 0.0, 0.0])
+        elif kind == "duplicates":
+            X[100:] = X[:100]
+        elif kind == "shifted":
+            X = X * 1e-3 + 1e6
+        Y = np.round(X @ np.ones(4) + rng.standard_t(3, size=200), 1)
+        data = qm.Dataset(X, Y)
+        sd = float(np.std(data.X @ theta, ddof=1))
+        for width in (0.02, 0.1, 0.5, 3.0):
+            h = {0.02: 0.25, 0.1: 0.5, 0.5: 0.75, 3.0: 3.0}[width] if kind == "grid" else width * sd
+            for kname, kernel in kernels:
+                for lname, loss in losses:
+                    digests = _index_step_digests(
+                        qm, np, data, theta, np.arange(0, 200, 3), h, loss, kernel
+                    )
+                    for part, value in digests.items():
+                        out[f"window/{kind}/{width}/{kname}/{lname}/{part}"] = value
+    data, theta0 = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
+    anchors = np.arange(1000)
+    other = np.linspace(1.0, 2.0, 5) / np.linalg.norm(np.linspace(1.0, 2.0, 5))
+    for tname, theta in (("truth", theta0), ("other", other)):
+        for kname, kernel in kernels:
+            h = 0.25 * float(np.std(data.X @ theta, ddof=1))
+            fits = index_fit_batch(data, theta, anchors, h, qm.LossSpec.squared(), kernel)
+            for lname, loss in losses:
+                digests = _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits)
+                for part, value in digests.items():
+                    out[f"window/n1000/{tname}/{kname}/{lname}/{part}"] = value
+    return out
+
+
 def _solver_cases(qm, np):
     from qmave.solver import _solve_qr_batch
 
@@ -124,6 +192,7 @@ def _emit(src: str) -> None:
     cases = {}
     cases.update(_solver_cases(qm, np))
     cases.update(_batch_cases(qm, np))
+    cases.update(_window_cases(qm, np))
     cases.update(_fit_cases(qm, np))
     cases.update(_grid_cases(qm))
     json.dump(cases, sys.stdout)
