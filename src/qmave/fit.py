@@ -256,26 +256,45 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
     )
 
 
+def _check_covariates(X) -> None:
+    """Reject covariates that leave the index unidentified: a constant
+    column, or columns that are exactly collinear after centring."""
+    constant = np.flatnonzero(np.ptp(X, axis=0) == 0)
+    if constant.size:
+        raise InvalidInputError(f"covariate column {int(constant[0])} is constant")
+    rank = int(np.linalg.matrix_rank(X - X.mean(axis=0)))
+    if rank < X.shape[1]:
+        raise InvalidInputError(
+            f"covariate columns are collinear after centring: rank {rank} "
+            f"of {X.shape[1]} columns"
+        )
+
+
 def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     """Alternate inner and outer steps until the index stabilises.
 
     The bandwidth is resolved once from the initial index and held fixed
     across iterations.  On hitting ``max_iter`` without convergence the
     lowest-objective iterate is returned with ``converged=False``.
-    Deterministic: no internal randomness.
+    Deterministic: no internal randomness.  A constant covariate column,
+    or columns exactly collinear after centring, raise
+    ``InvalidInputError``.
     """
     cfg = cfg or QmaveConfig()
     if data.n < 2 * (data.d + 1):
         raise InsufficientDataError(
             f"need n >= 2(d+1) = {2 * (data.d + 1)} observations, got {data.n}"
         )
+    _check_covariates(data.X)
     if cfg.init is not None:
         theta = _as_unit(cfg.init, "init", data.d)
     else:
         theta = _auto_init(data, cfg)
     run = replace(cfg, h=resolve_bandwidth(data, theta, cfg), init=None)
 
-    theta_trace = [theta]
+    # each iterate is recorded normalised as the returned index is, so that
+    # the index returned is one of the recorded entries bit for bit
+    theta_trace = [theta / np.linalg.norm(theta)]
     objective_trace: list[float] = []
     converged = False
     iterations = 0
@@ -288,12 +307,13 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         iterations = k
         dist = min(np.linalg.norm(new - theta), np.linalg.norm(new + theta))
-        theta_trace.append(new)
+        theta_trace.append(new / np.linalg.norm(new))
         theta = new
         if dist <= run.tol:
             converged = True
             break
 
+    best = len(theta_trace) - 1
     if not converged:
         try:
             fits = inner_step(data, theta, run)
@@ -301,7 +321,4 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
         except QmaveError:
             pass
         best = int(np.argmin(objective_trace))
-        theta = theta_trace[best]
-
-    theta = theta / np.linalg.norm(theta)
-    return IndexFit(theta, iterations, converged, theta_trace, objective_trace)
+    return IndexFit(theta_trace[best], iterations, converged, theta_trace, objective_trace)

@@ -1,17 +1,17 @@
 """Weighted linear quantile regression and weighted least squares.
 
-The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)`` by
-iteratively reweighted least squares on a smoothed objective: the kink of
-the check loss is replaced by a quadratic on ``[-delta, delta]``, the
-fixed point of the induced reweighting is followed while ``delta`` shrinks
-geometrically from the initial residual scale down to 1e-8, and the result
-is polished by comparing against exact-fit candidates through the rows
-with the smallest residuals (an optimum of the weighted check loss
-interpolates ``p`` rows whenever the design is in general position).
-Each polish round sweeps again only the problems whose coefficients the
-previous round moved: a sweep reads nothing but its own problem's rows,
-so a problem it left unchanged would be left unchanged again, and
-skipping it gives the same bits as sweeping the whole batch.
+The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)``.  A
+batched Frisch-Newton interior point (Portnoy & Koenker 1997) solves the
+linear program on the rows ``w_i z_i, w_i y_i``; its fit is snapped to
+the exact fit through the ``p`` usable rows of smallest residual, and the
+Koenker-Bassett (1978) subgradient condition certifies that vertex
+optimal in closed form.  Problems the certificate rejects (tied or
+degenerate data) go to a vertex polish over exact-fit candidates through
+the rows with the smallest residuals.  Each polish round sweeps again
+only the problems whose coefficients the previous round moved: a sweep
+reads nothing but its own problem's rows, so a problem it left unchanged
+would be left unchanged again, and skipping it gives the same bits as
+sweeping the whole batch.
 
 Conformance is defined in objective value, never in coefficients: optima
 of piecewise-linear objectives can sit on flat faces.  ``qr_oracle`` is an
@@ -44,12 +44,11 @@ __all__ = [
     "qr_oracle",
 ]
 
-# Geometric delta schedule of the smoothed objective.
-_DELTA_MIN = 1e-8
-_DELTA_SHRINK = 0.35
-_MAX_INNER_PER_STAGE = 5
+# Interior point: fraction of the way to the boundary a step may go
+# (Koenker's rqfnb), and the rows solved together in one block.
+_STEP = 0.99995
+_BLOCK_ROWS = 8192
 _MAX_POLISH_ROUNDS = 12
-_REFINE_CYCLES = 3
 
 # Determinant threshold for "rows in general position", relative to the
 # Hadamard bound of the subsystem.
@@ -58,7 +57,14 @@ _GENERAL_POSITION_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances shared by the regression solvers."""
+    """Tolerances shared by the regression solvers.
+
+    The quantile solver's interior point stops at a duality gap of
+    ``objective_tolerance`` times the objective at its least-squares
+    start, or after ``max_iterations`` steps on a block of problems, which
+    marks the solve incomplete.  ``regularization_floor`` is the ridge on
+    the normal equations.
+    """
 
     objective_tolerance: float = 1e-9
     max_iterations: int = 200
@@ -174,19 +180,17 @@ def _ls_normal_solve(Z, y, w, ridge):
     return _batch_solve(A, rhs)
 
 
-def _polish_extra(n_rows: int) -> int:
-    if n_rows <= 32:
-        return 6
-    if n_rows <= 4096:
-        return 4
-    return 3
+def _in_general_position(Zs):
+    """Per stacked p x p system, whether its rows are in general position."""
+    hadamard = np.prod(np.linalg.norm(Zs, axis=2), axis=1)
+    return np.abs(np.linalg.det(Zs)) > _GENERAL_POSITION_RTOL * np.maximum(hadamard, 1e-300)
 
 
 def _polish_round(Z, y, w, tau, beta, obj):
     """One sweep of exact-fit candidates through the rows with the
     smallest residuals at the current iterate."""
     B, n, p = Z.shape
-    m = min(n, p + _polish_extra(n))
+    m = min(n, p + (6 if n <= 32 else 4 if n <= 4096 else 3))
     if m < p:
         return beta, obj
     r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
@@ -196,9 +200,7 @@ def _polish_round(Z, y, w, tau, beta, obj):
         idx = order[:, list(subset)]
         Zs = np.take_along_axis(Z, idx[:, :, None], axis=1)
         ys = np.take_along_axis(y, idx, axis=1)
-        det = np.linalg.det(Zs)
-        hadamard = np.prod(np.linalg.norm(Zs, axis=2), axis=1)
-        ok = np.abs(det) > _GENERAL_POSITION_RTOL * np.maximum(hadamard, 1e-300)
+        ok = _in_general_position(Zs)
         if not np.any(ok):
             continue
         Zs = np.where(ok[:, None, None], Zs, np.eye(p))
@@ -238,104 +240,126 @@ def _polish_batch(Z, y, w, tau, beta, obj, todo):
     return beta, obj, todo
 
 
-def _irls(Z, y, w, tau, lin, reg, beta, best, deltas, step_tol, budget):
-    """Follow the smoothed fixed point from ``beta`` at each delta in turn,
-    ending a stage early once no coefficient moves more than ``step_tol``
-    (relative), and keep each stage's iterate where it beats ``best``.
-    Returns ``(beta_best, obj_best, iterations, complete)``."""
-    beta_best, obj_best = best
-    iters = 0
-    complete = True
-    for delta in deltas:
-        for _ in range(_MAX_INNER_PER_STAGE):
-            if iters >= budget:
-                complete = False
-                break
-            r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
-            s = w / np.maximum(np.abs(r), delta)
-            sz = Z * s[:, :, None]
-            A = np.matmul(Z.transpose(0, 2, 1), sz) + reg
-            rhs = np.matmul(sz.transpose(0, 2, 1), y[:, :, None])[:, :, 0] + lin
-            new = _batch_solve(A, rhs)
-            iters += 1
-            move = np.max(np.abs(new - beta), axis=1)
-            beta = new
-            if np.all(move <= step_tol * (1.0 + np.max(np.abs(beta), axis=1))):
-                break
-        obj = _batch_objective(Z, y, w, beta, tau)
-        improved = np.isfinite(obj) & (obj < obj_best)
-        if np.any(improved):
-            beta_best = np.where(improved[:, None], beta, beta_best)
-            obj_best = np.where(improved, obj, obj_best)
-        if not complete:
-            break
-    return beta_best, obj_best, iters, complete
+def _mv(M, v):
+    """Stacked matrix-vector products ``M[b] @ v[b]``."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _step_lengths(a, s, z, w, dx, dz, dw):
+    """Primal and dual step lengths, (B, 1) each: 1, or ``_STEP`` of the
+    way to the boundary of ``a, s, z, w >= 0`` (``s`` moves by ``-dx``)."""
+    reach_p = np.maximum(np.max(-dx / a, axis=1), np.max(dx / s, axis=1))
+    reach_d = np.maximum(np.max(-dz / z, axis=1), np.max(-dw / w, axis=1))
+    return tuple(_STEP / np.maximum(_STEP, r)[:, None] for r in (reach_p, reach_d))
+
+
+def _frisch_newton(X, yv, tau, opts: SolverOptions):
+    """Frisch-Newton interior point for the regressions of ``yv`` (B, n)
+    on ``X`` (B, n, p) in the dual form of Koenker's ``rqfnb``: maximise
+    ``yv'a`` over ``X'a = (1 - tau) X'1``, ``0 <= a = 1 - s <= 1``, with
+    dual slacks ``z, w``.  Mehrotra predictor-corrector steps from
+    ``a = 1 - tau`` and the least-squares fit; a problem stops once its
+    duality gap, which bounds its excess objective, is at most
+    ``opts.objective_tolerance`` times the objective at the start.
+    Returns ``(beta, converged)``."""
+    B, n, p = X.shape
+    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(X, axis=1)
+    beta = _batch_solve(np.matmul(X.transpose(0, 2, 1), X) + reg, _mv(X.transpose(0, 2, 1), yv))
+    r = yv - _mv(X, beta)
+    limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
+    limit[limit == 0] = np.inf  # an exact start (zero objective) is optimal
+    shift = np.mean(np.abs(r), axis=1, keepdims=True)
+    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    a, s = np.full_like(yv, 1.0 - tau), np.full_like(yv, tau)
+    del r, yv  # only the start needs them; the loop's working set stays small
+    out, converged, live = np.empty_like(beta), np.zeros(B, dtype=bool), np.arange(B)
+    for it in range(opts.max_iterations + 1):
+        gap = np.sum(a * z + s * w, axis=1)
+        done = ~(gap > limit) | (it == opts.max_iterations)  # NaN ends too
+        if np.any(done):
+            out[live[done]], converged[live[done]] = beta[done], gap[done] <= limit[done]
+            live, keep = live[~done], ~done
+            if live.size == 0:
+                return out, converged
+            X, b, limit, beta, gap, a, s, z, w = (
+                v[keep] for v in (X, b, limit, beta, gap, a, s, z, w)
+            )
+        Xt = X.transpose(0, 2, 1)
+        d = 1.0 / (z / a + w / s)
+        zw = z - w
+        rhs = b + _mv(Xt, d * zw - a)
+        M = np.matmul(Xt, X * d[:, :, None]) + reg
+        # predictor: the affine-scaling step
+        dy = _batch_solve(M, rhs)
+        dx = d * (_mv(X, dy) - zw)
+        dz, dw = -z * (dx / a + 1.0), w * (dx / s - 1.0)
+        ap, ad = _step_lengths(a, s, z, w, dx, dz, dw)
+        # corrector: Mehrotra's centring target from the predicted gap
+        g = np.sum((a + ap * dx) * (z + ad * dz) + (s - ap * dx) * (w + ad * dw), axis=1)
+        mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
+        dxdz, dxdw = dx * dz, dx * dw
+        dr = d * (mu * (1.0 / s - 1.0 / a) + dxdz / a + dxdw / s)
+        dy = _batch_solve(M, rhs + _mv(Xt, dr))
+        dx = d * (_mv(X, dy) - zw) - dr
+        dz, dw = (mu - z * dx - dxdz) / a - z, (mu + w * dx + dxdw) / s - w
+        ap, ad = _step_lengths(a, s, z, w, dx, dz, dw)
+        a += ap * dx
+        s -= ap * dx
+        beta -= ad * dy
+        z += ad * dz
+        w += ad * dw
+
+
+def _snap_and_certify(Z, y, w, tau, beta):
+    """Snap ``beta`` to the exact fit through the ``p`` usable rows
+    (positive weight, nonzero design) of smallest weighted residual, and
+    certify it by the Koenker-Bassett condition: the basis duals, solved
+    from their p x p system, lie in ``[tau - 1, tau]`` and no other usable
+    row sits at zero residual.  Returns ``(beta, obj, certified)``; an
+    uncertified problem keeps the lower in objective of ``beta`` and the
+    vertex (if its basis is in general position)."""
+    usable = (w > 0) & np.any(Z != 0, axis=2)
+    key = np.where(usable, w * np.abs(y - _mv(Z, beta)), np.inf)
+    basis = np.argsort(key, axis=1, kind="stable")[:, : Z.shape[2]]
+    Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
+    wb = np.take_along_axis(w, basis, axis=1)
+    ok = _in_general_position(Zb) & np.all(np.take_along_axis(usable, basis, axis=1), axis=1)
+    Zb[~ok], wb[~ok] = np.eye(Z.shape[2]), 1.0
+    vertex = _batch_solve(Zb, np.take_along_axis(y, basis, axis=1))
+    r = y - _mv(Z, vertex)
+    wpsi = w * np.where(r < 0, tau - 1.0, tau)
+    np.put_along_axis(wpsi, basis, 0.0, axis=1)
+    np.put_along_axis(r, basis, np.inf, axis=1)
+    # the duals d solve (w_b z_b)' d = -sum of w_i z_i psi_i off the basis
+    dual = _batch_solve(Zb.transpose(0, 2, 1) * wb[:, None, :], -_mv(Z.transpose(0, 2, 1), wpsi))
+    certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
+    certified &= ~np.any(usable & (r == 0), axis=1)
+    obj, vertex_obj = (_batch_objective(Z, y, w, v, tau) for v in (beta, vertex))
+    snap = ok & (certified | (vertex_obj <= obj))
+    return np.where(snap[:, None], vertex, beta), np.where(snap, vertex_obj, obj), certified
 
 
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
-    """Smoothed-IRLS solve of stacked weighted quantile regressions.
+    """Certified solve of stacked weighted quantile regressions.
 
-    Z is (B, n, p); y and w are (B, n).  Returns ``(beta, obj, complete)``
-    where ``complete`` is False when ``opts.max_iterations`` truncated the
-    delta schedule.  Rows with zero weight contribute exactly nothing.
+    Z is (B, n, p); y and w are (B, n).  Blocks of about ``_BLOCK_ROWS``
+    rows run the interior point on the rows ``w_i z_i, w_i y_i``, then the
+    snap and certificate; only problems the certificate rejects go to the
+    vertex polish.  Returns ``(beta, obj, complete)``, ``complete`` False
+    when ``opts.max_iterations`` ran out before a gap met its tolerance.
     """
     Z = np.ascontiguousarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
+    y, w = (np.asarray(v, dtype=float) for v in (y, w))
     B, n, p = Z.shape
-    reg = opts.regularization_floor * np.eye(p)
-
-    wz = Z * w[:, :, None]
-    lin = (2.0 * tau - 1.0) * np.sum(wz, axis=1)
-    A0 = np.matmul(Z.transpose(0, 2, 1), wz) + reg
-    rhs0 = np.matmul(wz.transpose(0, 2, 1), y[:, :, None])[:, :, 0]
-    beta = _batch_solve(A0, rhs0)
-
-    active = w > 0
-    r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
-    absr = np.where(active, np.abs(r), np.nan)
-    delta0 = np.nanmedian(absr, axis=1)
-    delta0 = np.where(np.isfinite(delta0) & (delta0 > 0), delta0, _DELTA_MIN)
-    delta0 = np.maximum(delta0, _DELTA_MIN)
-
-    n_stages = 1 + max(
-        0,
-        int(np.ceil(np.log(_DELTA_MIN / np.max(delta0)) / np.log(_DELTA_SHRINK))),
-    )
-    schedule = (np.maximum(delta0 * _DELTA_SHRINK**k, _DELTA_MIN)[:, None] for k in range(n_stages))
-    best = (beta.copy(), _batch_objective(Z, y, w, beta, tau))
-    step_tol = max(opts.objective_tolerance, 1e-12)
-    beta_best, obj_best, iters, complete = _irls(
-        Z, y, w, tau, lin, reg, beta, best, schedule, step_tol, opts.max_iterations
-    )
-
-    # release the schedule's temporaries before the polish copies rows
-    del wz, A0, rhs0, r, absr, beta, best
-    beta_best, obj_best, todo = _polish_batch(Z, y, w, tau, beta_best, obj_best, np.arange(B))
-
-    # refinement cycles: a short fixed point at the floor delta restarted
-    # from the polished vertex can slide into a better basin, after which
-    # the vertex search snaps to its optimum.  A step tolerance of zero
-    # ends a cycle early only at an exact fixed point.  The polish sweeps
-    # the problems its last sweep moved and those this cycle's fixed point
-    # changed; every other problem sits at a vertex a sweep leaves alone.
-    for _ in range(_REFINE_CYCLES):
-        if not complete:
-            break
-        prev_beta, prev_obj = beta_best, obj_best
-        beta_best, obj_best, used, complete = _irls(
-            Z, y, w, tau, lin, reg, beta_best, (beta_best, obj_best),
-            (_DELTA_MIN,), 0.0, opts.max_iterations - iters,
-        )
-        iters += used
-        changed = np.any(beta_best != prev_beta, axis=1) | (obj_best != prev_obj)
-        todo = np.union1d(todo, np.flatnonzero(changed))
-        new_beta, new_obj, todo = _polish_batch(Z, y, w, tau, beta_best, obj_best, todo)
-        moved = new_obj < obj_best * (1.0 - 1e-14)
-        beta_best, obj_best = new_beta, new_obj
-        if not np.any(moved):
-            break
-    return beta_best, obj_best, complete
+    beta, obj, certified = np.empty((B, p)), np.empty(B), np.empty(B, dtype=bool)
+    complete = True
+    step = max(1, _BLOCK_ROWS // n)
+    for k in (slice(lo, lo + step) for lo in range(0, B, step)):
+        inner, converged = _frisch_newton(Z[k] * w[k, :, None], y[k] * w[k], tau, opts)
+        complete &= bool(np.all(converged))
+        beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
+    beta, obj, _ = _polish_batch(Z, y, w, tau, beta, obj, np.flatnonzero(~certified))
+    return beta, obj, complete
 
 
 def _solve_ls_batch(Z, y, w, opts: SolverOptions):
@@ -360,10 +384,11 @@ def _active_rows(problem, active):
 def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
     """Coefficients minimising the weighted check-loss objective.
 
-    Optimality of the objective value is verified only against
-    ``qr_oracle``, for n <= 15 and p <= 4; larger problems carry no
-    certificate.  Coefficients themselves may be non-unique.
-    Deterministic for fixed inputs.
+    The returned vertex is certified optimal in closed form by the
+    Koenker-Bassett subgradient condition, at any problem size; problems
+    the certificate rejects (tied or degenerate data) are finished by the
+    vertex polish instead, without a certificate.  Coefficients
+    themselves may be non-unique.  Deterministic for fixed inputs.
 
     Raises
     ------

@@ -269,6 +269,32 @@ class TestQmaveFit:
                 QmaveConfig(h=h)
 
 
+class TestDegenerateCovariates:
+    """A constant or collinear covariate leaves the index unidentified;
+    ``qmave_fit`` says so at entry, for both losses."""
+
+    LOSSES = [LossSpec.quantile(0.5), LossSpec.squared()]
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_constant_column_is_named(self, loss):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=2))
+        X = data.X.copy()
+        X[:, 2] = 1.0
+        with pytest.raises(InvalidInputError, match="covariate column 2 is constant"):
+            qmave_fit(Dataset(X, data.Y), QmaveConfig(loss=loss))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_collinear_columns_state_the_rank(self, loss):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=2))
+        X = np.column_stack([data.X, data.X[:, 0]])
+        with pytest.raises(InvalidInputError, match="collinear after centring: rank 5 of 6"):
+            qmave_fit(Dataset(X, data.Y), QmaveConfig(loss=loss))
+        # collinear only after centring: a column equal to another plus a constant
+        X[:, 5] = 2.0 * data.X[:, 1] + 7.0
+        with pytest.raises(InvalidInputError, match="rank 5 of 6"):
+            qmave_fit(Dataset(X, data.Y), QmaveConfig(loss=loss))
+
+
 class TestObjectiveMonotonicity:
     def test_inner_step_never_increases_pooled_objective(self):
         rng = np.random.default_rng(68)

@@ -1,5 +1,7 @@
 """Weighted quantile regression solver, least squares, and the oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -362,3 +364,118 @@ class TestVertexPolish:
             assert got_obj.tobytes() == want_obj.tobytes()
             partial_rounds += sum(0 < m.size < B for m in moved[1:])
         assert partial_rounds > 0
+
+
+def highs_beta(Z, y, w, tau):
+    """Coefficients of one weighted quantile regression from HiGHS, as the
+    linear program: minimise ``tau 1'u + (1 - tau) 1'v`` subject to
+    ``w_i z_i'beta + u_i - v_i = w_i y_i``, ``u, v >= 0``, beta free."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, p = Z.shape
+    eye = sparse.identity(n, format="csr")
+    A = sparse.hstack([sparse.csr_matrix(Z * w[:, None]), eye, -eye], format="csr")
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    res = linprog(c, A_eq=A, b_eq=y * w, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.x[:p]
+
+
+def continuous_batches():
+    """Stacked problems on continuous data, n from 20 to 5000 and p in
+    {1, 2, 5, 6}: about a fifth of the rows carry zero weight and one in
+    twenty has an all-zero design row (its response kept)."""
+    rng = np.random.default_rng(20261018)
+    for n, B in ((20, 16), (200, 8), (1000, 2), (5000, 1)):
+        for p in (1, 2, 5, 6):
+            Z = rng.normal(size=(B, n, p))
+            if p > 1:
+                Z[:, :, 0] = 1.0
+            y = np.matmul(Z, rng.normal(size=p)) + rng.standard_t(3, size=(B, n))
+            w = rng.uniform(0.1, 2.0, size=(B, n))
+            w[rng.random((B, n)) < 0.2] = 0.0
+            Z[rng.random((B, n)) < 0.05] = 0.0
+            tau = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
+            yield Z, y, w, tau
+
+
+class TestCertifiedSolve:
+    def test_objectives_match_highs(self):
+        for Z, y, w, tau in continuous_batches():
+            beta, obj, complete = solver._solve_qr_batch(Z, y, w, tau, SolverOptions())
+            assert complete
+            np.testing.assert_array_equal(obj, solver._batch_objective(Z, y, w, beta, tau))
+            ref = np.array([highs_beta(Z[b], y[b], w[b], tau) for b in range(Z.shape[0])])
+            ref_obj = solver._batch_objective(Z, y, w, ref, tau)
+            assert np.all(np.abs(obj - ref_obj) <= 1e-9 * ref_obj), (Z.shape, tau)
+
+    def test_continuous_problems_are_certified(self):
+        for Z, y, w, tau in continuous_batches():
+            inner, converged = solver._frisch_newton(Z * w[:, :, None], y * w, tau, SolverOptions())
+            assert np.all(converged)
+            _, _, certified = solver._snap_and_certify(Z, y, w, tau, inner)
+            assert np.all(certified), (Z.shape, tau)
+
+    def test_hand_built_vertex_with_a_dual_outside_is_rejected(self):
+        # the constant fit through y = 5 of 1..5 at the median: the four
+        # rows below give the basis row the dual 4 * 0.5 = 2 > tau
+        Z, y, w = np.ones((1, 5, 1)), np.arange(1.0, 6.0)[None], np.ones((1, 5))
+        vertex, obj, certified = solver._snap_and_certify(Z, y, w, 0.5, np.array([[5.0]]))
+        assert vertex[0, 0] == 5.0 and obj[0] == 5.0 and not certified[0]
+        vertex, obj, certified = solver._snap_and_certify(Z, y, w, 0.5, np.array([[3.0]]))
+        assert vertex[0, 0] == 3.0 and obj[0] == 3.0 and certified[0]
+
+    def test_certificate_accepts_exactly_the_optimal_vertices(self):
+        # every vertex of small continuous problems, snapped from itself:
+        # certified if and only if it attains the enumerated optimum
+        rng = np.random.default_rng(21)
+        rejected_optimal = accepted = rejected = 0
+        for _ in range(20):
+            n, p = 9, int(rng.integers(1, 4))
+            Z = rng.normal(size=(n, p))
+            y = rng.normal(size=n)
+            w = rng.uniform(0.2, 2.0, size=n)
+            tau = float(rng.choice([0.2, 0.5, 0.8]))
+            best = WeightedRegressionProblem(Z, y, w, LossSpec.quantile(tau))
+            best = best.objective(qr_oracle(best))
+            subsets = np.array(list(combinations(range(n), p)))
+            vertices = np.linalg.solve(Z[subsets], y[subsets][:, :, None])[:, :, 0]
+            B = len(subsets)
+            args = tuple(np.broadcast_to(v, (B,) + v.shape) for v in (Z, y, w))
+            vertex, objs, certified = solver._snap_and_certify(*args, tau, vertices)
+            np.testing.assert_allclose(vertex, vertices, rtol=1e-9, atol=1e-12)
+            optimal = objs <= best * (1 + 1e-12)
+            assert not np.any(certified & ~optimal)
+            rejected_optimal += np.count_nonzero(optimal & ~certified)
+            accepted += np.count_nonzero(certified)
+            rejected += np.count_nonzero(~certified)
+        assert rejected_optimal == 0 and accepted >= 20 and rejected > accepted
+
+    def test_outer_problem_of_a_fit_is_certified(self):
+        # the own-anchor rows of the outer problem have an all-zero design
+        # and here also a zero residual; they must stay out of the basis
+        from dataclasses import replace
+
+        from qmave import (
+            NoiseLaw,
+            QmaveConfig,
+            SimConfig,
+            gen_model8,
+            inner_step,
+            outer_problem,
+            qmave_fit,
+        )
+        from qmave.fit import resolve_bandwidth
+
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_T1, seed=1))
+        cfg = QmaveConfig(loss=LossSpec.quantile(0.5), max_iter=2)
+        theta = qmave_fit(data, cfg).theta
+        cfg = replace(cfg, h=resolve_bandwidth(data, theta, cfg))
+        prob = outer_problem(data, theta, inner_step(data, theta, cfg), cfg)
+        Z, y, w = prob.Z[None], prob.y[None], prob.w[None]
+        assert np.any(np.all(Z[0] == 0, axis=1) & (y[0] == 0) & (w[0] > 0))
+        inner, converged = solver._frisch_newton(Z * w[:, :, None], y * w, 0.5, SolverOptions())
+        _, _, certified = solver._snap_and_certify(Z, y, w, 0.5, inner)
+        assert converged[0] and certified[0]

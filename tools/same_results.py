@@ -25,7 +25,12 @@ bytes.  The cases:
   responses and weights in both memory orders.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
-1 if there is any, else 0.  A full pass takes under a minute per tree.
+1 if there is any, else 0.  The solver cases also record each problem's
+check-loss objective, computed here from the returned coefficients; when
+their bytes differ, the tool prints whether every objective of the change
+is at most the parent's times ``1 + 1e-12``.  That line is a report only:
+the verdict and the exit code rest on the bytes alone.  A full pass takes
+under a minute per tree.
 """
 
 from __future__ import annotations
@@ -157,7 +162,12 @@ def _window_cases(qm, np):
     return out
 
 
-def _solver_cases(qm, np):
+# Relative slack within which a change's solver objective counts as no
+# worse than the parent's.
+OBJECTIVE_RTOL = 1e-12
+
+
+def _solver_cases(qm, np, objectives):
     from qmave.solver import _solve_qr_batch
 
     rng = np.random.default_rng(20240601)
@@ -179,6 +189,9 @@ def _solver_cases(qm, np):
         opts = qm.SolverOptions(max_iterations=int(rng.integers(1, 201)))
         beta, obj, complete = _solve_qr_batch(Z, y, w, tau, opts)
         out[f"solver/{k:03d}"] = _digest(beta.tobytes(), obj.tobytes(), bool(complete))
+        r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
+        rho = np.where(r > 0, tau * r, (tau - 1.0) * r)
+        objectives[f"solver/{k:03d}"] = np.sum(w * rho, axis=1).tolist()
     return out
 
 
@@ -189,16 +202,16 @@ def _emit(src: str) -> None:
 
     import qmave as qm
 
-    cases = {}
-    cases.update(_solver_cases(qm, np))
+    cases, objectives = {}, {}
+    cases.update(_solver_cases(qm, np, objectives))
     cases.update(_batch_cases(qm, np))
     cases.update(_window_cases(qm, np))
     cases.update(_fit_cases(qm, np))
     cases.update(_grid_cases(qm))
-    json.dump(cases, sys.stdout)
+    json.dump({"digests": cases, "objectives": objectives}, sys.stdout)
 
 
-def _run(tree: Path) -> dict:
+def _run(tree: Path):
     src = tree / "src"
     if not (src / "qmave").is_dir():
         sys.exit(f"{tree}: no src/qmave")
@@ -209,7 +222,28 @@ def _run(tree: Path) -> dict:
     )
     if proc.returncode != 0:
         sys.exit(f"{tree}: case run failed\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    record = json.loads(proc.stdout)
+    return record["digests"], record["objectives"]
+
+
+def _report_objectives(differ, parent_obj, change_obj) -> None:
+    """Print whether every objective of the solver cases whose bytes
+    differ is at most the parent's times 1 + OBJECTIVE_RTOL."""
+    names = [k for k in differ if k in parent_obj and k in change_obj]
+    if not names:
+        return
+    worse = [
+        k for k in names
+        # a NaN on either side counts as worse
+        if any(not c <= p * (1.0 + OBJECTIVE_RTOL) for p, c in zip(parent_obj[k], change_obj[k]))
+    ]
+    for name in worse:
+        print(f"WORSE OBJECTIVE {name}")
+    verdict = "yes" if not worse else f"no ({len(worse)} cases)"
+    print(
+        f"{len(names)} solver cases differ; every objective <= parent x "
+        f"(1 + {OBJECTIVE_RTOL:g}): {verdict}"
+    )
 
 
 def main(argv) -> int:
@@ -219,10 +253,11 @@ def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    parent, change = _run(Path(argv[1])), _run(Path(argv[2]))
+    (parent, parent_obj), (change, change_obj) = _run(Path(argv[1])), _run(Path(argv[2]))
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
     for name in differ:
         print(f"DIFFERS {name}")
+    _report_objectives(differ, parent_obj, change_obj)
     print(f"{len(parent.keys() | change.keys()) - len(differ)} same, {len(differ)} differ")
     return 1 if differ else 0
 
