@@ -33,7 +33,7 @@ from .errors import (
     QmaveError,
 )
 from .initial import TrimSpec, ade_initial_estimate, trim_mask
-from .localfit import Dataset, _check_bandwidth, _index_pairs, index_fit_batch
+from .localfit import Dataset, _box_blocks, _check_bandwidth, _index_pairs, index_fit_batch
 from .solver import (
     SolverOptions,
     WeightedRegressionProblem,
@@ -156,9 +156,7 @@ def outer_problem(
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    t, rows, cols = _index_pairs(data, theta, j, h, cfg.kernel)
-    # rows in the row-major order of the (n, m) weight matrix's nonzeros
-    ii, cc = np.divmod(np.sort(rows * j.size + cols), j.size)
+    t, ii, cc = _index_pairs(data, theta, j, h, cfg.kernel)
     W = kernel_eval(cfg.kernel, (t[ii] - t[j[cc]]) / h)
     design = b[cc, None] * (data.X[ii] - data.X[j[cc]])
     response = data.Y[ii] - a[cc]
@@ -201,10 +199,7 @@ def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
     t, ii, cc = _index_pairs(data, theta, j, h, cfg.kernel)
     T = t[ii] - t[j[cc]]
     terms = kernel_eval(cfg.kernel, T / h) * check_loss(data.Y[ii] - a[cc] - b[cc] * T, cfg.loss)
-    # summing the (n, m) array, zero outside the windows, fixes the bits
-    dense = np.zeros((data.n, j.size))
-    dense.reshape(-1)[ii * j.size + cc] = terms
-    return float(np.sum(dense))
+    return float(np.sum(terms))
 
 
 def _median_window_count(data: Dataset, anchors, h0s, kernel) -> np.ndarray:
@@ -212,14 +207,14 @@ def _median_window_count(data: Dataset, anchors, h0s, kernel) -> np.ndarray:
     one median per bandwidth in ``h0s``.
 
     The product kernel is positive exactly where the kernel of the largest
-    coordinate offset is, so one (n, m) matrix of those offsets serves
-    every bandwidth.
+    coordinate offset is, so one block of those offsets serves every
+    bandwidth.
     """
-    R = np.zeros((data.n, anchors.size))
-    for col in data.X.T:
-        np.maximum(R, np.abs(col[:, None] - col[anchors][None, :]), out=R)
-    counts = [np.count_nonzero(kernel_eval(kernel, R / h0) > 0, axis=0) for h0 in h0s]
-    return np.median(counts, axis=1)
+    counts = [
+        [np.count_nonzero(kernel_eval(kernel, R / h0) > 0, axis=1) for h0 in h0s]
+        for _, R in _box_blocks(data.X, anchors)
+    ]
+    return np.median(np.concatenate(counts, axis=1), axis=1)
 
 
 def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
@@ -276,15 +271,17 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     The bandwidth is resolved once from the initial index and held fixed
     across iterations.  On hitting ``max_iter`` without convergence the
     lowest-objective iterate is returned with ``converged=False``.
-    Deterministic: no internal randomness.  A constant covariate column,
-    or columns exactly collinear after centring, raise
-    ``InvalidInputError``.
+    Deterministic: no internal randomness.  A constant response, a
+    constant covariate column, or columns exactly collinear after
+    centring raise ``InvalidInputError``.
     """
     cfg = cfg or QmaveConfig()
     if data.n < 2 * (data.d + 1):
         raise InsufficientDataError(
             f"need n >= 2(d+1) = {2 * (data.d + 1)} observations, got {data.n}"
         )
+    if np.ptp(data.Y) == 0:
+        raise InvalidInputError("response Y is constant: no index to estimate")
     _check_covariates(data.X)
     if cfg.init is not None:
         theta = _as_unit(cfg.init, "init", data.d)

@@ -6,15 +6,17 @@ solvers in ``qmave.solver``.  One core per kind of fit solves a whole
 batch of anchors at once: `index_fit_batch` and `full_fit_batch` return
 its kept anchors as arrays, and the single-anchor fits
 `local_linear_index_fit` and `local_linear_full_fit` are thin wrappers
-that run it on one anchor.
+that run it on one anchor.  No fit builds a dense (n, m) or (n, m, d)
+array; the neighbourhoods hold the same rows as that dense construction.
 
-Along an index the neighbourhoods are sorted windows: the index values
-``t = X theta`` are sorted once, and the rows with positive kernel weight
-at an anchor are one run of the sorted rows (`_index_windows`).  The index
-fits gather each window, and the pooled (row, anchor) pairs of the outer
-problem and the objective come from the same runs (`_index_pairs`), so no
-dense (n, m) offset or weight matrix is built.  Both give the same bits as
-that dense construction.
+Along an index the neighbourhoods are sorted windows: the rows with
+positive kernel weight at an anchor are one run of the rows sorted by
+``t = X theta`` (`_index_windows`).  The index fits read each window in
+that order, and the outer problem and the objective take their (row,
+anchor) pairs from the same runs (`_index_pairs`).  In full dimension the
+product kernel is positive on a box, so the full fits and the ladder
+probe work on blocks of anchors with one (block, n) matrix of largest
+coordinate offsets each (`_box_blocks`); full fits keep the dense bits.
 """
 
 from __future__ import annotations
@@ -185,28 +187,37 @@ def local_linear_full_fit(
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape != (data.d,):
         raise InvalidInputError(f"anchor must have length {data.d}")
-    D = (data.X - x0)[:, None, :]
     return _single_fit(
-        _full_core(D, _product_kernel_weights(kernel, D / h0), data.Y, loss, opts),
+        _full_core(data, x0[None], _box_offsets(data.X, x0[None]), h0, loss, kernel, opts),
         opts,
         f"no usable local fit: needs {data.d + 1} positively-weighted rows "
         "in general position and a finite solution",
     )
 
 
-def _product_kernel_weights(kernel, U):
-    return np.prod(kernel_eval(kernel, U), axis=-1)
+def _box_offsets(X, x0):
+    """Largest absolute coordinate offset of each row of ``X`` from each
+    anchor point of ``x0`` (B, d), as a (B, n) matrix: the product kernel
+    at bandwidth h0 is positive only where the kernel of this offset over
+    h0 is, and exactly there unless the product underflows."""
+    R, T = np.zeros((x0.shape[0], X.shape[0])), np.empty((x0.shape[0], X.shape[0]))
+    for col, c0 in zip(X.T, x0.T):
+        np.subtract(col, c0[:, None], out=T)
+        np.maximum(R, np.abs(T, out=T), out=R)
+    return R
 
 
-def _padded_gather(weights):
-    """Pack positive-weight rows first along axis 0, preserving row order.
+# Anchors per block of full fits and of the ladder probe: bounds the
+# (block, n) box offsets.
+_FULL_BLOCK = 256
 
-    ``weights`` is (n, m); returns gather indices of shape (m, L) with
-    L = max positive count.
-    """
-    max_len = max(int(np.count_nonzero(weights > 0, axis=0).max()), 1)
-    order = np.argsort(weights <= 0, axis=0, kind="stable")
-    return order[:max_len].T
+
+def _box_blocks(X, anchors):
+    """``(block, R)`` for consecutive blocks of at most ``_FULL_BLOCK``
+    anchors, with R the block's `_box_offsets`."""
+    for start in range(0, anchors.size, _FULL_BLOCK):
+        block = anchors[start : start + _FULL_BLOCK]
+        yield block, _box_offsets(X, X[block])
 
 
 def _solve_batch(Z, y, w, loss, opts):
@@ -229,26 +240,30 @@ def _index_core(Tg, Wg, Yg, loss, opts):
     return np.flatnonzero(ok), beta[ok, 0], beta[ok, 1], np.sum(Wg, axis=1)[ok], complete
 
 
-def _full_core(D, W, Y, loss, opts):
-    """Fits of ``Y`` on each slice ``D[:, c, :]`` of the (n, m, d) offsets
-    with weights ``W`` (n, m); returns as `_index_core` does, keeping the
-    columns with d+1 weighted rows in general position and a finite fit."""
-    d = D.shape[2]
-    usable = np.count_nonzero(W > 0, axis=0) >= d + 1
-    cols = np.flatnonzero(usable)
-    if cols.size == 0:
-        return cols, np.empty(0), np.empty((0, d)), np.empty(0), True
-    gather = _padded_gather(W[:, cols])
-    Dg = np.take_along_axis(D[:, cols, :].transpose(1, 0, 2), gather[:, :, None], axis=1)
-    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-    Zb = np.concatenate([np.ones((cols.size, gather.shape[1], 1)), Dg], axis=2)
-    A = np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None])
-    eigs = np.linalg.eigvalsh(A)
+def _full_core(data, x0, R, h0, loss, kernel, opts):
+    """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
+    ``x0`` (B, d) with `_box_offsets` R; returns as `_index_core` does,
+    keeping anchors with d+1 weighted rows in general position and a
+    finite fit.  A problem holds its anchor's rows of positive weight (the
+    box ``K(R / h0) > 0`` less rows whose product underflows to 0), then
+    its first other rows, each part in row order, up to the longest L."""
+    X, d = data.X, data.d
+    box = kernel_eval(kernel, R / h0) > 0
+    c, r = np.nonzero(box)
+    under = np.prod(kernel_eval(kernel, (X[r] - x0[c]) / h0), axis=1) == 0
+    box[c[under], r[under]] = False
+    count = np.count_nonzero(box, axis=1)
+    cols = np.flatnonzero(count >= d + 1)
+    gather = np.argsort(~box[cols], axis=1, kind="stable")[:, : count[cols].max(initial=0)]
+    D = X[gather] - x0[cols, None, :]
+    Wg = np.prod(kernel_eval(kernel, D / h0), axis=2)
+    Zb = np.concatenate([np.ones(gather.shape + (1,)), D], axis=2)
+    eigs = np.linalg.eigvalsh(np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None]))
     sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
     if sub.size == 0:
         return sub, np.empty(0), np.empty((0, d)), np.empty(0), True
     Wg = Wg[sub]
-    beta, complete = _solve_batch(Zb[sub], Y[gather[sub]], Wg, loss, opts)
+    beta, complete = _solve_batch(Zb[sub], data.Y[gather[sub]], Wg, loss, opts)
     ok = np.all(np.isfinite(beta), axis=1)
     return cols[sub[ok]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
 
@@ -287,19 +302,6 @@ def _index_windows(data, theta, anchors, h, kernel):
         hi[cut_hi] = np.searchsorted(ts, ts[hi[cut_hi] - 1], side="left")
 
 
-def _window_gather(order, lo, hi):
-    """The (B, L) gather of `_padded_gather` on the windows
-    ``order[lo:hi]``: each window's rows in increasing row order, then the
-    first rows outside it in increasing row order, up to the longest
-    window L.  Laid out in Fortran order, as that gather is, since the
-    layout of the gathered arrays changes the solver's bits."""
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    outside = (rank < lo[:, None]) | (rank >= hi[:, None])
-    L = int((hi - lo).max())
-    return np.asfortranarray(np.argsort(outside, axis=1, kind="stable")[:, :L])
-
-
 def _index_pairs(data, theta, anchors, h, kernel):
     """(row, anchor) pairs with positive index-kernel weight, window by
     window.  Returns ``(t, rows, cols)`` with ``t = X theta`` and ``cols``
@@ -311,6 +313,21 @@ def _index_pairs(data, theta, anchors, h, kernel):
     return t, order[pos], cols
 
 
+def _index_problems(data, theta, anchors, h, kernel):
+    """The stacked problems of `index_fit_batch`: ``(cols, gather, Tg,
+    Wg)`` for the usable anchors ``anchors[cols]``.  Slot k of anchor c is
+    the row ``gather[c, k] = order[lo + k]`` of its window, in index
+    order; the slots past the window repeat its last row at zero weight."""
+    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
+    ts, tc = t[order], t[anchors]
+    cols = np.flatnonzero((hi - lo >= 2) & (ts[hi - 1] - tc > ts[lo] - tc))
+    lo, count = lo[cols, None], (hi - lo)[cols, None]
+    slot = np.arange(count.max() if cols.size else 0)
+    gather = order[lo + np.minimum(slot, count - 1)]
+    Tg = t[gather] - tc[cols, None]
+    return cols, gather, Tg, np.where(slot < count, kernel_eval(kernel, Tg / h), 0.0)
+
+
 def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     """Local-linear index fits at ``X[anchors]``, all anchors at once.
 
@@ -320,21 +337,11 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
-    ts, tc = t[order], t[anchors]
-    usable = (hi - lo >= 2) & (ts[hi - 1] - tc > ts[lo] - tc)
-    cols = np.flatnonzero(usable)
+    cols, gather, Tg, Wg = _index_problems(data, theta, anchors, h, kernel)
     if cols.size == 0:
         return anchors[:0], np.empty(0), np.empty(0), np.empty(0)
-    gather = _window_gather(order, lo[cols], hi[cols])
-    Tg = t[gather] - tc[cols, None]
-    Wg = kernel_eval(kernel, Tg / h)
     kept, a, b, effw, _ = _index_core(Tg, Wg, data.Y[gather], loss, opts or SolverOptions())
     return anchors[cols[kept]], a, b, effw
-
-
-# Anchors per block of full fits: bounds the (n, block, d) offset tensor.
-_FULL_BLOCK = 256
 
 
 def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
@@ -346,14 +353,9 @@ def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
     """
     opts = opts or SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
-    parts = []
-    for start in range(0, anchors.size, _FULL_BLOCK):
-        block = anchors[start : start + _FULL_BLOCK]
-        D = data.X[:, None, :] - data.X[None, block, :]
-        W = _product_kernel_weights(kernel, D / h0)
-        cols, a, B, effw, _ = _full_core(D, W, data.Y, loss, opts)
+    parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]
+    for block, R in _box_blocks(data.X, anchors):
+        cols, a, B, effw, _ = _full_core(data, data.X[block], R, h0, loss, kernel, opts)
         parts.append((block[cols], a, B, effw))
-    if not parts:
-        return anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0)
     idx, a, B, effw = zip(*parts)
     return np.concatenate(idx), np.concatenate(a), np.vstack(B), np.concatenate(effw)

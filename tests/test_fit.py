@@ -251,7 +251,10 @@ class TestQmaveFit:
     def test_step_errors_carry_iteration_context(self):
         rng = np.random.default_rng(70)
         X = rng.normal(size=(30, 2))
-        data = Dataset(X, np.full(30, 3.0))  # constant response
+        # one outlier on a constant response: every local median fit is flat
+        Y = np.full(30, 3.0)
+        Y[0] = 4.0
+        data = Dataset(X, Y)
         with pytest.raises(DegenerateUpdateError, match="iteration 1"):
             qmave_fit(data, median_cfg(init=unit([1.0, 0.0]), h=2.0))
 
@@ -293,6 +296,18 @@ class TestDegenerateCovariates:
         X[:, 5] = 2.0 * data.X[:, 1] + 7.0
         with pytest.raises(InvalidInputError, match="rank 5 of 6"):
             qmave_fit(Dataset(X, data.Y), QmaveConfig(loss=loss))
+
+
+class TestConstantResponse:
+    """A constant Y carries no index; ``qmave_fit`` says so at entry
+    rather than failing in the bandwidth ladder or returning a direction
+    that fits noise."""
+
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_constant_y_is_rejected(self, loss):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=2))
+        with pytest.raises(InvalidInputError, match="Y is constant"):
+            qmave_fit(Dataset(data.X, np.full(data.n, 3.0)), QmaveConfig(loss=loss))
 
 
 class TestObjectiveMonotonicity:

@@ -1,5 +1,7 @@
 """Local-linear fits along an index and in full dimension."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,18 @@ from qmave import (
     qr_oracle,
 )
 from qmave.core import check_loss, kernel_eval
-from qmave.fit import QmaveConfig, eq_objective, outer_problem
-from qmave.localfit import _index_core, _padded_gather, full_fit_batch, index_fit_batch
+from qmave.fit import QmaveConfig, _auto_init, eq_objective, outer_problem
+from qmave.localfit import (
+    _FULL_BLOCK,
+    _RANK_RTOL,
+    _index_core,
+    _index_pairs,
+    _index_problems,
+    full_fit_batch,
+    index_fit_batch,
+)
+from qmave.simulate import SimConfig, gen_model8
+from qmave.solver import _solve_ls_batch, _solve_qr_batch
 
 EPA = KernelSpec.epanechnikov()
 MEDIAN = LossSpec.quantile(0.5)
@@ -294,16 +306,31 @@ class TestBatchedFitsAgreeWithSingleFits:
         assert set(np.round(X[idx, 0]).astype(int)) <= {0, 5}
 
 
-def dense_index_steps(data, theta, anchors, h, loss, kernel):
-    """The index fits, outer problem and pooled objective built on the
-    dense (n, m) offset and weight matrices: the reference for windows."""
-    X, Y, t = data.X, data.Y, data.X @ theta
+def _padded_gather(weights):
+    """Pack positive-weight rows first along axis 0, preserving row order.
 
-    def offsets(cols):
-        T = t[:, None] - t[cols][None, :]
-        return T, kernel_eval(kernel, T / h)
+    ``weights`` is (n, m); returns gather indices of shape (m, L) with
+    L = max positive count: each column's positive rows in row order, then
+    its first other rows in row order.
+    """
+    max_len = max(int(np.count_nonzero(weights > 0, axis=0).max()), 1)
+    order = np.argsort(weights <= 0, axis=0, kind="stable")
+    return order[:max_len].T
 
-    T, W = offsets(anchors)
+
+def _local_objectives(Tg, Wg, Yg, a, b, loss):
+    """Each stacked index problem's weighted loss at its fit (a, b)."""
+    return np.sum(Wg * check_loss(Yg - a[:, None] - b[:, None] * Tg, loss), axis=1)
+
+
+def dense_index_fits(data, theta, anchors, h, loss, kernel):
+    """The index fits built on the dense (n, m) offset and weight
+    matrices: the reference for windows.  Returns the fits, the usable
+    anchor positions ``cols`` and each usable anchor's window as
+    (rows, T, W) in row order."""
+    t = data.X @ theta
+    T = t[:, None] - t[anchors][None, :]
+    W = kernel_eval(kernel, T / h)
     pos = W > 0
     tmax = np.max(np.where(pos, T, -np.inf), axis=0)
     tmin = np.min(np.where(pos, T, np.inf), axis=0)
@@ -311,13 +338,23 @@ def dense_index_steps(data, theta, anchors, h, loss, kernel):
     gather = _padded_gather(W[:, cols])
     Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
     Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-    kept, a, b, effw, _ = _index_core(Tg, Wg, Y[gather], loss, SolverOptions())
-    j = anchors[cols[kept]]
-    T, W = offsets(j)
+    kept, a, b, effw, _ = _index_core(Tg, Wg, data.Y[gather], loss, SolverOptions())
+    windows = [(np.flatnonzero(pos[:, c]), T[pos[:, c], c], W[pos[:, c], c]) for c in cols]
+    return (anchors[cols[kept]], a, b, effw), cols, windows
+
+
+def dense_pooled(data, theta, fits, h, loss, kernel):
+    """The outer problem and pooled objective of ``fits`` on the dense
+    (n, m) matrices: (row, anchor) pairs in row-major order, the rows
+    ``(Z, y, w)`` and the objective."""
+    X, Y, t = data.X, data.Y, data.X @ theta
+    j, a, b, _ = fits
+    T = t[:, None] - t[j][None, :]
+    W = kernel_eval(kernel, T / h)
     ii, cc = np.nonzero(W > 0)
     outer = (b[cc, None] * (X[ii] - X[j[cc]]), Y[ii] - a[cc], W[ii, cc])
     objective = float(np.sum(W * check_loss(Y[:, None] - a - b * T, loss)))
-    return (j, a, b, effw), outer, objective
+    return (ii, cc), outer, objective
 
 
 def window_data(kind):
@@ -337,8 +374,9 @@ def window_data(kind):
 
 class TestSortedWindowsAreExact:
     """Index fits, outer problem and pooled objective read each anchor's
-    kernel window as a run of the index-sorted rows; every byte must equal
-    the dense (n, m) construction."""
+    kernel window as a run of the index-sorted rows.  Window contents
+    must equal the dense (n, m) construction byte for byte; the solves and
+    sums that now run in window order must agree to rounding."""
 
     @pytest.mark.parametrize("kind", ["ties", "duplicates", "shifted"])
     @pytest.mark.parametrize("width", [0.02, 0.1, 3.0])
@@ -350,13 +388,121 @@ class TestSortedWindowsAreExact:
         anchors = np.arange(1, 120, 2)
         for kernel in (EPA, KernelSpec.quartic()):
             for loss in (MEDIAN, LossSpec.squared()):
-                fits, outer, objective = dense_index_steps(data, theta, anchors, h, loss, kernel)
+                fits, cols, windows = dense_index_fits(data, theta, anchors, h, loss, kernel)
                 got = index_fit_batch(data, theta, anchors, h, loss, kernel)
                 assert fits[0].size >= 2
-                for want, have in zip(fits, got):
-                    assert have.tobytes() == want.tobytes()
+                assert got[0].tobytes() == fits[0].tobytes()
+                # window contents: each anchor's (row, T, W, Y) set
+                have_cols, gather, Tg, Wg = _index_problems(data, theta, anchors, h, kernel)
+                assert have_cols.tobytes() == cols.tobytes()
+                for k, (rows, T, W) in enumerate(windows):
+                    inside = np.flatnonzero(Wg[k] > 0)
+                    by_row = inside[np.argsort(gather[k, inside], kind="stable")]
+                    assert gather[k, by_row].tobytes() == rows.tobytes()
+                    assert Tg[k, by_row].tobytes() == T.tobytes()
+                    assert Wg[k, by_row].tobytes() == W.tobytes()
+                    assert data.Y[gather[k, by_row]].tobytes() == data.Y[rows].tobytes()
+                # each anchor's local optimum, both evaluated on the dense
+                # window; the slack of 8 ulps of the anchor's sum w|y| covers
+                # shifted data, whose optima cancel to about 1e-11 of |y|
+                kept = np.isin(anchors[cols], fits[0])
+                rows = [windows[k] for k in np.flatnonzero(kept)]
+                L = max(r.size for r, _, _ in rows)
+                pad = np.zeros((len(rows), L))
+                Tw, Ww, Yw = pad.copy(), pad.copy(), pad.copy()
+                for k, (r, T, W) in enumerate(rows):
+                    Tw[k, : r.size], Ww[k, : r.size], Yw[k, : r.size] = T, W, data.Y[r]
+                want = _local_objectives(Tw, Ww, Yw, fits[1], fits[2], loss)
+                have = _local_objectives(Tw, Ww, Yw, got[1], got[2], loss)
+                slack = 8 * np.spacing(np.sum(Ww * np.abs(Yw), axis=1))
+                assert np.all(np.abs(have - want) <= 1e-12 * np.abs(want) + slack)
+                # outer problem: the dense rows after a lexsort by (row, anchor)
                 cfg = QmaveConfig(loss=loss, kernel=kernel, h=h)
+                (ii, cc), outer, objective = dense_pooled(data, theta, got, h, loss, kernel)
                 problem = outer_problem(data, theta, got, cfg)
+                _, rows_p, cols_p = _index_pairs(data, theta, got[0], h, kernel)
+                perm = np.lexsort((cols_p, rows_p))
+                assert rows_p[perm].tobytes() == ii.tobytes()
+                assert cols_p[perm].tobytes() == cc.tobytes()
                 for want, have in zip(outer, (problem.Z, problem.y, problem.w)):
-                    assert have.tobytes() == want.tobytes()
-                assert eq_objective(data, theta, got, cfg).hex() == objective.hex()
+                    assert have[perm].tobytes() == want.tobytes()
+                have = eq_objective(data, theta, got, cfg)
+                assert have == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def dense_full_fits(data, anchors, h0, loss, kernel):
+    """Full fits built on the dense (n, m, d) offset tensor and (n, m)
+    product-kernel weights, in the library's blocks of anchors (a block
+    is one stacked solve): the reference for the box windows."""
+    if anchors.size > _FULL_BLOCK:
+        head = dense_full_fits(data, anchors[:_FULL_BLOCK], h0, loss, kernel)
+        tail = dense_full_fits(data, anchors[_FULL_BLOCK:], h0, loss, kernel)
+        return tuple(np.concatenate(pair) for pair in zip(head, tail))
+    d = data.d
+    D = data.X[:, None, :] - data.X[None, anchors, :]
+    W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
+    cols = np.flatnonzero(np.count_nonzero(W > 0, axis=0) >= d + 1)
+    gather = _padded_gather(W[:, cols])
+    Dg = np.take_along_axis(D[:, cols, :].transpose(1, 0, 2), gather[:, :, None], axis=1)
+    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
+    Zb = np.concatenate([np.ones((cols.size, gather.shape[1], 1)), Dg], axis=2)
+    eigs = np.linalg.eigvalsh(np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None]))
+    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
+    Wg, Yg, Zb = Wg[sub], data.Y[gather[sub]], Zb[sub]
+    if loss.is_quantile:
+        beta = _solve_qr_batch(Zb, Yg, Wg, loss.tau, SolverOptions())[0]
+    else:
+        beta = _solve_ls_batch(Zb, Yg, Wg, SolverOptions())
+    ok = np.all(np.isfinite(beta), axis=1)
+    return anchors[cols[sub[ok]]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok]
+
+
+def underflow_data():
+    """d=12 data whose last rows sit just inside the box of anchor 0 in
+    every coordinate: each quartic factor is positive, their product
+    underflows to 0."""
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-0.05, 0.05, size=(40, 12))
+    edge = X[0] + (1.0 - 1e-14) * rng.choice([-1.0, 1.0], size=(6, 12))
+    X = np.vstack([X, edge])
+    return Dataset(X, rng.normal(size=X.shape[0]))
+
+
+class TestBoxFullFits:
+    """Full fits take each anchor's rows from the box of largest
+    coordinate offsets, block by block; every byte must equal the dense
+    (n, m, d) construction."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("loss", [LossSpec.quantile(0.3), MEDIAN, LossSpec.squared()])
+    @pytest.mark.parametrize("case", ["n200", "n300_blocks", "ties", "underflow"])
+    def test_matches_dense_construction(self, case, loss, kernel):
+        if case == "underflow":
+            data, h0 = underflow_data(), 1.0
+            D = data.X - data.X[0]
+            factors = kernel_eval(KernelSpec.quartic(), D / h0)
+            assert np.any(np.all(factors > 0, axis=1) & (np.prod(factors, axis=1) == 0))
+        else:
+            rng = np.random.default_rng(42)
+            n = 300 if case == "n300_blocks" else 200
+            X = rng.normal(size=(n, 3))
+            if case == "ties":
+                X = np.round(X * 2) / 2  # coordinate offsets land on the box edge
+            data = Dataset(X, np.round(X @ [1.0, -1.0, 0.5] + rng.standard_t(3, size=n), 1))
+            h0 = 1.5 if case == "ties" else 1.2
+        anchors = np.arange(data.n)
+        want = dense_full_fits(data, anchors, h0, loss, kernel)
+        have = full_fit_batch(data, anchors, h0, loss, kernel)
+        assert want[0].size > 0
+        for w, h in zip(want, have):
+            assert h.tobytes() == w.tobytes()
+
+    def test_auto_init_peak_memory(self):
+        data, _ = gen_model8(SimConfig(n=2000, seed=7))
+        tracemalloc.start()
+        try:
+            _auto_init(data, QmaveConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -25,18 +25,28 @@ bytes.  The cases:
   responses and weights in both memory orders.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
-1 if there is any, else 0.  The solver cases also record each problem's
-check-loss objective, computed here from the returned coefficients; when
-their bytes differ, the tool prints whether every objective of the change
-is at most the parent's times ``1 + 1e-12``.  That line is a report only:
-the verdict and the exit code rest on the bytes alone.  A full pass takes
-under a minute per tree.
+1 if there is any, else 0.  Two reports help read a difference; the
+verdict and the exit code rest on the bytes alone:
+
+- The solver cases record each problem's check-loss objective, computed
+  here from the returned coefficients, and its ``sum w|y|``.  When their
+  bytes differ, the tool prints whether every objective of the change is
+  at most the parent's times ``1 + 1e-12``, plus a few ulps of that sum,
+  so an optimum of exactly 0 may come back as rounding on either side.
+- The fit and window cases record a direction and objectives: a fit's
+  theta and objective trace, and a window case's normalised outer-problem
+  solution and pooled objective.  For each such case whose bytes differ
+  the tool prints the sign-invariant distance between the two directions
+  and the largest relative change of the objectives.
+
+A full pass takes about a minute per tree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +70,7 @@ def _grid_cases(qm):
     return out
 
 
-def _fit_cases(qm, np):
+def _fit_cases(qm, np, details):
     out = {}
     kernels = {"epa": qm.KernelSpec.epanechnikov(), "quartic": qm.KernelSpec.quartic()}
     for seed in (2, 5):
@@ -68,19 +78,20 @@ def _fit_cases(qm, np):
         for tau in (0.1, 0.5, 0.9):
             for kname, kernel in kernels.items():
                 cfg = qm.QmaveConfig(loss=qm.LossSpec.quantile(tau), kernel=kernel)
-                fit = _fit_or_error(qm, data, cfg)
-                out[f"fit/qmave/seed{seed}/tau{tau}/{kname}"] = fit
+                name = f"fit/qmave/seed{seed}/tau{tau}/{kname}"
+                out[name] = _fit_or_error(qm, data, cfg, details, name)
     data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
     cfg = qm.QmaveConfig(loss=qm.LossSpec.squared())
-    out["fit/mave/n1000"] = _fit_or_error(qm, data, cfg)
+    out["fit/mave/n1000"] = _fit_or_error(qm, data, cfg, details, "fit/mave/n1000")
     return out
 
 
-def _fit_or_error(qm, data, cfg):
+def _fit_or_error(qm, data, cfg, details, name):
     try:
         fit = qm.qmave_fit(data, cfg)
     except qm.QmaveError as exc:
         return _digest(type(exc).__name__, str(exc))
+    details[name] = {"theta": fit.theta.tolist(), "objective": list(fit.objective_trace)}
     objective = b"".join(float(v).hex().encode() for v in fit.objective_trace)
     return _digest(fit.theta.tobytes(), objective, fit.iterations)
 
@@ -102,7 +113,8 @@ def _batch_cases(qm, np):
 
 def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None):
     """Digests of the index fits, the outer problem built on them and the
-    pooled objective, all at bandwidth ``h``."""
+    pooled objective, all at bandwidth ``h``; with the outer problem's
+    normalised solution (None when it is degenerate) and the objective."""
     from qmave.fit import eq_objective, outer_problem
     from qmave.localfit import index_fit_batch
 
@@ -110,14 +122,22 @@ def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None
     if fits is None:
         fits = index_fit_batch(data, theta, anchors, h, loss, kernel)
     out = {"index": _digest(*(np.asarray(v).tobytes() for v in fits))}
-    if fits[0].size:
-        problem = outer_problem(data, theta, fits, cfg)
-        out["outer"] = _digest(problem.Z.tobytes(), problem.y.tobytes(), problem.w.tobytes())
-        out["objective"] = _digest(float(eq_objective(data, theta, fits, cfg)).hex())
-    return out
+    if not fits[0].size:
+        return out, None
+    problem = outer_problem(data, theta, fits, cfg)
+    objective = float(eq_objective(data, theta, fits, cfg))
+    out["outer"] = _digest(problem.Z.tobytes(), problem.y.tobytes(), problem.w.tobytes())
+    out["objective"] = _digest(objective.hex())
+    solve = qm.solve_weighted_qr if loss.is_quantile else qm.solve_weighted_ls
+    try:
+        beta = solve(problem)
+        direction = (beta / np.linalg.norm(beta)).tolist()
+    except qm.QmaveError:
+        direction = None
+    return out, {"theta": direction, "objective": [objective]}
 
 
-def _window_cases(qm, np):
+def _window_cases(qm, np, details):
     from qmave.localfit import index_fit_batch
 
     kernels = (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic()))
@@ -146,8 +166,7 @@ def _window_cases(qm, np):
                     digests = _index_step_digests(
                         qm, np, data, theta, np.arange(0, 200, 3), h, loss, kernel
                     )
-                    for part, value in digests.items():
-                        out[f"window/{kind}/{width}/{kname}/{lname}/{part}"] = value
+                    _record(out, details, f"window/{kind}/{width}/{kname}/{lname}", *digests)
     data, theta0 = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
     anchors = np.arange(1000)
     other = np.linspace(1.0, 2.0, 5) / np.linalg.norm(np.linspace(1.0, 2.0, 5))
@@ -157,14 +176,22 @@ def _window_cases(qm, np):
             fits = index_fit_batch(data, theta, anchors, h, qm.LossSpec.squared(), kernel)
             for lname, loss in losses:
                 digests = _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits)
-                for part, value in digests.items():
-                    out[f"window/n1000/{tname}/{kname}/{lname}/{part}"] = value
+                _record(out, details, f"window/n1000/{tname}/{kname}/{lname}", *digests)
     return out
 
 
-# Relative slack within which a change's solver objective counts as no
-# worse than the parent's.
+def _record(out, details, prefix, digests, detail):
+    """Store one window case's part digests, each with the case's detail."""
+    for part, value in digests.items():
+        out[f"{prefix}/{part}"] = value
+        if detail is not None:
+            details[f"{prefix}/{part}"] = detail
+
+
+# Slack within which a change's solver objective counts as no worse than
+# the parent's: relative, plus this many ulps of the problem's sum w|y|.
 OBJECTIVE_RTOL = 1e-12
+OBJECTIVE_ULPS = 4
 
 
 def _solver_cases(qm, np, objectives):
@@ -191,7 +218,10 @@ def _solver_cases(qm, np, objectives):
         out[f"solver/{k:03d}"] = _digest(beta.tobytes(), obj.tobytes(), bool(complete))
         r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
         rho = np.where(r > 0, tau * r, (tau - 1.0) * r)
-        objectives[f"solver/{k:03d}"] = np.sum(w * rho, axis=1).tolist()
+        objectives[f"solver/{k:03d}"] = {
+            "objective": np.sum(w * rho, axis=1).tolist(),
+            "scale": np.sum(w * np.abs(y), axis=1).tolist(),
+        }
     return out
 
 
@@ -202,13 +232,13 @@ def _emit(src: str) -> None:
 
     import qmave as qm
 
-    cases, objectives = {}, {}
+    cases, objectives, details = {}, {}, {}
     cases.update(_solver_cases(qm, np, objectives))
     cases.update(_batch_cases(qm, np))
-    cases.update(_window_cases(qm, np))
-    cases.update(_fit_cases(qm, np))
+    cases.update(_window_cases(qm, np, details))
+    cases.update(_fit_cases(qm, np, details))
     cases.update(_grid_cases(qm))
-    json.dump({"digests": cases, "objectives": objectives}, sys.stdout)
+    json.dump({"digests": cases, "objectives": objectives, "details": details}, sys.stdout)
 
 
 def _run(tree: Path):
@@ -222,28 +252,57 @@ def _run(tree: Path):
     )
     if proc.returncode != 0:
         sys.exit(f"{tree}: case run failed\n{proc.stderr}")
-    record = json.loads(proc.stdout)
-    return record["digests"], record["objectives"]
+    return json.loads(proc.stdout)
+
+
+def _no_worse(parent, change) -> bool:
+    """Every objective of ``change`` is at most the parent's within the
+    slack; a NaN on either side counts as worse."""
+    return all(
+        c <= p * (1.0 + OBJECTIVE_RTOL) + OBJECTIVE_ULPS * math.ulp(scale)
+        for p, c, scale in zip(parent["objective"], change["objective"], parent["scale"])
+    )
 
 
 def _report_objectives(differ, parent_obj, change_obj) -> None:
     """Print whether every objective of the solver cases whose bytes
-    differ is at most the parent's times 1 + OBJECTIVE_RTOL."""
+    differ is no worse than the parent's."""
     names = [k for k in differ if k in parent_obj and k in change_obj]
     if not names:
         return
-    worse = [
-        k for k in names
-        # a NaN on either side counts as worse
-        if any(not c <= p * (1.0 + OBJECTIVE_RTOL) for p, c in zip(parent_obj[k], change_obj[k]))
-    ]
+    worse = [k for k in names if not _no_worse(parent_obj[k], change_obj[k])]
     for name in worse:
         print(f"WORSE OBJECTIVE {name}")
     verdict = "yes" if not worse else f"no ({len(worse)} cases)"
     print(
         f"{len(names)} solver cases differ; every objective <= parent x "
-        f"(1 + {OBJECTIVE_RTOL:g}): {verdict}"
+        f"(1 + {OBJECTIVE_RTOL:g}) + {OBJECTIVE_ULPS} ulps of sum w|y|: {verdict}"
     )
+
+
+def _report_details(differ, parent_det, change_det) -> None:
+    """For each fit or window case whose bytes differ, print the
+    sign-invariant distance between the two directions and the largest
+    relative change of the objectives."""
+    for name in (k for k in differ if k in parent_det and k in change_det):
+        p, c = parent_det[name], change_det[name]
+        if p["theta"] is None or c["theta"] is None:
+            dist = "n/a"
+        else:
+            dist = min(
+                math.dist(p["theta"], c["theta"]),
+                math.dist(p["theta"], [-v for v in c["theta"]]),
+            )
+            dist = f"{dist:.3g}"
+        if len(p["objective"]) != len(c["objective"]):
+            change = f"trace length {len(p['objective'])} -> {len(c['objective'])}"
+        else:
+            rel = max(
+                (abs(b - a) / abs(a) if a else abs(b) for a, b in zip(p["objective"], c["objective"])),
+                default=0.0,
+            )
+            change = f"{rel:.3g}"
+        print(f"  {name}: theta distance {dist}, objective relative change {change}")
 
 
 def main(argv) -> int:
@@ -253,11 +312,13 @@ def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    (parent, parent_obj), (change, change_obj) = _run(Path(argv[1])), _run(Path(argv[2]))
+    old, new = _run(Path(argv[1])), _run(Path(argv[2]))
+    parent, change = old["digests"], new["digests"]
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
     for name in differ:
         print(f"DIFFERS {name}")
-    _report_objectives(differ, parent_obj, change_obj)
+    _report_details(differ, old["details"], new["details"])
+    _report_objectives(differ, old["objectives"], new["objectives"])
     print(f"{len(parent.keys() | change.keys()) - len(differ)} same, {len(differ)} differ")
     return 1 if differ else 0
 
