@@ -162,6 +162,12 @@ def kernel_eval(kernel: KernelSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
+def _in_support(u):
+    """Where ``kernel_eval(kernel, u) > 0`` for either kernel: exactly at
+    ``|u| < 1``, where ``1 - u*u`` rounds to at least 2**-53."""
+    return np.abs(u) < 1.0
+
+
 def default_bandwidth(rule: BandwidthRule, n: int, scale: float) -> float:
     """Bandwidth ``c_h * scale * (log n / n)**e`` for ``n`` observations.
 

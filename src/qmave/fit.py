@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     BandwidthRule,
+    _in_support,
     KernelSpec,
     LossSpec,
     check_loss,
@@ -33,7 +34,14 @@ from .errors import (
     QmaveError,
 )
 from .initial import TrimSpec, ade_initial_estimate, trim_mask
-from .localfit import Dataset, _box_blocks, _check_bandwidth, _index_pairs, index_fit_batch
+from .localfit import (
+    Dataset,
+    _as_unit,
+    _box_blocks,
+    _check_bandwidth,
+    _index_pairs,
+    index_fit_batch,
+)
 from .solver import (
     SolverOptions,
     WeightedRegressionProblem,
@@ -104,17 +112,6 @@ def estimation_error(theta_hat, theta_0) -> float:
     return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
-def _as_unit(v, name, size=None):
-    """``v`` as a flat unit vector; with ``size`` given, also of that length."""
-    v = np.asarray(v, dtype=float).ravel()
-    if size is not None and v.size != size:
-        raise InvalidInputError(f"{name} must have length {size}, got length {v.size}")
-    nrm = np.linalg.norm(v)
-    if not np.all(np.isfinite(v)) or abs(nrm - 1.0) > 1e-6:
-        raise InvalidInputError(f"{name} must be a finite unit vector")
-    return v / nrm
-
-
 def resolve_bandwidth(data: Dataset, theta, cfg: QmaveConfig) -> float:
     """cfg.h if given, otherwise the index-stage default bandwidth scaled
     by the dispersion of the current index values."""
@@ -156,7 +153,7 @@ def outer_problem(
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    t, ii, cc = _index_pairs(data, theta, j, h, cfg.kernel)
+    t, ii, cc = _index_pairs(data, theta, j, h)
     W = kernel_eval(cfg.kernel, (t[ii] - t[j[cc]]) / h)
     design = b[cc, None] * (data.X[ii] - data.X[j[cc]])
     response = data.Y[ii] - a[cc]
@@ -196,22 +193,22 @@ def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    t, ii, cc = _index_pairs(data, theta, j, h, cfg.kernel)
+    t, ii, cc = _index_pairs(data, theta, j, h)
     T = t[ii] - t[j[cc]]
     terms = kernel_eval(cfg.kernel, T / h) * check_loss(data.Y[ii] - a[cc] - b[cc] * T, cfg.loss)
     return float(np.sum(terms))
 
 
-def _median_window_count(data: Dataset, anchors, h0s, kernel) -> np.ndarray:
+def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:
     """Median over anchors of the rows with positive product-kernel weight,
-    one median per bandwidth in ``h0s``.
+    one median per bandwidth in ``h0s``, for either kernel.
 
-    The product kernel is positive exactly where the kernel of the largest
-    coordinate offset is, so one block of those offsets serves every
+    The product kernel is positive exactly where the largest coordinate
+    offset over h0 is below 1, so one block of those offsets serves every
     bandwidth.
     """
     counts = [
-        [np.count_nonzero(kernel_eval(kernel, R / h0) > 0, axis=1) for h0 in h0s]
+        [np.count_nonzero(_in_support(R / h0), axis=1) for h0 in h0s]
         for _, R in _box_blocks(data.X, anchors)
     ]
     return np.median(np.concatenate(counts, axis=1), axis=1)
@@ -232,9 +229,7 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
     if anchors.size == 0:
         raise InsufficientDataError("trimming removed every anchor point")
     target = max(4 * (data.d + 1), 24)
-    counts = _median_window_count(
-        data, anchors, [base * mult for mult in _INIT_LADDER], cfg.kernel
-    )
+    counts = _median_window_count(data, anchors, [base * mult for mult in _INIT_LADDER])
     enough = np.flatnonzero(counts >= target)
     start = int(enough[0]) if enough.size else int(np.argmax(counts))
     for k in range(start, len(_INIT_LADDER)):

@@ -1,22 +1,24 @@
 """Local-linear fits: along a candidate index and in full dimension.
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
-an anchor point and delegates the actual minimisation to the stacked
-solvers in ``qmave.solver``.  One core per kind of fit solves a whole
-batch of anchors at once: `index_fit_batch` and `full_fit_batch` return
-its kept anchors as arrays, and the single-anchor fits
-`local_linear_index_fit` and `local_linear_full_fit` are thin wrappers
-that run it on one anchor.  No fit builds a dense (n, m) or (n, m, d)
-array; the neighbourhoods hold the same rows as that dense construction.
+an anchor point.  Every kind of fit ends in one core, `_local_core`, which
+holds the one rule for which fits are usable (the weighted design in
+bandwidth units passes a rank screen and the solve is finite) and solves
+the kept problems with the stacked solvers of ``qmave.solver``.
+`index_fit_batch` and `full_fit_batch` run it on a batch of anchors and
+return the kept ones as arrays; `local_linear_index_fit` and
+`local_linear_full_fit` run it on one point.  No fit builds a dense (n, m)
+or (n, m, d) array.
 
-Along an index the neighbourhoods are sorted windows: the rows with
-positive kernel weight at an anchor are one run of the rows sorted by
-``t = X theta`` (`_index_windows`).  The index fits read each window in
-that order, and the outer problem and the objective take their (row,
-anchor) pairs from the same runs (`_index_pairs`).  In full dimension the
-product kernel is positive on a box, so the full fits and the ladder
-probe work on blocks of anchors with one (block, n) matrix of largest
-coordinate offsets each (`_box_blocks`); full fits keep the dense bits.
+Both kernels are positive exactly where ``|u| < 1`` (`_in_support`), so
+no neighbourhood is found by evaluating a kernel.  Along an index the
+rows of an anchor's window are one run of the rows sorted by ``t = X
+theta`` (`_index_windows`); the index fits read each window in that
+order, and the outer problem and the objective take their (row, anchor)
+pairs from the same runs (`_index_pairs`).  In full dimension the product
+kernel is positive on a box, so the full fits and the ladder probe work
+on blocks of anchors with one (block, n) matrix of largest coordinate
+offsets each (`_box_blocks`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelSpec, LossSpec, kernel_eval
+from .core import KernelSpec, LossSpec, _in_support, kernel_eval
 from .errors import (
     ConvergenceError,
     InsufficientLocalDataError,
@@ -40,8 +42,8 @@ __all__ = [
     "local_linear_full_fit",
 ]
 
-# Relative eigenvalue floor below which a weighted local design is treated
-# as not being in general position.
+# Relative eigenvalue floor below which a weighted local design, in
+# bandwidth units, is treated as not being in general position.
 _RANK_RTOL = 1e-10
 
 
@@ -110,13 +112,15 @@ def _real_array(values, name):
         raise InvalidInputError(f"{name} must be numeric: {exc}") from None
 
 
-def _unit_or_raise(theta, d):
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape != (d,):
-        raise InvalidInputError(f"index vector must have length {d}")
-    if not np.all(np.isfinite(theta)) or abs(np.linalg.norm(theta) - 1.0) > 1e-8:
-        raise InvalidInputError("index vector must be unit-norm")
-    return theta
+def _as_unit(v, name, size=None):
+    """``v`` as a flat unit vector; with ``size`` given, also of that length."""
+    v = np.asarray(v, dtype=float).ravel()
+    if size is not None and v.size != size:
+        raise InvalidInputError(f"{name} must have length {size}, got length {v.size}")
+    nrm = np.linalg.norm(v)
+    if not np.all(np.isfinite(v)) or abs(nrm - 1.0) > 1e-6:
+        raise InvalidInputError(f"{name} must be a finite unit vector")
+    return v / nrm
 
 
 def _check_bandwidth(h):
@@ -125,9 +129,9 @@ def _check_bandwidth(h):
 
 
 def _single_fit(fits, opts, reason) -> LocalFit:
-    """The one fit of a single-column core call; raises when it was dropped."""
-    cols, a, b, effw, complete = fits
-    if cols.size == 0:
+    """The one fit of a single-problem core call; raises when it was dropped."""
+    kept, a, b, effw, complete = fits
+    if kept.size == 0:
         raise InsufficientLocalDataError(reason)
     if not complete:
         raise ConvergenceError(
@@ -150,22 +154,19 @@ def local_linear_index_fit(
 
     Minimises ``sum_i K(theta'(X_i-x0)/h) loss(Y_i - a - b theta'(X_i-x0))``
     over (a, b); rows with zero kernel weight are dropped before solving.
+    Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
     """
-    theta = _unit_or_raise(theta, data.d)
+    theta = _as_unit(theta, "index vector", data.d)
     _check_bandwidth(h)
     opts = opts or SolverOptions()
-    x0 = np.asarray(x0, dtype=float).ravel()
-    T = (data.X - x0) @ theta
-    W = kernel_eval(kernel, T / h)
-    rows = np.flatnonzero(W > 0)
-    reason = (
-        "no usable local fit: needs 2 distinct positively-weighted index "
-        "values and a finite solution"
+    T = (data.X - np.asarray(x0, dtype=float).ravel()) @ theta
+    rows = np.flatnonzero(_in_support(T / h))
+    T = T[None, rows]
+    kept, a, B, effw, complete = _local_core(
+        T[:, :, None], kernel_eval(kernel, T / h), data.Y[None, rows], h, loss, opts
     )
-    if rows.size < 2 or not T[rows].max() > T[rows].min():
-        raise InsufficientLocalDataError(reason)
-    fits = _index_core(T[None, rows], W[None, rows], data.Y[None, rows], loss, opts)
-    return _single_fit(fits, opts, reason)
+    reason = "no usable local fit: needs weighted index values in general position"
+    return _single_fit((kept, a, B[:, 0], effw, complete), opts, reason)
 
 
 def local_linear_full_fit(
@@ -179,8 +180,7 @@ def local_linear_full_fit(
     """Local-linear fit of Y on the full offset ``X - x0``.
 
     Weights come from the product kernel ``prod_l K((X_il - x0_l)/h0)``.
-    Raises ``InsufficientLocalDataError`` when fewer than d+1 rows in
-    general position carry positive weight.
+    Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
     """
     _check_bandwidth(h0)
     opts = opts or SolverOptions()
@@ -220,64 +220,61 @@ def _box_blocks(X, anchors):
         yield block, _box_offsets(X, X[block])
 
 
-def _solve_batch(Z, y, w, loss, opts):
-    """Stacked solve under ``loss``; returns ``(beta, complete)``."""
+def _local_core(D, Wg, Yg, h, loss, opts):
+    """Fits of ``Yg`` on the design ``[1, D]`` with weights ``Wg``, one
+    problem per row of these (B, L[, k]) arrays: the one rule for which
+    local fits are usable.  A problem is kept when its weighted design in
+    bandwidth units, ``[1, D/h]``, has an eigenvalue ratio above
+    ``_RANK_RTOL`` and its solve under ``loss`` is finite.  Returns
+    ``(kept, a, B, effective_weight, complete)``: the kept positions and
+    their (kept, k) slopes; ``complete`` is False when the iteration
+    budget truncated the solve.
+    """
+    Z = np.concatenate([np.ones(D.shape[:2] + (1,)), D], axis=2)
+    units = np.append(1.0, np.full(D.shape[2], 1.0 / h))
+    # a C-ordered left factor keeps matmul on its fast path
+    gram = np.matmul(np.multiply(Z.transpose(0, 2, 1), Wg[:, None, :], order="C"), Z)
+    eigs = np.linalg.eigvalsh(gram * np.outer(units, units))
+    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
+    if sub.size == 0:
+        return sub, np.empty(0), np.empty((0, D.shape[2])), np.empty(0), True
+    if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
+        Z, Yg, Wg = Z[sub], Yg[sub], Wg[sub]
     if loss.is_quantile:
-        beta, _, complete = _solve_qr_batch(Z, y, w, loss.tau, opts)
-        return beta, complete
-    return _solve_ls_batch(Z, y, w, opts), True
-
-
-def _index_core(Tg, Wg, Yg, loss, opts):
-    """Fits of the gathered responses ``Yg`` on the gathered index offsets
-    ``Tg`` with weights ``Wg``, one problem per row of these (B, L)
-    arrays.  Returns ``(kept, a, b, effective_weight, complete)`` with
-    ``kept`` the rows whose fit is finite; ``complete`` is False when the
-    iteration budget truncated the solve."""
-    Zb = np.stack([np.ones_like(Tg), Tg], axis=2)
-    beta, complete = _solve_batch(Zb, Yg, Wg, loss, opts)
+        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
+    else:
+        beta, complete = _solve_ls_batch(Z, Yg, Wg, opts), True
     ok = np.all(np.isfinite(beta), axis=1)
-    return np.flatnonzero(ok), beta[ok, 0], beta[ok, 1], np.sum(Wg, axis=1)[ok], complete
+    return sub[ok], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
 
 
 def _full_core(data, x0, R, h0, loss, kernel, opts):
     """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
-    ``x0`` (B, d) with `_box_offsets` R; returns as `_index_core` does,
-    keeping anchors with d+1 weighted rows in general position and a
-    finite fit.  A problem holds its anchor's rows of positive weight (the
-    box ``K(R / h0) > 0`` less rows whose product underflows to 0), then
-    its first other rows, each part in row order, up to the longest L."""
-    X, d = data.X, data.d
-    box = kernel_eval(kernel, R / h0) > 0
+    ``x0`` (B, d) with `_box_offsets` R, through `_local_core`.  A problem
+    holds its anchor's rows of positive weight (the box ``|R / h0| < 1``
+    less rows whose product underflows to 0), then its first other rows,
+    each part in row order, up to the longest L."""
+    X = data.X
+    box = _in_support(R / h0)
     c, r = np.nonzero(box)
     under = np.prod(kernel_eval(kernel, (X[r] - x0[c]) / h0), axis=1) == 0
     box[c[under], r[under]] = False
-    count = np.count_nonzero(box, axis=1)
-    cols = np.flatnonzero(count >= d + 1)
-    gather = np.argsort(~box[cols], axis=1, kind="stable")[:, : count[cols].max(initial=0)]
-    D = X[gather] - x0[cols, None, :]
+    gather = np.argsort(~box, axis=1, kind="stable")[:, : np.count_nonzero(box, axis=1).max()]
+    D = X[gather] - x0[:, None, :]
     Wg = np.prod(kernel_eval(kernel, D / h0), axis=2)
-    Zb = np.concatenate([np.ones(gather.shape + (1,)), D], axis=2)
-    eigs = np.linalg.eigvalsh(np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None]))
-    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
-    if sub.size == 0:
-        return sub, np.empty(0), np.empty((0, d)), np.empty(0), True
-    Wg = Wg[sub]
-    beta, complete = _solve_batch(Zb[sub], data.Y[gather[sub]], Wg, loss, opts)
-    ok = np.all(np.isfinite(beta), axis=1)
-    return cols[sub[ok]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
+    return _local_core(D, Wg, data.Y[gather], h0, loss, opts)
 
 
-def _index_windows(data, theta, anchors, h, kernel):
+def _index_windows(data, theta, anchors, h):
     """Kernel windows of ``anchors`` along the index ``t = X theta``.
 
     Returns ``(t, order, lo, hi)``: ``order`` is the stable argsort of
     ``t``, and the rows with positive weight ``K((t_i - t_c)/h)`` at
-    anchor c are exactly ``order[lo[c]:hi[c]]``.  Positivity is monotone
-    in ``|t_i - t_c|`` and IEEE subtraction and division are monotone,
-    so every window is one run of the sorted rows.  Its edges start at
-    ``searchsorted(t_c -/+ h)`` and then move, one tie group at a time,
-    until the kernel test on ``(t_i - t_c) / h`` agrees at both ends.
+    anchor c are exactly ``order[lo[c]:hi[c]]``.  Positivity is
+    ``|t_i - t_c| / h < 1`` (`_in_support`) and IEEE subtraction and
+    division are monotone, so every window is one run of the sorted rows.
+    Its edges start at ``searchsorted(t_c -/+ h)`` and then move, one tie
+    group at a time, until the support test agrees at both ends.
     """
     t = data.X @ theta
     order = np.argsort(t, kind="stable")
@@ -286,7 +283,7 @@ def _index_windows(data, theta, anchors, h, kernel):
     hi = np.searchsorted(ts, tc + h, side="right")
 
     def weighted(k, c):
-        return kernel_eval(kernel, (ts[k] - tc[c]) / h) > 0
+        return _in_support((ts[k] - tc[c]) / h)
 
     every, last = np.arange(tc.size), ts.size - 1
     while True:
@@ -302,60 +299,59 @@ def _index_windows(data, theta, anchors, h, kernel):
         hi[cut_hi] = np.searchsorted(ts, ts[hi[cut_hi] - 1], side="left")
 
 
-def _index_pairs(data, theta, anchors, h, kernel):
+def _index_pairs(data, theta, anchors, h):
     """(row, anchor) pairs with positive index-kernel weight, window by
     window.  Returns ``(t, rows, cols)`` with ``t = X theta`` and ``cols``
     positions in ``anchors``."""
-    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
+    t, order, lo, hi = _index_windows(data, theta, anchors, h)
     count = hi - lo
     cols = np.repeat(np.arange(anchors.size), count)
     pos = np.arange(cols.size) + np.repeat(lo - (np.cumsum(count) - count), count)
     return t, order[pos], cols
 
 
-def _index_problems(data, theta, anchors, h, kernel):
-    """The stacked problems of `index_fit_batch`: ``(cols, gather, Tg,
-    Wg)`` for the usable anchors ``anchors[cols]``.  Slot k of anchor c is
-    the row ``gather[c, k] = order[lo + k]`` of its window, in index
-    order; the slots past the window repeat its last row at zero weight."""
-    t, order, lo, hi = _index_windows(data, theta, anchors, h, kernel)
-    ts, tc = t[order], t[anchors]
-    cols = np.flatnonzero((hi - lo >= 2) & (ts[hi - 1] - tc > ts[lo] - tc))
-    lo, count = lo[cols, None], (hi - lo)[cols, None]
-    slot = np.arange(count.max() if cols.size else 0)
-    gather = order[lo + np.minimum(slot, count - 1)]
-    Tg = t[gather] - tc[cols, None]
-    return cols, gather, Tg, np.where(slot < count, kernel_eval(kernel, Tg / h), 0.0)
+def _index_problems(data, theta, anchors, h):
+    """The stacked problems of `index_fit_batch`: ``(gather, Tg,
+    inside)``, one row per anchor (each anchor lies in its own window).
+    Slot k of anchor c is the row ``gather[c, k] = order[lo + k]`` of its
+    window, in index order, at index offset ``Tg[c, k]``; the slots past
+    the window (``inside`` False) repeat its last row."""
+    t, order, lo, hi = _index_windows(data, theta, anchors, h)
+    count = (hi - lo)[:, None]
+    slot = np.arange(count.max(initial=0))
+    gather = order[lo[:, None] + np.minimum(slot, count - 1)]
+    return gather, t[gather] - t[anchors, None], slot < count
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     """Local-linear index fits at ``X[anchors]``, all anchors at once.
 
-    Returns ``(kept_anchor_indices, a, b, effective_weight)`` with anchors
-    lacking two distinct weighted index values (or producing non-finite
-    solutions) silently omitted, in the same order as ``anchors``.
+    Returns ``(kept_anchor_indices, a, b, effective_weight)`` in the order
+    of ``anchors``; anchors whose window fails the rank screen of
+    `_local_core` (or gives a non-finite solution) are silently omitted.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    cols, gather, Tg, Wg = _index_problems(data, theta, anchors, h, kernel)
-    if cols.size == 0:
-        return anchors[:0], np.empty(0), np.empty(0), np.empty(0)
-    kept, a, b, effw, _ = _index_core(Tg, Wg, data.Y[gather], loss, opts or SolverOptions())
-    return anchors[cols[kept]], a, b, effw
+    gather, Tg, inside = _index_problems(data, theta, anchors, h)
+    Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
+    opts = opts or SolverOptions()
+    kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+    return anchors[kept], a, B[:, 0], effw
 
 
 def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
     """Full-dimensional local fits at ``X[anchors]``, anchors in blocks.
 
     Returns ``(kept_anchor_indices, a, B, effective_weight)`` where ``B``
-    has one slope row per kept anchor.  Anchors with too few weighted
-    rows, a rank-deficient window or a non-finite solution are omitted.
+    has one slope row per kept anchor.  Anchors whose window fails the
+    rank screen of `_local_core` or gives a non-finite solution are
+    omitted.
     """
     opts = opts or SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]
     for block, R in _box_blocks(data.X, anchors):
-        cols, a, B, effw, _ = _full_core(data, data.X[block], R, h0, loss, kernel, opts)
-        parts.append((block[cols], a, B, effw))
+        kept, a, B, effw, _ = _full_core(data, data.X[block], R, h0, loss, kernel, opts)
+        parts.append((block[kept], a, B, effw))
     idx, a, B, effw = zip(*parts)
     return np.concatenate(idx), np.concatenate(a), np.vstack(B), np.concatenate(effw)

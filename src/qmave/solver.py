@@ -393,7 +393,8 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
     Raises
     ------
     DegenerateProblemError
-        Fewer than ``p`` rows with positive weight.
+        Fewer than ``p`` rows with positive weight, or a design column
+        that is zero on every one of them.
     ConvergenceError
         Iteration budget exhausted; carries the best iterate in ``best``.
     """
@@ -408,13 +409,11 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
             f"got {int(np.count_nonzero(active))}"
         )
     Za, ya, wa = _active_rows(problem, active)
-
-    if problem.p == 1 and np.all(Za[:, 0] == Za[0, 0]):
-        c = Za[0, 0]
-        if c == 0.0:
-            raise DegenerateProblemError("design column is identically zero")
-        return np.array([weighted_quantile(ya, wa, tau) / c])
-
+    zero = np.flatnonzero(np.all(Za == 0, axis=0))
+    if zero.size:
+        raise DegenerateProblemError(
+            f"design column {int(zero[0])} is zero on every positively-weighted row"
+        )
     beta, _, complete = _solve_qr_batch(
         Za[None, :, :], ya[None, :], wa[None, :], tau, opts
     )

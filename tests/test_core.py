@@ -16,6 +16,7 @@ from qmave import (
     default_bandwidth,
     kernel_eval,
 )
+from qmave.core import _in_support
 
 
 class TestLossSpec:
@@ -129,6 +130,26 @@ class TestKernels:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             KernelSpec("gaussian")
+
+    @pytest.mark.parametrize("kind", ["epanechnikov", "quartic"])
+    def test_support_is_exactly_where_the_kernel_is_positive(self, kind):
+        # 2000 consecutive doubles on each side of -1 and of +1, every
+        # power of two down to the smallest subnormal, non-finite values
+        # and a random sweep
+        parts = []
+        for edge in (-1.0, 1.0):
+            for toward in (-np.inf, np.inf):
+                run = [edge]
+                for _ in range(2000):
+                    run.append(np.nextafter(run[-1], toward))
+                parts.append(np.array(run))
+        powers = np.ldexp(1.0, -np.arange(1075))
+        rng = np.random.default_rng(50)
+        parts += [powers, -powers, [0.0, -0.0, np.inf, -np.inf, np.nan], rng.uniform(-2, 2, 10**5)]
+        u = np.concatenate(parts)
+        inside = _in_support(u)
+        np.testing.assert_array_equal(inside, kernel_eval(KernelSpec(kind), u) > 0)
+        assert 0 < np.count_nonzero(inside) < u.size
 
 
 class TestBandwidth:

@@ -310,6 +310,22 @@ class TestConstantResponse:
             qmave_fit(Dataset(data.X, np.full(data.n, 3.0)), QmaveConfig(loss=loss))
 
 
+class TestCovariateScale:
+    """Scaling X by a common factor scales the index values and the
+    bandwidth alike, so the fitted direction stays put.  X * 1e-6 is not
+    covered: the solver's absolute ridge of 1e-12 still moves it."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_theta_is_unchanged_when_x_is_scaled(self, loss, seed):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=seed))
+        cfg = QmaveConfig(loss=loss)
+        theta = qmave_fit(data, cfg).theta
+        for s in (1e-2, 1e2, 1e4, 1e6):
+            scaled = qmave_fit(Dataset(data.X * s, data.Y), cfg).theta
+            assert estimation_error(scaled, theta) <= 1e-8, s
+
+
 class TestObjectiveMonotonicity:
     def test_inner_step_never_increases_pooled_objective(self):
         rng = np.random.default_rng(68)
@@ -360,4 +376,4 @@ class TestInitLadder:
             for h0 in h0s
         ]
         assert len(set(direct)) > 1
-        np.testing.assert_array_equal(_median_window_count(data, anchors, h0s, kernel), direct)
+        np.testing.assert_array_equal(_median_window_count(data, anchors, h0s), direct)

@@ -23,7 +23,6 @@ from qmave.fit import QmaveConfig, _auto_init, eq_objective, outer_problem
 from qmave.localfit import (
     _FULL_BLOCK,
     _RANK_RTOL,
-    _index_core,
     _index_pairs,
     _index_problems,
     full_fit_batch,
@@ -306,6 +305,28 @@ class TestBatchedFitsAgreeWithSingleFits:
         assert set(np.round(X[idx, 0]).astype(int)) <= {0, 5}
 
 
+class TestRoundingOnlyWindows:
+    """On quarter-grid X with a generic direction, rows whose exact index
+    values are equal get computed index values that differ by rounding
+    only; a window made of such rows carries no slope information."""
+
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    def test_no_anchor_kept_on_a_rounding_only_window(self, loss):
+        rng = np.random.default_rng(17)
+        X = np.round(rng.normal(size=(200, 4)) * 4) / 4
+        direction = np.array([2.0, -1.0, 4.0, 1.0])
+        theta = direction / np.linalg.norm(direction)
+        data = Dataset(X, np.round(X @ np.ones(4) + rng.standard_t(3, size=200), 1))
+        exact = np.rint(4 * X).astype(np.int64) @ direction.astype(np.int64)
+        t = X @ theta
+        h = 0.02 * np.std(t, ddof=1)
+        anchors = np.arange(0, 200, 3)
+        flat = [j for j in anchors if np.all(exact[np.abs(t - t[j]) < h] == exact[j])]
+        assert len(flat) > 40
+        kept, _, b, _ = index_fit_batch(data, theta, anchors, h, loss, EPA)
+        assert not np.isin(kept, flat).any(), b[np.isin(kept, flat)]
+
+
 def _padded_gather(weights):
     """Pack positive-weight rows first along axis 0, preserving row order.
 
@@ -323,24 +344,43 @@ def _local_objectives(Tg, Wg, Yg, a, b, loss):
     return np.sum(Wg * check_loss(Yg - a[:, None] - b[:, None] * Tg, loss), axis=1)
 
 
+def scaled_screen(D, Wg, h):
+    """Positions of the stacked problems whose weighted design in
+    bandwidth units, ``[1, D/h]``, has an eigenvalue ratio above
+    ``_RANK_RTOL``: the reference for the library's rank screen."""
+    Zs = np.concatenate([np.ones(D.shape[:2] + (1,)), D / h], axis=2)
+    eigs = np.linalg.eigvalsh(np.matmul(Zs.transpose(0, 2, 1), Zs * Wg[:, :, None]))
+    return np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
+
+
+def reference_fits(D, Wg, Yg, h, loss):
+    """Screened and solved stacked problems on the offsets ``D`` (B, L, k):
+    ``(kept, a, B, effective_weight)`` with ``kept`` positions in B."""
+    sub = scaled_screen(D, Wg, h)
+    Zb = np.concatenate([np.ones((sub.size, D.shape[1], 1)), D[sub]], axis=2)
+    Wg, Yg = Wg[sub], Yg[sub]
+    if loss.is_quantile:
+        beta = _solve_qr_batch(Zb, Yg, Wg, loss.tau, SolverOptions())[0]
+    else:
+        beta = _solve_ls_batch(Zb, Yg, Wg, SolverOptions())
+    ok = np.all(np.isfinite(beta), axis=1)
+    return sub[ok], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok]
+
+
 def dense_index_fits(data, theta, anchors, h, loss, kernel):
     """The index fits built on the dense (n, m) offset and weight
-    matrices: the reference for windows.  Returns the fits, the usable
-    anchor positions ``cols`` and each usable anchor's window as
-    (rows, T, W) in row order."""
+    matrices: the reference for windows.  Returns the fits and each
+    anchor's window as (rows, T, W) in row order."""
     t = data.X @ theta
     T = t[:, None] - t[anchors][None, :]
     W = kernel_eval(kernel, T / h)
     pos = W > 0
-    tmax = np.max(np.where(pos, T, -np.inf), axis=0)
-    tmin = np.min(np.where(pos, T, np.inf), axis=0)
-    cols = np.flatnonzero((np.count_nonzero(pos, axis=0) >= 2) & (tmax > tmin))
-    gather = _padded_gather(W[:, cols])
-    Tg = np.take_along_axis(T[:, cols].T, gather, axis=1)
-    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-    kept, a, b, effw, _ = _index_core(Tg, Wg, data.Y[gather], loss, SolverOptions())
-    windows = [(np.flatnonzero(pos[:, c]), T[pos[:, c], c], W[pos[:, c], c]) for c in cols]
-    return (anchors[cols[kept]], a, b, effw), cols, windows
+    gather = _padded_gather(W)
+    Tg = np.take_along_axis(T.T, gather, axis=1)
+    Wg = np.take_along_axis(W.T, gather, axis=1)
+    kept, a, B, effw = reference_fits(Tg[:, :, None], Wg, data.Y[gather], h, loss)
+    windows = [(np.flatnonzero(p), T[p, c], W[p, c]) for c, p in enumerate(pos.T)]
+    return (anchors[kept], a, B[:, 0], effw), windows
 
 
 def dense_pooled(data, theta, fits, h, loss, kernel):
@@ -388,25 +428,25 @@ class TestSortedWindowsAreExact:
         anchors = np.arange(1, 120, 2)
         for kernel in (EPA, KernelSpec.quartic()):
             for loss in (MEDIAN, LossSpec.squared()):
-                fits, cols, windows = dense_index_fits(data, theta, anchors, h, loss, kernel)
+                fits, windows = dense_index_fits(data, theta, anchors, h, loss, kernel)
                 got = index_fit_batch(data, theta, anchors, h, loss, kernel)
                 assert fits[0].size >= 2
                 assert got[0].tobytes() == fits[0].tobytes()
-                # window contents: each anchor's (row, T, W, Y) set
-                have_cols, gather, Tg, Wg = _index_problems(data, theta, anchors, h, kernel)
-                assert have_cols.tobytes() == cols.tobytes()
-                for k, (rows, T, W) in enumerate(windows):
-                    inside = np.flatnonzero(Wg[k] > 0)
-                    by_row = inside[np.argsort(gather[k, inside], kind="stable")]
-                    assert gather[k, by_row].tobytes() == rows.tobytes()
-                    assert Tg[k, by_row].tobytes() == T.tobytes()
-                    assert Wg[k, by_row].tobytes() == W.tobytes()
-                    assert data.Y[gather[k, by_row]].tobytes() == data.Y[rows].tobytes()
+                # window contents: each anchor's (row, T, Y) set
+                gather, Tg, inside = _index_problems(data, theta, anchors, h)
+                assert len(windows) == anchors.size
+                for k, (rows, T, _) in enumerate(windows):
+                    by_row = np.argsort(gather[k, inside[k]], kind="stable")
+                    slots = gather[k, inside[k]][by_row]
+                    assert slots.tobytes() == rows.tobytes()
+                    assert Tg[k, inside[k]][by_row].tobytes() == T.tobytes()
+                    assert data.Y[slots].tobytes() == data.Y[rows].tobytes()
                 # each anchor's local optimum, both evaluated on the dense
                 # window; the slack of 8 ulps of the anchor's sum w|y| covers
                 # shifted data, whose optima cancel to about 1e-11 of |y|
-                kept = np.isin(anchors[cols], fits[0])
+                kept = np.isin(anchors, fits[0])
                 rows = [windows[k] for k in np.flatnonzero(kept)]
+                np.testing.assert_allclose(got[3], [np.sum(W) for _, _, W in rows], rtol=1e-12)
                 L = max(r.size for r, _, _ in rows)
                 pad = np.zeros((len(rows), L))
                 Tw, Ww, Yw = pad.copy(), pad.copy(), pad.copy()
@@ -420,7 +460,7 @@ class TestSortedWindowsAreExact:
                 cfg = QmaveConfig(loss=loss, kernel=kernel, h=h)
                 (ii, cc), outer, objective = dense_pooled(data, theta, got, h, loss, kernel)
                 problem = outer_problem(data, theta, got, cfg)
-                _, rows_p, cols_p = _index_pairs(data, theta, got[0], h, kernel)
+                _, rows_p, cols_p = _index_pairs(data, theta, got[0], h)
                 perm = np.lexsort((cols_p, rows_p))
                 assert rows_p[perm].tobytes() == ii.tobytes()
                 assert cols_p[perm].tobytes() == cc.tobytes()
@@ -438,23 +478,13 @@ def dense_full_fits(data, anchors, h0, loss, kernel):
         head = dense_full_fits(data, anchors[:_FULL_BLOCK], h0, loss, kernel)
         tail = dense_full_fits(data, anchors[_FULL_BLOCK:], h0, loss, kernel)
         return tuple(np.concatenate(pair) for pair in zip(head, tail))
-    d = data.d
     D = data.X[:, None, :] - data.X[None, anchors, :]
     W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
-    cols = np.flatnonzero(np.count_nonzero(W > 0, axis=0) >= d + 1)
-    gather = _padded_gather(W[:, cols])
-    Dg = np.take_along_axis(D[:, cols, :].transpose(1, 0, 2), gather[:, :, None], axis=1)
-    Wg = np.take_along_axis(W[:, cols].T, gather, axis=1)
-    Zb = np.concatenate([np.ones((cols.size, gather.shape[1], 1)), Dg], axis=2)
-    eigs = np.linalg.eigvalsh(np.matmul(Zb.transpose(0, 2, 1), Zb * Wg[:, :, None]))
-    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
-    Wg, Yg, Zb = Wg[sub], data.Y[gather[sub]], Zb[sub]
-    if loss.is_quantile:
-        beta = _solve_qr_batch(Zb, Yg, Wg, loss.tau, SolverOptions())[0]
-    else:
-        beta = _solve_ls_batch(Zb, Yg, Wg, SolverOptions())
-    ok = np.all(np.isfinite(beta), axis=1)
-    return anchors[cols[sub[ok]]], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok]
+    gather = _padded_gather(W)
+    Dg = np.take_along_axis(D.transpose(1, 0, 2), gather[:, :, None], axis=1)
+    Wg = np.take_along_axis(W.T, gather, axis=1)
+    kept, a, B, effw = reference_fits(Dg, Wg, data.Y[gather], h0, loss)
+    return anchors[kept], a, B, effw
 
 
 def underflow_data():

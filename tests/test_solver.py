@@ -108,6 +108,17 @@ class TestSolveWeightedQr:
         with pytest.raises(DegenerateProblemError):
             solve_weighted_qr(prob)
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_column_zero_on_every_weighted_row_raises(self, p):
+        rng = np.random.default_rng(33)
+        Z = rng.normal(size=(12, p))
+        Z[:, p - 1] = 0.0
+        w = rng.uniform(0.5, 2.0, size=12)
+        Z[0, p - 1], w[0] = 1.0, 0.0  # nonzero only on a zero-weight row
+        prob = WeightedRegressionProblem(Z, rng.normal(size=12), w, LossSpec.quantile(0.5))
+        with pytest.raises(DegenerateProblemError, match=f"column {p - 1} is zero"):
+            solve_weighted_qr(prob)
+
     def test_requires_quantile_loss(self):
         prob = WeightedRegressionProblem(np.ones((2, 1)), [1, 2], [1, 1], LossSpec.squared())
         with pytest.raises(InvalidInputError):
