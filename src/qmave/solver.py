@@ -2,16 +2,18 @@
 
 The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)``.  A
 batched Frisch-Newton interior point (Portnoy & Koenker 1997) solves the
-linear program on the rows ``w_i z_i, w_i y_i``; its fit is snapped to
-the exact fit through the ``p`` usable rows of smallest residual, and the
-Koenker-Bassett (1978) subgradient condition certifies that vertex
-optimal in closed form.  Problems the certificate rejects (tied or
-degenerate data) go to a vertex polish over exact-fit candidates through
-the rows with the smallest residuals.  Each polish round sweeps again
-only the problems whose coefficients the previous round moved: a sweep
-reads nothing but its own problem's rows, so a problem it left unchanged
-would be left unchanged again, and skipping it gives the same bits as
-sweeping the whole batch.
+linear program on the rows ``w_i z_i, w_i y_i``.  Its Mehrotra steps
+update the iterate in place, in a few row buffers, and take the gap the
+predictor would reach in closed form from two dot products.  Its fit is
+snapped to the exact fit through the ``p`` usable rows of smallest
+residual, and the Koenker-Bassett (1978) subgradient condition certifies
+that vertex optimal in closed form.  Problems the certificate rejects
+(tied or degenerate data) go to a vertex polish over exact-fit candidates
+through the rows with the smallest residuals.  Each polish round sweeps
+again only the problems whose coefficients the previous round moved: a
+sweep reads nothing but its own problem's rows, so a problem it left
+unchanged would be left unchanged again, and skipping it gives the same
+bits as sweeping the whole batch.
 
 Conformance is defined in objective value, never in coefficients: optima
 of piecewise-linear objectives can sit on flat faces.  ``qr_oracle`` is an
@@ -245,12 +247,90 @@ def _mv(M, v):
     return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
-def _step_lengths(a, s, z, w, dx, dz, dw):
-    """Primal and dual step lengths, (B, 1) each: 1, or ``_STEP`` of the
-    way to the boundary of ``a, s, z, w >= 0`` (``s`` moves by ``-dx``)."""
-    reach_p = np.maximum(np.max(-dx / a, axis=1), np.max(dx / s, axis=1))
-    reach_d = np.maximum(np.max(-dz / z, axis=1), np.max(-dw / w, axis=1))
-    return tuple(_STEP / np.maximum(_STEP, r)[:, None] for r in (reach_p, reach_d))
+def _dot(u, v):
+    """Stacked dot products ``u[b] @ v[b]`` of (B, n) arrays."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _newton_step(Xt, b, reg, gap, a, s, z, w, beta):
+    """One predictor-corrector step of ``_frisch_newton`` on the (B, p, n)
+    transposed design ``Xt``; updates ``a, s, z, w`` and ``beta`` in place.
+
+    With ``u = dx/a`` and ``v = dx/s`` the predictor's dual moves are
+    ``dz = -z (u + 1)`` and ``dw = w (v - 1)``.  So its step lengths come
+    from the extremes of ``u`` and ``v``, the corrector's ``dx dz / a`` and
+    ``dx dw / s`` are ``-z u (u + 1)`` and ``w v (v - 1)``, and the gap it
+    would reach is ``(1 - ad) gap + (ap (1 - ad) - ad) sum (z - w) dx
+    - ap ad sum dx^2 / d``; the predictor's ``dz, dw`` are never formed.
+    The row buffers are this function's locals, so they are freed before
+    the caller compacts the batch."""
+    X = Xt.transpose(0, 2, 1)
+    ia, is_ = 1.0 / a, 1.0 / s
+    d = z * ia
+    d += w * is_
+    np.divide(1.0, d, out=d)
+    M = np.matmul(Xt * d[:, None, :], X) + reg
+    zw = z - w
+    t = d * zw
+    t -= a
+    rhs = b + _mv(Xt, t)
+    # predictor: the affine-scaling step, with e = dx / d
+    dy = _batch_solve(M, rhs)
+    e = t
+    np.matmul(X, dy[:, :, None], out=e[:, :, None])
+    e -= zw
+    dx = d * e
+    zw_dx, dx_dx_d = _dot(zw, dx), _dot(dx, e)
+    u, v = np.multiply(dx, ia, out=e), np.multiply(dx, is_, out=dx)
+    ap = _STEP / np.maximum(_STEP, np.maximum(-np.min(u, axis=1), np.max(v, axis=1)))
+    ad = _STEP / np.maximum(_STEP, np.maximum(np.max(u, axis=1) + 1.0, 1.0 - np.min(v, axis=1)))
+    # corrector: Mehrotra's centring target from the predicted gap; dz and
+    # dw first hold the predictor's -dx dz / a and dx dw / s
+    g = (1.0 - ad) * gap + (ap * (1.0 - ad) - ad) * zw_dx - ap * ad * dx_dx_d
+    mu = (gap * (g / gap) ** 3 / (2 * X.shape[1]))[:, None]
+    dz = u + 1.0
+    dz *= u
+    dz *= z
+    dw = np.subtract(v, 1.0, out=u)
+    dw *= v
+    dw *= w
+    dr = np.subtract(is_, ia, out=v)
+    dr *= mu
+    dr -= dz
+    dr += dw
+    zw += dr  # the corrector's dx = d (X dy - zw) - dr is d (X dy - zw - dr / d)
+    dr *= d
+    dy = _batch_solve(M, rhs + _mv(Xt, dr))
+    dx = dr
+    np.matmul(X, dy[:, :, None], out=dx[:, :, None])
+    dx -= zw
+    dx *= d
+    # dz = (mu - z dx - dx dz) / a - z with the predictor's dx dz, likewise dw
+    t = np.multiply(dx, ia, out=zw)
+    reach_p = -np.min(t, axis=1)
+    t *= z
+    dz -= t
+    dz += np.multiply(ia, mu, out=t)
+    dz -= z
+    np.multiply(dx, is_, out=t)
+    reach_p = np.maximum(reach_p, np.max(t, axis=1))
+    t *= w
+    dw += t
+    dw += np.multiply(is_, mu, out=t)
+    dw -= w
+    reach_d = np.maximum(
+        -np.min(np.divide(dz, z, out=t), axis=1), -np.min(np.divide(dw, w, out=ia), axis=1)
+    )
+    ap = (_STEP / np.maximum(_STEP, reach_p))[:, None]
+    ad = (_STEP / np.maximum(_STEP, reach_d))[:, None]
+    dx *= ap
+    a += dx
+    s -= dx
+    beta -= ad * dy
+    dz *= ad
+    z += dz
+    dw *= ad
+    w += dw
 
 
 def _frisch_newton(X, yv, tau, opts: SolverOptions):
@@ -260,11 +340,16 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
     dual slacks ``z, w``.  Mehrotra predictor-corrector steps from
     ``a = 1 - tau`` and the least-squares fit; a problem stops once its
     duality gap, which bounds its excess objective, is at most
-    ``opts.objective_tolerance`` times the objective at the start.
+    ``opts.objective_tolerance`` times the objective at the start.  Each
+    step (``_newton_step``) updates the iterate in place, in a few row
+    buffers, with the predicted gap in closed form.  The steps read ``X``
+    by columns, so they run fastest when ``X`` is the transpose of a
+    C-contiguous (B, p, n) array, as ``_solve_qr_batch`` passes it.
     Returns ``(beta, converged)``."""
     B, n, p = X.shape
-    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(X, axis=1)
-    beta = _batch_solve(np.matmul(X.transpose(0, 2, 1), X) + reg, _mv(X.transpose(0, 2, 1), yv))
+    Xt = X.transpose(0, 2, 1)
+    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(Xt, axis=2)
+    beta = _batch_solve(np.matmul(Xt, X) + reg, _mv(Xt, yv))
     r = yv - _mv(X, beta)
     limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     limit[limit == 0] = np.inf  # an exact start (zero objective) is optimal
@@ -274,40 +359,17 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
     del r, yv  # only the start needs them; the loop's working set stays small
     out, converged, live = np.empty_like(beta), np.zeros(B, dtype=bool), np.arange(B)
     for it in range(opts.max_iterations + 1):
-        gap = np.sum(a * z + s * w, axis=1)
+        gap = _dot(a, z) + _dot(s, w)
         done = ~(gap > limit) | (it == opts.max_iterations)  # NaN ends too
         if np.any(done):
             out[live[done]], converged[live[done]] = beta[done], gap[done] <= limit[done]
             live, keep = live[~done], ~done
             if live.size == 0:
                 return out, converged
-            X, b, limit, beta, gap, a, s, z, w = (
-                v[keep] for v in (X, b, limit, beta, gap, a, s, z, w)
+            Xt, b, limit, beta, gap, a, s, z, w = (
+                v[keep] for v in (Xt, b, limit, beta, gap, a, s, z, w)
             )
-        Xt = X.transpose(0, 2, 1)
-        d = 1.0 / (z / a + w / s)
-        zw = z - w
-        rhs = b + _mv(Xt, d * zw - a)
-        M = np.matmul(Xt, X * d[:, :, None]) + reg
-        # predictor: the affine-scaling step
-        dy = _batch_solve(M, rhs)
-        dx = d * (_mv(X, dy) - zw)
-        dz, dw = -z * (dx / a + 1.0), w * (dx / s - 1.0)
-        ap, ad = _step_lengths(a, s, z, w, dx, dz, dw)
-        # corrector: Mehrotra's centring target from the predicted gap
-        g = np.sum((a + ap * dx) * (z + ad * dz) + (s - ap * dx) * (w + ad * dw), axis=1)
-        mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
-        dxdz, dxdw = dx * dz, dx * dw
-        dr = d * (mu * (1.0 / s - 1.0 / a) + dxdz / a + dxdw / s)
-        dy = _batch_solve(M, rhs + _mv(Xt, dr))
-        dx = d * (_mv(X, dy) - zw) - dr
-        dz, dw = (mu - z * dx - dxdz) / a - z, (mu + w * dx + dxdw) / s - w
-        ap, ad = _step_lengths(a, s, z, w, dx, dz, dw)
-        a += ap * dx
-        s -= ap * dx
-        beta -= ad * dy
-        z += ad * dz
-        w += ad * dw
+        _newton_step(Xt, b, reg, gap, a, s, z, w, beta)
 
 
 def _snap_and_certify(Z, y, w, tau, beta):
@@ -334,9 +396,15 @@ def _snap_and_certify(Z, y, w, tau, beta):
     dual = _batch_solve(Zb.transpose(0, 2, 1) * wb[:, None, :], -_mv(Z.transpose(0, 2, 1), wpsi))
     certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
     certified &= ~np.any(usable & (r == 0), axis=1)
-    obj, vertex_obj = (_batch_objective(Z, y, w, v, tau) for v in (beta, vertex))
-    snap = ok & (certified | (vertex_obj <= obj))
-    return np.where(snap[:, None], vertex, beta), np.where(snap, vertex_obj, obj), certified
+    del r, wpsi
+    obj = _batch_objective(Z, y, w, vertex, tau)
+    # a certified problem returns its vertex; only the others weigh beta
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        beta_obj = _batch_objective(Z[rest], y[rest], w[rest], beta[rest], tau)
+        back = ~(ok[rest] & (obj[rest] <= beta_obj))
+        vertex[rest[back]], obj[rest[back]] = beta[rest[back]], beta_obj[back]
+    return vertex, obj, certified
 
 
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
@@ -355,7 +423,13 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     complete = True
     step = max(1, _BLOCK_ROWS // n)
     for k in (slice(lo, lo + step) for lo in range(0, B, step)):
-        inner, converged = _frisch_newton(Z[k] * w[k, :, None], y[k] * w[k], tau, opts)
+        # the interior point reads the weighted design by columns
+        inner, converged = _frisch_newton(
+            np.multiply(Z[k].transpose(0, 2, 1), w[k, None, :], order="C").transpose(0, 2, 1),
+            y[k] * w[k],
+            tau,
+            opts,
+        )
         complete &= bool(np.all(converged))
         beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
     beta, obj, _ = _polish_batch(Z, y, w, tau, beta, obj, np.flatnonzero(~certified))

@@ -1,6 +1,7 @@
 """Weighted quantile regression solver, least squares, and the oracle."""
 
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -490,3 +491,126 @@ class TestCertifiedSolve:
         inner, converged = solver._frisch_newton(Z * w[:, :, None], y * w, 0.5, SolverOptions())
         _, _, certified = solver._snap_and_certify(Z, y, w, 0.5, inner)
         assert converged[0] and certified[0]
+
+
+def reference_frisch_newton(X, yv, tau, opts):
+    """The interior point before its steps worked in place: each step forms
+    the predictor's ``dz, dw``, its step lengths and its predicted gap from
+    whole rows.  The reference for the certificates, objectives and memory
+    of ``solver._frisch_newton``, which takes the same steps."""
+
+    def step_lengths(a, s, z, w, dx, dz, dw):
+        reach_p = np.maximum(np.max(-dx / a, axis=1), np.max(dx / s, axis=1))
+        reach_d = np.maximum(np.max(-dz / z, axis=1), np.max(-dw / w, axis=1))
+        step = solver._STEP
+        return tuple(step / np.maximum(step, r)[:, None] for r in (reach_p, reach_d))
+
+    mv, Xt = solver._mv, X.transpose(0, 2, 1)
+    B, n, p = X.shape
+    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(X, axis=1)
+    beta = solver._batch_solve(np.matmul(Xt, X) + reg, mv(Xt, yv))
+    r = yv - mv(X, beta)
+    limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
+    limit[limit == 0] = np.inf
+    shift = np.mean(np.abs(r), axis=1, keepdims=True)
+    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    a, s = np.full_like(yv, 1.0 - tau), np.full_like(yv, tau)
+    del r, yv
+    out, converged, live = np.empty_like(beta), np.zeros(B, dtype=bool), np.arange(B)
+    for it in range(opts.max_iterations + 1):
+        gap = np.sum(a * z + s * w, axis=1)
+        done = ~(gap > limit) | (it == opts.max_iterations)
+        if np.any(done):
+            out[live[done]], converged[live[done]] = beta[done], gap[done] <= limit[done]
+            live, keep = live[~done], ~done
+            if live.size == 0:
+                return out, converged
+            X, b, limit, beta, gap, a, s, z, w = (
+                v[keep] for v in (X, b, limit, beta, gap, a, s, z, w)
+            )
+        Xt = X.transpose(0, 2, 1)
+        d = 1.0 / (z / a + w / s)
+        zw = z - w
+        rhs = b + mv(Xt, d * zw - a)
+        M = np.matmul(Xt, X * d[:, :, None]) + reg
+        dy = solver._batch_solve(M, rhs)
+        dx = d * (mv(X, dy) - zw)
+        dz, dw = -z * (dx / a + 1.0), w * (dx / s - 1.0)
+        ap, ad = step_lengths(a, s, z, w, dx, dz, dw)
+        g = np.sum((a + ap * dx) * (z + ad * dz) + (s - ap * dx) * (w + ad * dw), axis=1)
+        mu = (gap * (g / gap) ** 3 / (2 * n))[:, None]
+        dxdz, dxdw = dx * dz, dx * dw
+        dr = d * (mu * (1.0 / s - 1.0 / a) + dxdz / a + dxdw / s)
+        dy = solver._batch_solve(M, rhs + mv(Xt, dr))
+        dx = d * (mv(X, dy) - zw) - dr
+        dz, dw = (mu - z * dx - dxdz) / a - z, (mu + w * dx + dxdw) / s - w
+        ap, ad = step_lengths(a, s, z, w, dx, dz, dw)
+        a += ap * dx
+        s -= ap * dx
+        beta -= ad * dy
+        z += ad * dz
+        w += ad * dw
+
+
+def padded_tied_batches():
+    """Stacked windows as the local fits build them: integer data (so rows
+    tie), each problem's rows of positive weight followed by zero-weight
+    padding up to the longest window, p in {2, 5, 6}."""
+    rng = np.random.default_rng(20261019)
+    for n, B in ((30, 24), (113, 12)):
+        for p in (2, 5, 6):
+            Z = rng.integers(-3, 4, size=(B, n, p)).astype(float)
+            Z[:, :, 0] = 1.0
+            y = rng.integers(-5, 6, size=(B, n)).astype(float)
+            w = rng.choice([0.5, 1.0, 2.0], size=(B, n))
+            w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
+            yield Z, y, w, float(rng.choice([0.25, 0.5, 0.7]))
+
+
+def weighted_design(Z, w):
+    """``Z * w`` in the layout ``_solve_qr_batch`` hands the interior point."""
+    return np.multiply(Z.transpose(0, 2, 1), w[:, None, :], order="C").transpose(0, 2, 1)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of the allocations made by one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInteriorPoint:
+    def test_certifies_and_attains_what_the_reference_loop_does(self):
+        opts, certified = SolverOptions(), 0
+        for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
+            X, yv = weighted_design(Z, w), y * w
+            got, ref = (
+                solver._snap_and_certify(Z, y, w, tau, fn(X, yv, tau, opts)[0])
+                for fn in (solver._frisch_newton, reference_frisch_newton)
+            )
+            assert np.all(got[2] | ~ref[2]), (Z.shape, tau)
+            slack = 4 * np.spacing(np.sum(w * np.abs(y), axis=1))
+            assert np.all(got[1] <= ref[1] * (1 + 1e-12) + slack), (Z.shape, tau)
+            certified += np.count_nonzero(ref[2])
+        assert certified > 0
+
+    def test_peak_memory_stays_within_the_reference_loop(self):
+        # the shape of the largest full-fit block of the n=200 benchmark
+        # grid: 130 anchors, windows of 113 rows of which about 40% are
+        # zero-weight padding, p = 6
+        rng = np.random.default_rng(20261019)
+        B, n, p = 130, 113, 6
+        Z = rng.normal(size=(B, n, p))
+        Z[:, :, 0] = 1.0
+        y = np.matmul(Z, rng.normal(size=p)) + rng.standard_t(3, size=(B, n))
+        w = rng.uniform(0.1, 1.0, size=(B, n))
+        w[np.arange(n) >= rng.integers(n // 5, n + 1, size=(B, 1))] = 0.0
+        assert 0.3 < np.mean(w == 0) < 0.5
+        X, yv, opts = weighted_design(Z, w), y * w, SolverOptions()
+        (_, converged), peak = traced_peak(solver._frisch_newton, X, yv, 0.5, opts)
+        (_, ref_converged), ref_peak = traced_peak(reference_frisch_newton, X, yv, 0.5, opts)
+        assert np.all(converged) and np.all(ref_converged)
+        assert peak <= ref_peak, (peak, ref_peak)
