@@ -10,8 +10,8 @@ class InvalidInputError(QmaveError):
 
 
 class DegenerateProblemError(QmaveError):
-    """A regression problem is unsolvable: too few weighted rows or a
-    design that stays singular even after the ridge floor."""
+    """A regression problem is unsolvable: too few weighted rows, a design
+    column that is zero on all of them, or a rank-deficient design."""
 
 
 class ConvergenceError(QmaveError):

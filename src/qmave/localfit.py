@@ -2,9 +2,9 @@
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
 an anchor point.  Every kind of fit ends in one core, `_local_core`, which
-holds the one rule for which fits are usable (the weighted design in
-bandwidth units passes a rank screen and the solve is finite) and solves
-the kept problems with the stacked solvers of ``qmave.solver``.
+solves it in bandwidth units, on ``[1, (X - x0)/h]``, returns its slopes in
+the units of X, and holds the one rule for which fits are usable (that
+weighted design passes the solver's rank rule and the solve is finite).
 `index_fit_batch` and `full_fit_batch` run it on a batch of anchors and
 return the kept ones as arrays; `local_linear_index_fit` and
 `local_linear_full_fit` run it on one point.  No fit builds a dense (n, m)
@@ -33,7 +33,8 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import SolverOptions, _solve_ls_batch, _solve_qr_batch
+from .solver import _RANK_RTOL  # noqa: F401  (the rank screen's threshold)
+from .solver import SolverOptions, _full_rank, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -41,10 +42,6 @@ __all__ = [
     "local_linear_index_fit",
     "local_linear_full_fit",
 ]
-
-# Relative eigenvalue floor below which a weighted local design, in
-# bandwidth units, is treated as not being in general position.
-_RANK_RTOL = 1e-10
 
 
 @dataclass
@@ -221,21 +218,19 @@ def _box_blocks(X, anchors):
 
 
 def _local_core(D, Wg, Yg, h, loss, opts):
-    """Fits of ``Yg`` on the design ``[1, D]`` with weights ``Wg``, one
-    problem per row of these (B, L[, k]) arrays: the one rule for which
-    local fits are usable.  A problem is kept when its weighted design in
-    bandwidth units, ``[1, D/h]``, has an eigenvalue ratio above
-    ``_RANK_RTOL`` and its solve under ``loss`` is finite.  Returns
-    ``(kept, a, B, effective_weight, complete)``: the kept positions and
-    their (kept, k) slopes; ``complete`` is False when the iteration
+    """Fits of ``Yg`` on the offsets ``D`` with weights ``Wg``, one problem
+    per row of these (B, L[, k]) arrays, solved in bandwidth units on the
+    design ``[1, D/h]``: the one rule for which local fits are usable.  A
+    problem is kept when that design's weighted Gram passes `_full_rank`
+    and its solve under ``loss`` is finite.  Returns ``(kept, a, B,
+    effective_weight, complete)``: the kept positions and their (kept, k)
+    slopes in the units of ``D``; ``complete`` is False when the iteration
     budget truncated the solve.
     """
-    Z = np.concatenate([np.ones(D.shape[:2] + (1,)), D], axis=2)
-    units = np.append(1.0, np.full(D.shape[2], 1.0 / h))
+    Z = np.concatenate([np.ones(D.shape[:2] + (1,)), D / h], axis=2)
     # a C-ordered left factor keeps matmul on its fast path
     gram = np.matmul(np.multiply(Z.transpose(0, 2, 1), Wg[:, None, :], order="C"), Z)
-    eigs = np.linalg.eigvalsh(gram * np.outer(units, units))
-    sub = np.flatnonzero(eigs[:, 0] > _RANK_RTOL * eigs[:, -1])
+    sub = np.flatnonzero(_full_rank(gram))
     if sub.size == 0:
         return sub, np.empty(0), np.empty((0, D.shape[2])), np.empty(0), True
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
@@ -243,9 +238,9 @@ def _local_core(D, Wg, Yg, h, loss, opts):
     if loss.is_quantile:
         beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
     else:
-        beta, complete = _solve_ls_batch(Z, Yg, Wg, opts), True
+        beta, complete = _solve_ls_batch(Z, Yg, Wg), True
     ok = np.all(np.isfinite(beta), axis=1)
-    return sub[ok], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok], complete
+    return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok], complete
 
 
 def _full_core(data, x0, R, h0, loss, kernel, opts):

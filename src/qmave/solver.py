@@ -15,6 +15,10 @@ sweep reads nothing but its own problem's rows, so a problem it left
 unchanged would be left unchanged again, and skipping it gives the same
 bits as sweeping the whole batch.
 
+Weighted least squares solves the normal equations without a ridge, and
+rejects a Gram matrix whose eigenvalue ratio is at most ``_RANK_RTOL``: no
+tolerance is absolute, so solutions follow rescaled data.
+
 Conformance is defined in objective value, never in coefficients: optima
 of piecewise-linear objectives can sit on flat faces.  ``qr_oracle`` is an
 independent exhaustive-enumeration check for small problems.
@@ -25,6 +29,7 @@ All solvers are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -56,29 +61,29 @@ _MAX_POLISH_ROUNDS = 12
 # Hadamard bound of the subsystem.
 _GENERAL_POSITION_RTOL = 1e-12
 
+# Gram eigenvalue ratio at or below which a design is rank-deficient.
+_RANK_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances shared by the regression solvers.
+    """Tolerances of the quantile solver.
 
-    The quantile solver's interior point stops at a duality gap of
-    ``objective_tolerance`` times the objective at its least-squares
-    start, or after ``max_iterations`` steps on a block of problems, which
-    marks the solve incomplete.  ``regularization_floor`` is the ridge on
-    the normal equations.
+    Its interior point stops at a duality gap of ``objective_tolerance``
+    (finite and positive) times the objective at its least-squares start,
+    or after ``max_iterations`` (an integer >= 1) steps on a block of
+    problems, which marks the solve incomplete.
     """
 
     objective_tolerance: float = 1e-9
     max_iterations: int = 200
-    regularization_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.objective_tolerance <= 0:
-            raise InvalidInputError("objective_tolerance must be positive")
-        if self.max_iterations <= 0:
-            raise InvalidInputError("max_iterations must be positive")
-        if self.regularization_floor <= 0:
-            raise InvalidInputError("regularization_floor must be positive")
+        tol, its = self.objective_tolerance, self.max_iterations
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise InvalidInputError(f"objective_tolerance must be finite and > 0, got {tol!r}")
+        if isinstance(its, bool) or not isinstance(its, numbers.Integral) or its < 1:
+            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {its!r}")
 
 
 @dataclass
@@ -173,15 +178,6 @@ def _batch_objective(Z, y, w, beta, tau):
     return np.sum(w * rho, axis=1)
 
 
-def _ls_normal_solve(Z, y, w, ridge):
-    """Stacked weighted-LS solve of ``(Z'WZ + ridge I) beta = Z'Wy``."""
-    p = Z.shape[2]
-    wz = Z * w[:, :, None]
-    A = np.matmul(Z.transpose(0, 2, 1), wz) + ridge * np.eye(p)
-    rhs = np.matmul(wz.transpose(0, 2, 1), y[:, :, None])[:, :, 0]
-    return _batch_solve(A, rhs)
-
-
 def _in_general_position(Zs):
     """Per stacked p x p system, whether its rows are in general position."""
     hadamard = np.prod(np.linalg.norm(Zs, axis=2), axis=1)
@@ -252,7 +248,7 @@ def _dot(u, v):
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _newton_step(Xt, b, reg, gap, a, s, z, w, beta):
+def _newton_step(Xt, b, gap, a, s, z, w, beta):
     """One predictor-corrector step of ``_frisch_newton`` on the (B, p, n)
     transposed design ``Xt``; updates ``a, s, z, w`` and ``beta`` in place.
 
@@ -269,7 +265,7 @@ def _newton_step(Xt, b, reg, gap, a, s, z, w, beta):
     d = z * ia
     d += w * is_
     np.divide(1.0, d, out=d)
-    M = np.matmul(Xt * d[:, None, :], X) + reg
+    M = np.matmul(Xt * d[:, None, :], X)
     zw = z - w
     t = d * zw
     t -= a
@@ -346,10 +342,10 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
     by columns, so they run fastest when ``X`` is the transpose of a
     C-contiguous (B, p, n) array, as ``_solve_qr_batch`` passes it.
     Returns ``(beta, converged)``."""
-    B, n, p = X.shape
+    B = X.shape[0]
     Xt = X.transpose(0, 2, 1)
-    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(Xt, axis=2)
-    beta = _batch_solve(np.matmul(Xt, X) + reg, _mv(Xt, yv))
+    b = (1.0 - tau) * np.sum(Xt, axis=2)
+    beta = _batch_solve(np.matmul(Xt, X), _mv(Xt, yv))
     r = yv - _mv(X, beta)
     limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     limit[limit == 0] = np.inf  # an exact start (zero objective) is optimal
@@ -369,7 +365,7 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
             Xt, b, limit, beta, gap, a, s, z, w = (
                 v[keep] for v in (Xt, b, limit, beta, gap, a, s, z, w)
             )
-        _newton_step(Xt, b, reg, gap, a, s, z, w, beta)
+        _newton_step(Xt, b, gap, a, s, z, w, beta)
 
 
 def _snap_and_certify(Z, y, w, tau, beta):
@@ -436,14 +432,24 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     return beta, obj, complete
 
 
-def _solve_ls_batch(Z, y, w, opts: SolverOptions):
-    """Stacked weighted least squares; lenient (callers screen inputs)."""
-    beta = _ls_normal_solve(
-        np.ascontiguousarray(Z, dtype=float),
-        np.asarray(y, dtype=float),
-        np.asarray(w, dtype=float),
-        opts.regularization_floor,
-    )
+def _full_rank(gram):
+    """Per stacked Gram matrix, whether its smallest eigenvalue exceeds
+    ``_RANK_RTOL`` times its largest: the one rank rule of least squares
+    and of the local fits."""
+    eigs = np.linalg.eigvalsh(gram)
+    return eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
+
+
+def _solve_ls_batch(Z, y, w):
+    """Stacked weighted least squares by the normal equations; a problem
+    whose Gram fails `_full_rank` gets NaN coefficients."""
+    # a C-ordered left factor keeps matmul on its fast path
+    Wt = np.multiply(Z.transpose(0, 2, 1), w[:, None, :], order="C")
+    gram = np.matmul(Wt, Z)
+    ok = _full_rank(gram)
+    gram[~ok] = np.eye(Z.shape[2])
+    beta = _batch_solve(gram, _mv(Wt, y))
+    beta[~ok] = np.nan
     return beta
 
 
@@ -502,27 +508,19 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
 
 
 def solve_weighted_ls(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
-    """Weighted least squares via the normal equations with a ridge floor.
+    """Weighted least squares by the normal equations (`_solve_ls_batch`);
+    ``opts`` is unused, least squares needs no tolerance.
 
     Raises ``DegenerateProblemError`` when the weighted cross-product
-    matrix stays effectively singular even after the ridge.
+    matrix fails the rank rule: its smallest eigenvalue is at most
+    ``_RANK_RTOL`` times its largest.
     """
-    opts = opts or SolverOptions()
     if problem.loss.is_quantile:
         raise InvalidInputError("solve_weighted_ls requires the squared loss")
-    floor = opts.regularization_floor
     Za, ya, wa = _active_rows(problem, problem.w > 0)
-    A = (Za * wa[:, None]).T @ Za
-    rhs = Za.T @ (wa * ya)
-    eigs = np.linalg.eigvalsh(A)
-    # the ridge only rescues when it is meaningful at the matrix's scale
-    if eigs[0] + floor < eigs[-1] * 1e-10:
-        raise DegenerateProblemError(
-            "weighted cross-product matrix is rank-deficient beyond ridge rescue"
-        )
-    beta = np.linalg.solve(A + floor * np.eye(problem.p), rhs)
+    beta = _solve_ls_batch(Za[None], ya[None], wa[None])[0]
     if not np.all(np.isfinite(beta)):
-        raise DegenerateProblemError("normal equations produced non-finite output")
+        raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")
     return beta
 
 

@@ -312,8 +312,9 @@ class TestConstantResponse:
 
 class TestCovariateScale:
     """Scaling X by a common factor scales the index values and the
-    bandwidth alike, so the fitted direction stays put.  X * 1e-6 is not
-    covered: the solver's absolute ridge of 1e-12 still moves it."""
+    bandwidth alike, and shifting X moves neither, so the fitted direction
+    stays put: every local problem is solved in bandwidth units and no
+    solver carries an absolute constant."""
 
     @pytest.mark.parametrize("seed", [2, 3])
     @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
@@ -321,9 +322,39 @@ class TestCovariateScale:
         data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=seed))
         cfg = QmaveConfig(loss=loss)
         theta = qmave_fit(data, cfg).theta
-        for s in (1e-2, 1e2, 1e4, 1e6):
+        for s in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
             scaled = qmave_fit(Dataset(data.X * s, data.Y), cfg).theta
             assert estimation_error(scaled, theta) <= 1e-8, s
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_theta_is_unchanged_when_x_is_shifted(self, loss, seed):
+        # X + 1e6 rounds X to about 1e-10, so it is compared with the
+        # shifted data moved back, which carries the same rounding
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=seed))
+        cfg = QmaveConfig(loss=loss)
+        theta = qmave_fit(data, cfg).theta
+        shifted = qmave_fit(Dataset(data.X + 3.0, data.Y), cfg).theta
+        assert estimation_error(shifted, theta) <= 1e-8
+        far = data.X + 1e6
+        theta_far = qmave_fit(Dataset(far, data.Y), cfg).theta
+        theta_back = qmave_fit(Dataset(far - 1e6, data.Y), cfg).theta
+        assert estimation_error(theta_far, theta_back) <= 1e-6
+
+
+class TestResponseAffineMap:
+    """An affine map of Y maps every local fit and the outer response
+    alike, so the fitted direction stays put."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_theta_is_unchanged_when_y_is_mapped(self, loss, seed):
+        data, _ = gen_model8(SimConfig(n=200, noise=NoiseLaw.SCALED_NORMAL, seed=seed))
+        cfg = QmaveConfig(loss=loss)
+        theta = qmave_fit(data, cfg).theta
+        for scale, shift in ((1e-6, 0.0), (1e6, 3.0)):
+            mapped = qmave_fit(Dataset(data.X, scale * data.Y + shift), cfg).theta
+            assert estimation_error(mapped, theta) <= 1e-8, (scale, shift)
 
 
 class TestObjectiveMonotonicity:

@@ -354,17 +354,18 @@ def scaled_screen(D, Wg, h):
 
 
 def reference_fits(D, Wg, Yg, h, loss):
-    """Screened and solved stacked problems on the offsets ``D`` (B, L, k):
-    ``(kept, a, B, effective_weight)`` with ``kept`` positions in B."""
+    """Screened stacked problems on the offsets ``D`` (B, L, k), solved in
+    bandwidth units on ``[1, D/h]``: ``(kept, a, B, effective_weight)``
+    with ``kept`` positions in B and the slopes ``B`` in the units of D."""
     sub = scaled_screen(D, Wg, h)
-    Zb = np.concatenate([np.ones((sub.size, D.shape[1], 1)), D[sub]], axis=2)
+    Zb = np.concatenate([np.ones((sub.size, D.shape[1], 1)), D[sub] / h], axis=2)
     Wg, Yg = Wg[sub], Yg[sub]
     if loss.is_quantile:
         beta = _solve_qr_batch(Zb, Yg, Wg, loss.tau, SolverOptions())[0]
     else:
-        beta = _solve_ls_batch(Zb, Yg, Wg, SolverOptions())
+        beta = _solve_ls_batch(Zb, Yg, Wg)
     ok = np.all(np.isfinite(beta), axis=1)
-    return sub[ok], beta[ok, 0], beta[ok, 1:], np.sum(Wg, axis=1)[ok]
+    return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok]
 
 
 def dense_index_fits(data, theta, anchors, h, loss, kernel):

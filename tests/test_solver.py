@@ -21,6 +21,15 @@ from qmave import (
 from qmave import solver
 
 
+def normal_equation_problems():
+    """Twenty ``(Z, y, w)`` on continuous data, n from 5 to 29 and p from 1
+    to 3."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n, p = int(rng.integers(5, 30)), int(rng.integers(1, 4))
+        yield rng.normal(size=(n, p)), rng.normal(size=n), rng.uniform(0.1, 3.0, size=n)
+
+
 def random_problem(rng, n_max=12, p_max=3, taus=(0.25, 0.5, 0.75)):
     n = int(rng.integers(3, n_max + 1))
     p = int(rng.integers(1, p_max + 1))
@@ -30,6 +39,26 @@ def random_problem(rng, n_max=12, p_max=3, taus=(0.25, 0.5, 0.75)):
     w = rng.uniform(0.05, 2.0, size=n)
     tau = float(rng.choice(taus))
     return WeightedRegressionProblem(Z, y, w, LossSpec.quantile(tau))
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("max_iterations", 0),
+            ("max_iterations", "10"),
+            ("objective_tolerance", float("nan")),
+            ("objective_tolerance", float("inf")),
+            ("objective_tolerance", 0.0),
+            ("objective_tolerance", -1e-9),
+            ("objective_tolerance", "1e-9"),
+        ],
+    )
+    def test_bad_values_raise_invalid_input(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            SolverOptions(**{name: value})
 
 
 class TestProblemValidation:
@@ -180,6 +209,20 @@ class TestSolverProperties:
             o1 = prob.objective(solve_weighted_qr(prob))
             o2 = rotated.objective(solve_weighted_qr(rotated))
             assert abs(o1 - o2) <= 1e-8 * (1 + abs(o1))
+        # a design scaled by 1e-7: every solve certified, at the optimum of
+        # the unscaled design
+        for Z, y, w in normal_equation_problems():
+            objs = []
+            for s in (1.0, 1e-7):
+                prob = WeightedRegressionProblem(Z * s, y, w, LossSpec.quantile(0.3))
+                Zb, yb, wb = prob.Z[None], y[None], w[None]
+                inner, converged = solver._frisch_newton(
+                    Zb * wb[:, :, None], yb * wb, 0.3, SolverOptions()
+                )
+                certified = solver._snap_and_certify(Zb, yb, wb, 0.3, inner)[2]
+                assert converged[0] and certified[0], (Z.shape, s)
+                objs.append(prob.objective(solve_weighted_qr(prob)))
+            assert abs(objs[1] - objs[0]) <= 1e-12 * objs[0], Z.shape
 
     def test_zero_weight_rows_are_ignorable(self):
         rng = np.random.default_rng(10)
@@ -224,17 +267,14 @@ class TestSolveWeightedLs:
         np.testing.assert_allclose(solve_weighted_ls(prob), beta_star, atol=1e-10)
 
     def test_matches_independent_normal_equations(self):
-        # independent route: scale rows by sqrt(w) and use lstsq
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n, p = int(rng.integers(5, 30)), int(rng.integers(1, 4))
-            Z = rng.normal(size=(n, p))
-            y = rng.normal(size=n)
-            w = rng.uniform(0.1, 3.0, size=n)
-            prob = WeightedRegressionProblem(Z, y, w, LossSpec.squared())
+        # independent route: scale rows by sqrt(w) and use lstsq; on Z * s
+        # the coefficients are the unscaled ones over s
+        for Z, y, w in normal_equation_problems():
             sw = np.sqrt(w)
             ref, *_ = np.linalg.lstsq(Z * sw[:, None], y * sw, rcond=None)
-            np.testing.assert_allclose(solve_weighted_ls(prob), ref, atol=1e-8)
+            for s in (1.0, 1e-7):
+                prob = WeightedRegressionProblem(Z * s, y, w, LossSpec.squared())
+                np.testing.assert_allclose(solve_weighted_ls(prob) * s, ref, atol=1e-8, err_msg=s)
 
     def test_rank_deficient_raises(self):
         Z = np.ones((4, 2))  # duplicated column
@@ -316,7 +356,7 @@ def polish_batches():
                 y = rng.integers(-5, 6, size=(B, n)).astype(float)
                 w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(B, n))
                 tau = float(rng.choice([0.25, 0.5, 0.7]))
-                beta = solver._ls_normal_solve(Z, y, w, 1e-12)
+                beta = solver._solve_ls_batch(Z, y, w)
                 obj = solver._batch_objective(Z, y, w, beta, tau)
                 yield Z, y, w, tau, beta, obj
 
@@ -507,8 +547,8 @@ def reference_frisch_newton(X, yv, tau, opts):
 
     mv, Xt = solver._mv, X.transpose(0, 2, 1)
     B, n, p = X.shape
-    reg, b = opts.regularization_floor * np.eye(p), (1.0 - tau) * np.sum(X, axis=1)
-    beta = solver._batch_solve(np.matmul(Xt, X) + reg, mv(Xt, yv))
+    b = (1.0 - tau) * np.sum(X, axis=1)
+    beta = solver._batch_solve(np.matmul(Xt, X), mv(Xt, yv))
     r = yv - mv(X, beta)
     limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     limit[limit == 0] = np.inf
@@ -532,7 +572,7 @@ def reference_frisch_newton(X, yv, tau, opts):
         d = 1.0 / (z / a + w / s)
         zw = z - w
         rhs = b + mv(Xt, d * zw - a)
-        M = np.matmul(Xt, X * d[:, :, None]) + reg
+        M = np.matmul(Xt, X * d[:, :, None])
         dy = solver._batch_solve(M, rhs)
         dx = d * (mv(X, dy) - zw)
         dz, dw = -z * (dx / a + 1.0), w * (dx / s - 1.0)
