@@ -19,7 +19,6 @@ from .core import (
     _in_support,
     KernelSpec,
     LossSpec,
-    check_loss,
     coordinate_dispersion,
     default_bandwidth,
     index_dispersion,
@@ -160,10 +159,10 @@ def outer_problem(
     return WeightedRegressionProblem(design, response, W, cfg.loss)
 
 
-def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
-    """One global index update from the ``inner_step`` tuple ``fits``:
-    solve the pooled regression, normalise, and align the sign with the
-    incoming ``theta``."""
+def _outer(data: Dataset, theta, fits, cfg: QmaveConfig):
+    """``(objective, new)``: the pooled objective at ``theta`` and the next
+    index, both from one `outer_problem`.  The problem stays local, so it
+    is freed before the next inner step."""
     j, _, b, _ = fits
     if j.size == 0:
         raise InsufficientDataError("no local fits supplied to the outer step")
@@ -183,20 +182,22 @@ def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
     new = beta / nrm
     if float(new @ np.asarray(theta, dtype=float)) < 0:
         new = -new
-    return new
+    return problem.objective(theta), new
+
+
+def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
+    """One global index update from the ``inner_step`` tuple ``fits``:
+    solve the pooled regression, normalise, and align the sign with the
+    incoming ``theta``."""
+    return _outer(data, theta, fits, cfg)[1]
 
 
 def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
     """Pooled local-fit objective at ``theta`` given the fitted (a_j, b_j)
-    of the ``(anchors, a, b, effective_weight)`` tuple ``fits``:
-    ``sum_{i,j} K(theta'(X_i-X_j)/h) loss(Y_i - a_j - b_j theta'(X_i-X_j))``."""
-    theta = _as_unit(theta, "theta", data.d)
-    h = resolve_bandwidth(data, theta, cfg)
-    j, a, b, _ = fits
-    t, ii, cc = _index_pairs(data, theta, j, h)
-    T = t[ii] - t[j[cc]]
-    terms = kernel_eval(cfg.kernel, T / h) * check_loss(data.Y[ii] - a[cc] - b[cc] * T, cfg.loss)
-    return float(np.sum(terms))
+    of the ``(anchors, a, b, effective_weight)`` tuple ``fits``: the
+    objective of `outer_problem` at ``theta``,
+    ``sum_{i,j} K(theta'(X_i-X_j)/h) loss(Y_i - a_j - b_j (X_i-X_j)'theta)``."""
+    return outer_problem(data, theta, fits, cfg).objective(theta)
 
 
 def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:
@@ -292,11 +293,10 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     iterations = 0
     for k in range(1, run.max_iter + 1):
         try:
-            fits = inner_step(data, theta, run)
-            objective_trace.append(eq_objective(data, theta, fits, run))
-            new = outer_step(data, theta, fits, run)
+            objective, new = _outer(data, theta, inner_step(data, theta, run), run)
         except (InsufficientDataError, DegenerateUpdateError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
+        objective_trace.append(objective)
         iterations = k
         dist = min(np.linalg.norm(new - theta), np.linalg.norm(new + theta))
         theta_trace.append(new / np.linalg.norm(new))

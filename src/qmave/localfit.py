@@ -3,8 +3,9 @@
 Each fit minimises a kernel-weighted loss of local-linear residuals around
 an anchor point.  Every kind of fit ends in one core, `_local_core`, which
 solves it in bandwidth units, on ``[1, (X - x0)/h]``, returns its slopes in
-the units of X, and holds the one rule for which fits are usable (that
-weighted design passes the solver's rank rule and the solve is finite).
+the units of X, and holds the one rule for which fits are usable: the
+least-squares solve of that weighted design is the rank screen (it is NaN
+where the design fails the solver's rank rule), and the fit is finite.
 `index_fit_batch` and `full_fit_batch` run it on a batch of anchors and
 return the kept ones as arrays; `local_linear_index_fit` and
 `local_linear_full_fit` run it on one point.  No fit builds a dense (n, m)
@@ -14,11 +15,11 @@ Both kernels are positive exactly where ``|u| < 1`` (`_in_support`), so
 no neighbourhood is found by evaluating a kernel.  Along an index the
 rows of an anchor's window are one run of the rows sorted by ``t = X
 theta`` (`_index_windows`); the index fits read each window in that
-order, and the outer problem and the objective take their (row, anchor)
-pairs from the same runs (`_index_pairs`).  In full dimension the product
-kernel is positive on a box, so the full fits and the ladder probe work
-on blocks of anchors with one (block, n) matrix of largest coordinate
-offsets each (`_box_blocks`).
+order, and the outer problem takes its (row, anchor) pairs from the same
+runs (`_index_pairs`).  In full dimension the product kernel is positive
+on a box, so the full fits and the ladder probe work on blocks of anchors
+with one (block, n) matrix of largest coordinate offsets each
+(`_box_blocks`).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import _RANK_RTOL  # noqa: F401  (the rank screen's threshold)
-from .solver import SolverOptions, _full_rank, _solve_ls_batch, _solve_qr_batch
+from .solver import SolverOptions, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -220,25 +220,22 @@ def _box_blocks(X, anchors):
 def _local_core(D, Wg, Yg, h, loss, opts):
     """Fits of ``Yg`` on the offsets ``D`` with weights ``Wg``, one problem
     per row of these (B, L[, k]) arrays, solved in bandwidth units on the
-    design ``[1, D/h]``: the one rule for which local fits are usable.  A
-    problem is kept when that design's weighted Gram passes `_full_rank`
-    and its solve under ``loss`` is finite.  Returns ``(kept, a, B,
-    effective_weight, complete)``: the kept positions and their (kept, k)
-    slopes in the units of ``D``; ``complete`` is False when the iteration
-    budget truncated the solve.
+    design ``[1, D/h]``: the one rule for which local fits are usable.  The
+    least-squares solve is the rank screen: `_solve_ls_batch` gives NaN
+    coefficients where that design fails the solver's rank rule, and a
+    problem is kept when its coefficients are finite.  The squared loss
+    returns them; the quantile loss solves the kept problems again under
+    its loss.  Returns ``(kept, a, B, effective_weight, complete)``: the
+    kept positions and their (kept, k) slopes in the units of ``D``;
+    ``complete`` is False when the iteration budget truncated the solve.
     """
     Z = np.concatenate([np.ones(D.shape[:2] + (1,)), D / h], axis=2)
-    # a C-ordered left factor keeps matmul on its fast path
-    gram = np.matmul(np.multiply(Z.transpose(0, 2, 1), Wg[:, None, :], order="C"), Z)
-    sub = np.flatnonzero(_full_rank(gram))
-    if sub.size == 0:
-        return sub, np.empty(0), np.empty((0, D.shape[2])), np.empty(0), True
+    beta, complete = _solve_ls_batch(Z, Yg, Wg), True
+    sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
-        Z, Yg, Wg = Z[sub], Yg[sub], Wg[sub]
+        beta, Z, Yg, Wg = beta[sub], Z[sub], Yg[sub], Wg[sub]
     if loss.is_quantile:
         beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
-    else:
-        beta, complete = _solve_ls_batch(Z, Yg, Wg), True
     ok = np.all(np.isfinite(beta), axis=1)
     return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok], complete
 

@@ -16,7 +16,8 @@ unchanged would be left unchanged again, and skipping it gives the same
 bits as sweeping the whole batch.
 
 Weighted least squares solves the normal equations without a ridge, and
-rejects a Gram matrix whose eigenvalue ratio is at most ``_RANK_RTOL``: no
+gives NaN coefficients where the Gram matrix's eigenvalue ratio is at most
+``_RANK_RTOL``: the one rank rule, which also screens the local fits.  No
 tolerance is absolute, so solutions follow rescaled data.
 
 Conformance is defined in objective value, never in coefficients: optima
@@ -417,7 +418,7 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     B, n, p = Z.shape
     beta, obj, certified = np.empty((B, p)), np.empty(B), np.empty(B, dtype=bool)
     complete = True
-    step = max(1, _BLOCK_ROWS // n)
+    step = max(1, _BLOCK_ROWS // max(n, 1))
     for k in (slice(lo, lo + step) for lo in range(0, B, step)):
         # the interior point reads the weighted design by columns
         inner, converged = _frisch_newton(
@@ -432,21 +433,16 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     return beta, obj, complete
 
 
-def _full_rank(gram):
-    """Per stacked Gram matrix, whether its smallest eigenvalue exceeds
-    ``_RANK_RTOL`` times its largest: the one rank rule of least squares
-    and of the local fits."""
-    eigs = np.linalg.eigvalsh(gram)
-    return eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
-
-
 def _solve_ls_batch(Z, y, w):
-    """Stacked weighted least squares by the normal equations; a problem
-    whose Gram fails `_full_rank` gets NaN coefficients."""
+    """Stacked weighted least squares by the normal equations, under the
+    one rank rule of least squares and of the local fits: a problem whose
+    Gram has its smallest eigenvalue at most ``_RANK_RTOL`` times its
+    largest gets NaN coefficients."""
     # a C-ordered left factor keeps matmul on its fast path
     Wt = np.multiply(Z.transpose(0, 2, 1), w[:, None, :], order="C")
     gram = np.matmul(Wt, Z)
-    ok = _full_rank(gram)
+    eigs = np.linalg.eigvalsh(gram)
+    ok = eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
     gram[~ok] = np.eye(Z.shape[2])
     beta = _batch_solve(gram, _mv(Wt, y))
     beta[~ok] = np.nan

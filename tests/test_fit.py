@@ -1,5 +1,8 @@
 """The alternating index estimator: inner step, outer step, full loop."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -270,6 +273,42 @@ class TestQmaveFit:
         for h in (-1.0, np.inf):
             with pytest.raises(InvalidInputError):
                 QmaveConfig(h=h)
+
+
+class TestObjectiveTrace:
+    """The trace records the objective of the outer problem each iteration
+    solves, which is the public pooled objective at that iterate."""
+
+    @pytest.mark.parametrize("loss", [LossSpec.quantile(0.5), LossSpec.squared()])
+    def test_trace_is_eq_objective_at_each_iterate(self, loss):
+        data, _ = gen_model8(SimConfig(n=200, seed=1))
+        cfg = QmaveConfig(loss=loss, init=np.eye(5)[0])
+        result = qmave_fit(data, cfg)
+        run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
+        assert result.iterations >= 3 and len(result.objective_trace) == result.iterations
+        for k, (theta, objective) in enumerate(zip(result.theta_trace, result.objective_trace)):
+            want = eq_objective(data, theta, inner_step(data, theta, run), run)
+            if k == 0:  # an exactly unit init is the iterate itself
+                assert objective == want
+            else:  # the recorded iterate is the solved one renormalised
+                assert objective == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_fit_peak_memory_is_one_iteration(self):
+        # no iteration's outer problem may outlive it: a fit's peak stays
+        # that of one inner plus one outer step
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0], max_iter=3)
+        run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
+        tracemalloc.start()
+        try:
+            outer_step(data, cfg.init, inner_step(data, cfg.init, run), run)
+            step_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert qmave_fit(data, cfg).iterations == 3
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit_peak <= 1.2 * step_peak
 
 
 class TestDegenerateCovariates:

@@ -1,6 +1,7 @@
 """Local-linear fits along an index and in full dimension."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,14 +23,13 @@ from qmave.core import check_loss, kernel_eval
 from qmave.fit import QmaveConfig, _auto_init, eq_objective, outer_problem
 from qmave.localfit import (
     _FULL_BLOCK,
-    _RANK_RTOL,
     _index_pairs,
     _index_problems,
     full_fit_batch,
     index_fit_batch,
 )
 from qmave.simulate import SimConfig, gen_model8
-from qmave.solver import _solve_ls_batch, _solve_qr_batch
+from qmave.solver import _RANK_RTOL, _solve_ls_batch, _solve_qr_batch
 
 EPA = KernelSpec.epanechnikov()
 MEDIAN = LossSpec.quantile(0.5)
@@ -128,8 +128,12 @@ class TestIndexFit:
     def test_empty_window_raises(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         data = Dataset(X, np.arange(10, dtype=float))
+        # a window of one row, and windows of no row under both losses
         with pytest.raises(InsufficientLocalDataError):
             local_linear_index_fit(data, np.array([1.0]), X[0], 1e-6, MEDIAN, EPA)
+        for loss in (MEDIAN, LossSpec.squared()):
+            with pytest.raises(InsufficientLocalDataError):
+                local_linear_index_fit(data, np.array([1.0]), [100.0], 1.0, loss, EPA)
 
     def test_squared_loss_path(self):
         rng = np.random.default_rng(23)
@@ -234,8 +238,12 @@ class TestFullFit:
     def test_empty_window_raises(self):
         X = np.vstack([np.zeros(2), np.ones((8, 2)) * 10])
         data = Dataset(X, np.arange(9, dtype=float))
+        # a window of one row, and windows of no row under both losses
         with pytest.raises(InsufficientLocalDataError):
             local_linear_full_fit(data, np.zeros(2), 0.5, MEDIAN, EPA)
+        for loss in (MEDIAN, LossSpec.squared()):
+            with pytest.raises(InsufficientLocalDataError):
+                local_linear_full_fit(data, [5.0, 5.0], 0.5, loss, EPA)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(28)
@@ -387,15 +395,15 @@ def dense_index_fits(data, theta, anchors, h, loss, kernel):
 def dense_pooled(data, theta, fits, h, loss, kernel):
     """The outer problem and pooled objective of ``fits`` on the dense
     (n, m) matrices: (row, anchor) pairs in row-major order, the rows
-    ``(Z, y, w)`` and the objective."""
+    ``(Z, y, w)`` and the objective over those rows at ``theta``."""
     X, Y, t = data.X, data.Y, data.X @ theta
     j, a, b, _ = fits
     T = t[:, None] - t[j][None, :]
     W = kernel_eval(kernel, T / h)
     ii, cc = np.nonzero(W > 0)
-    outer = (b[cc, None] * (X[ii] - X[j[cc]]), Y[ii] - a[cc], W[ii, cc])
-    objective = float(np.sum(W * check_loss(Y[:, None] - a - b * T, loss)))
-    return (ii, cc), outer, objective
+    Z, y, w = b[cc, None] * (X[ii] - X[j[cc]]), Y[ii] - a[cc], W[ii, cc]
+    objective = float(np.sum(w * check_loss(y - Z @ theta, loss)))
+    return (ii, cc), (Z, y, w), objective
 
 
 def window_data(kind):
@@ -469,6 +477,43 @@ class TestSortedWindowsAreExact:
                     assert have[perm].tobytes() == want.tobytes()
                 have = eq_objective(data, theta, got, cfg)
                 assert have == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def exact_pooled(data, theta, fits, h, loss, w):
+    """The pooled objective of ``fits`` at ``theta`` in exact rational
+    arithmetic, over the library's (row, anchor) pairs with their weights
+    ``w``: ``sum w loss(Y_i - a_j - b_j (X_i - X_j)'theta)``."""
+    j, a, b, _ = fits
+    _, rows, cols = _index_pairs(data, theta, j, h)
+    th = [Fraction(v) for v in theta]
+    total = Fraction(0)
+    for i, c, wk in zip(rows.tolist(), cols.tolist(), w.tolist()):
+        offset = sum((Fraction(x) - Fraction(x0)) * t for x, x0, t in zip(data.X[i], data.X[j[c]], th))
+        r = Fraction(data.Y[i]) - Fraction(a[c]) - Fraction(b[c]) * offset
+        if loss.is_quantile:
+            tau = Fraction(loss.tau)
+            total += Fraction(wk) * (tau * r if r > 0 else (tau - 1) * r)
+        else:
+            total += Fraction(wk) * r * r
+    return float(total)
+
+
+class TestPooledObjectiveIsExact:
+    """The pooled objective is read off the outer problem's rows, whose
+    offsets ``X_i - X_j`` are exact even where ``t = X theta`` rounds:
+    on X shifted by 1e6 it must match an exact evaluation to rounding."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    def test_matches_exact_sum_on_shifted_data(self, loss, kernel):
+        data, theta = window_data("shifted")
+        h = 0.02 * np.std(data.X @ theta, ddof=1)
+        fits = index_fit_batch(data, theta, np.arange(1, 120, 2), h, loss, kernel)
+        cfg = QmaveConfig(loss=loss, kernel=kernel, h=h)
+        problem = outer_problem(data, theta, fits, cfg)
+        assert problem.n >= 100
+        exact = exact_pooled(data, theta, fits, h, loss, problem.w)
+        assert eq_objective(data, theta, fits, cfg) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def dense_full_fits(data, anchors, h0, loss, kernel):
