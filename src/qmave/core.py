@@ -98,8 +98,8 @@ class BandwidthRule:
     c_h: float = 1.0
 
     def __post_init__(self):
-        if self.c_h <= 0:
-            raise InvalidInputError(f"c_h must be positive, got {self.c_h}")
+        if not (0 < self.c_h < math.inf):
+            raise InvalidInputError(f"c_h must be finite and positive, got {self.c_h}")
         if self.stage == "index":
             if self.d is not None:
                 raise InvalidInputError("index stage takes no dimension")

@@ -42,7 +42,6 @@ from .localfit import (
     index_fit_batch,
 )
 from .solver import (
-    SolverOptions,
     WeightedRegressionProblem,
     solve_weighted_ls,
     solve_weighted_qr,

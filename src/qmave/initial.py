@@ -21,7 +21,6 @@ from .errors import (
     InvalidInputError,
 )
 from .localfit import Dataset, full_fit_batch
-from .solver import SolverOptions
 
 __all__ = [
     "TrimSpec",
@@ -94,7 +93,6 @@ def ade_initial_estimate(
     trim: TrimSpec,
     kernel: KernelSpec,
     loss: LossSpec | None = None,
-    opts: SolverOptions | None = None,
 ) -> InitialEstimate:
     """Initial index from trimmed, averaged local full-dimensional slopes.
 
@@ -109,7 +107,7 @@ def ade_initial_estimate(
     if loss is None:
         loss = LossSpec.quantile(tau)
     anchors = np.flatnonzero(trim_mask(data, trim))
-    idx, _, B, _ = full_fit_batch(data, anchors, h0, loss, kernel, opts)
+    idx, _, B, _ = full_fit_batch(data, anchors, h0, loss, kernel)
     m = idx.size
     if m < data.d + 1:
         raise InsufficientDataError(

@@ -315,7 +315,7 @@ def _index_problems(data, theta, anchors, h):
     return gather, t[gather] - t[anchors, None], slot < count
 
 
-def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
+def index_fit_batch(data, theta, anchors, h, loss, kernel):
     """Local-linear index fits at ``X[anchors]``, all anchors at once.
 
     Returns ``(kept_anchor_indices, a, b, effective_weight)`` in the order
@@ -326,12 +326,11 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel, opts=None):
     anchors = np.asarray(anchors, dtype=int)
     gather, Tg, inside = _index_problems(data, theta, anchors, h)
     Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
-    opts = opts or SolverOptions()
-    kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+    kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, SolverOptions())
     return anchors[kept], a, B[:, 0], effw
 
 
-def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
+def full_fit_batch(data, anchors, h0, loss, kernel):
     """Full-dimensional local fits at ``X[anchors]``, anchors in blocks.
 
     Returns ``(kept_anchor_indices, a, B, effective_weight)`` where ``B``
@@ -339,7 +338,7 @@ def full_fit_batch(data, anchors, h0, loss, kernel, opts=None):
     rank screen of `_local_core` or gives a non-finite solution are
     omitted.
     """
-    opts = opts or SolverOptions()
+    opts = SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]
     for block, R in _box_blocks(data.X, anchors):

@@ -9,11 +9,9 @@ snapped to the exact fit through the ``p`` usable rows of smallest
 residual, and the Koenker-Bassett (1978) subgradient condition certifies
 that vertex optimal in closed form.  Problems the certificate rejects
 (tied or degenerate data) go to a vertex polish over exact-fit candidates
-through the rows with the smallest residuals.  Each polish round sweeps
-again only the problems whose coefficients the previous round moved: a
-sweep reads nothing but its own problem's rows, so a problem it left
-unchanged would be left unchanged again, and skipping it gives the same
-bits as sweeping the whole batch.
+through the rows with the smallest residuals.  The test for rows in
+general position scales each row to unit length first, so the certificate
+works at any design scale.
 
 Weighted least squares solves the normal equations without a ridge, and
 gives NaN coefficients where the Gram matrix's eigenvalue ratio is at most
@@ -53,13 +51,15 @@ __all__ = [
 ]
 
 # Interior point: fraction of the way to the boundary a step may go
-# (Koenker's rqfnb), and the rows solved together in one block.
+# (Koenker's rqfnb), rows solved together in one block, and the duality
+# gap, relative to the objective at the start, at which a problem stops.
 _STEP = 0.99995
 _BLOCK_ROWS = 8192
+_GAP_RTOL = 1e-9
 _MAX_POLISH_ROUNDS = 12
 
-# Determinant threshold for "rows in general position", relative to the
-# Hadamard bound of the subsystem.
+# Determinant threshold for "rows in general position": the determinant of
+# the rows scaled to unit length, whose Hadamard bound is 1.
 _GENERAL_POSITION_RTOL = 1e-12
 
 # Gram eigenvalue ratio at or below which a design is rank-deficient.
@@ -68,21 +68,18 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the quantile solver.
+    """Iteration budget of the quantile solver.
 
-    Its interior point stops at a duality gap of ``objective_tolerance``
-    (finite and positive) times the objective at its least-squares start,
-    or after ``max_iterations`` (an integer >= 1) steps on a block of
-    problems, which marks the solve incomplete.
+    Its interior point stops at a duality gap of ``_GAP_RTOL`` times the
+    objective at its least-squares start, or after ``max_iterations`` (an
+    integer >= 1) steps on a block of problems, which marks the solve
+    incomplete.
     """
 
-    objective_tolerance: float = 1e-9
     max_iterations: int = 200
 
     def __post_init__(self):
-        tol, its = self.objective_tolerance, self.max_iterations
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise InvalidInputError(f"objective_tolerance must be finite and > 0, got {tol!r}")
+        its = self.max_iterations
         if isinstance(its, bool) or not isinstance(its, numbers.Integral) or its < 1:
             raise InvalidInputError(f"max_iterations must be an integer >= 1, got {its!r}")
 
@@ -180,9 +177,11 @@ def _batch_objective(Z, y, w, beta, tau):
 
 
 def _in_general_position(Zs):
-    """Per stacked p x p system, whether its rows are in general position."""
-    hadamard = np.prod(np.linalg.norm(Zs, axis=2), axis=1)
-    return np.abs(np.linalg.det(Zs)) > _GENERAL_POSITION_RTOL * np.maximum(hadamard, 1e-300)
+    """Per stacked p x p system, whether its rows are in general position:
+    whether the determinant of the rows scaled to unit length (a zero row
+    stays zero) exceeds ``_GENERAL_POSITION_RTOL``, at any scale of rows."""
+    norm = np.linalg.norm(Zs, axis=2, keepdims=True)
+    return np.abs(np.linalg.det(Zs / np.where(norm > 0, norm, 1.0))) > _GENERAL_POSITION_RTOL
 
 
 def _polish_round(Z, y, w, tau, beta, obj):
@@ -190,8 +189,6 @@ def _polish_round(Z, y, w, tau, beta, obj):
     smallest residuals at the current iterate."""
     B, n, p = Z.shape
     m = min(n, p + (6 if n <= 32 else 4 if n <= 4096 else 3))
-    if m < p:
-        return beta, obj
     r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
     key = np.where(w > 0, np.abs(r), np.inf)
     order = np.argsort(key, axis=1, kind="stable")[:, :m]
@@ -212,31 +209,16 @@ def _polish_round(Z, y, w, tau, beta, obj):
     return beta, obj
 
 
-def _polish_batch(Z, y, w, tau, beta, obj, todo):
-    """Iterated vertex search over the problems ``todo`` (indices into the
-    batch): re-rank residuals at each improved vertex and sweep again
-    until no problem in the batch improves.
-
-    Only the problems whose coefficients the last sweep moved are swept
-    again.  A sweep reads nothing but its own problem's rows and iterate,
-    so a problem it left unchanged would be left unchanged by every later
-    sweep: skipping it gives the same bits as sweeping the whole batch.
-    Returns ``(beta, obj, todo)`` with ``todo`` the problems the last
-    sweep moved.
-    """
-    beta, obj = beta.copy(), obj.copy()
+def _polish_batch(Z, y, w, tau, beta, obj):
+    """Iterated vertex search: re-rank residuals at each improved vertex
+    and sweep every problem again, until none improves."""
     for _ in range(_MAX_POLISH_ROUNDS):
-        if todo.size == 0:
-            break
-        sub = slice(None) if todo.size == beta.shape[0] else todo
-        old_beta, old_obj = beta[sub], obj[sub]
-        new_beta, new_obj = _polish_round(Z[sub], y[sub], w[sub], tau, old_beta, old_obj)
-        improved = np.any(new_obj < old_obj * (1.0 - 1e-14) - 1e-300)
-        todo = todo[np.any(new_beta != old_beta, axis=1)]
-        beta[sub], obj[sub] = new_beta, new_obj
+        new_beta, new_obj = _polish_round(Z, y, w, tau, beta, obj)
+        improved = np.any(new_obj < obj * (1.0 - 1e-14) - 1e-300)
+        beta, obj = new_beta, new_obj
         if not improved:
             break
-    return beta, obj, todo
+    return beta, obj
 
 
 def _mv(M, v):
@@ -337,10 +319,10 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
     dual slacks ``z, w``.  Mehrotra predictor-corrector steps from
     ``a = 1 - tau`` and the least-squares fit; a problem stops once its
     duality gap, which bounds its excess objective, is at most
-    ``opts.objective_tolerance`` times the objective at the start.  Each
-    step (``_newton_step``) updates the iterate in place, in a few row
-    buffers, with the predicted gap in closed form.  The steps read ``X``
-    by columns, so they run fastest when ``X`` is the transpose of a
+    ``_GAP_RTOL`` times the objective at the start.  Each step
+    (``_newton_step``) updates the iterate in place, in a few row buffers,
+    with the predicted gap in closed form.  The steps read ``X`` by
+    columns, so they run fastest when ``X`` is the transpose of a
     C-contiguous (B, p, n) array, as ``_solve_qr_batch`` passes it.
     Returns ``(beta, converged)``."""
     B = X.shape[0]
@@ -348,7 +330,7 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
     b = (1.0 - tau) * np.sum(Xt, axis=2)
     beta = _batch_solve(np.matmul(Xt, X), _mv(Xt, yv))
     r = yv - _mv(X, beta)
-    limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
+    limit = _GAP_RTOL * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     limit[limit == 0] = np.inf  # an exact start (zero objective) is optimal
     shift = np.mean(np.abs(r), axis=1, keepdims=True)
     z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
@@ -410,7 +392,8 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     Z is (B, n, p); y and w are (B, n).  Blocks of about ``_BLOCK_ROWS``
     rows run the interior point on the rows ``w_i z_i, w_i y_i``, then the
     snap and certificate; only problems the certificate rejects go to the
-    vertex polish.  Returns ``(beta, obj, complete)``, ``complete`` False
+    vertex polish, the whole arrays without a copy when every problem is
+    rejected.  Returns ``(beta, obj, complete)``, ``complete`` False
     when ``opts.max_iterations`` ran out before a gap met its tolerance.
     """
     Z = np.ascontiguousarray(Z, dtype=float)
@@ -429,7 +412,9 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
         )
         complete &= bool(np.all(converged))
         beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
-    beta, obj, _ = _polish_batch(Z, y, w, tau, beta, obj, np.flatnonzero(~certified))
+    if not np.all(certified):
+        rej = ~certified if np.any(certified) else slice(None)
+        beta[rej], obj[rej] = _polish_batch(Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej])
     return beta, obj, complete
 
 
@@ -503,9 +488,8 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
     return beta
 
 
-def solve_weighted_ls(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
-    """Weighted least squares by the normal equations (`_solve_ls_batch`);
-    ``opts`` is unused, least squares needs no tolerance.
+def solve_weighted_ls(problem: WeightedRegressionProblem):
+    """Weighted least squares by the normal equations (`_solve_ls_batch`).
 
     Raises ``DegenerateProblemError`` when the weighted cross-product
     matrix fails the rank rule: its smallest eigenvalue is at most

@@ -195,3 +195,10 @@ class TestBandwidth:
             BandwidthRule.index(c_h=0.0)
         with pytest.raises(InvalidInputError):
             BandwidthRule.full_dim(0)
+
+    @pytest.mark.parametrize("c_h", [float("nan"), float("inf")])
+    def test_non_finite_constant_raises(self, c_h):
+        with pytest.raises(InvalidInputError, match="c_h must be finite and positive"):
+            BandwidthRule.index(c_h=c_h)
+        with pytest.raises(InvalidInputError, match="c_h must be finite and positive"):
+            BandwidthRule.full_dim(3, c_h=c_h)

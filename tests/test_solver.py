@@ -49,11 +49,6 @@ class TestSolverOptions:
             ("max_iterations", True),
             ("max_iterations", 0),
             ("max_iterations", "10"),
-            ("objective_tolerance", float("nan")),
-            ("objective_tolerance", float("inf")),
-            ("objective_tolerance", 0.0),
-            ("objective_tolerance", -1e-9),
-            ("objective_tolerance", "1e-9"),
         ],
     )
     def test_bad_values_raise_invalid_input(self, name, value):
@@ -361,18 +356,25 @@ def polish_batches():
                 yield Z, y, w, tau, beta, obj
 
 
-def sweep_everything(Z, y, w, tau, beta, obj):
-    """The polish before it skipped settled problems: every round sweeps
-    the whole batch.  Also returns the problems each round moved."""
-    moved = []
+def reference_polish_batch(Z, y, w, tau, beta, obj, todo):
+    """The polish that swept again only the problems the previous round
+    moved, over the problems ``todo`` of the whole batch.  Returns
+    ``(beta, obj, swept)`` with ``swept`` the number of problems each
+    round swept."""
+    beta, obj, swept = beta.copy(), obj.copy(), []
     for _ in range(solver._MAX_POLISH_ROUNDS):
-        new_beta, new_obj = solver._polish_round(Z, y, w, tau, beta, obj)
-        improved = new_obj < obj * (1.0 - 1e-14) - 1e-300
-        moved.append(np.flatnonzero(np.any(new_beta != beta, axis=1)))
-        beta, obj = new_beta, new_obj
-        if not np.any(improved):
+        if todo.size == 0:
             break
-    return beta, obj, moved
+        swept.append(todo.size)
+        sub = slice(None) if todo.size == beta.shape[0] else todo
+        old_beta, old_obj = beta[sub], obj[sub]
+        new_beta, new_obj = solver._polish_round(Z[sub], y[sub], w[sub], tau, old_beta, old_obj)
+        improved = np.any(new_obj < old_obj * (1.0 - 1e-14) - 1e-300)
+        todo = todo[np.any(new_beta != old_beta, axis=1)]
+        beta[sub], obj[sub] = new_beta, new_obj
+        if not improved:
+            break
+    return beta, obj, swept
 
 
 class TestVertexPolish:
@@ -390,31 +392,34 @@ class TestVertexPolish:
     def test_settled_problems_stay_settled(self):
         settled = 0
         for Z, y, w, tau, beta, obj in polish_batches():
-            B = Z.shape[0]
             b1, o1 = solver._polish_round(Z, y, w, tau, beta, obj)
             b2, o2 = solver._polish_round(Z, y, w, tau, b1, o1)
             still = np.flatnonzero(np.all(b2 == b1, axis=1))
             b3, o3 = solver._polish_round(Z, y, w, tau, b2, o2)
             assert b3[still].tobytes() == b2[still].tobytes()
             assert o3[still].tobytes() == o2[still].tobytes()
-            # the problems left out of the returned set are settled too
-            pb, po, todo = solver._polish_batch(Z, y, w, tau, beta, obj, np.arange(B))
-            rest = np.setdiff1d(np.arange(B), todo)
-            again, again_obj = solver._polish_round(Z, y, w, tau, pb, po)
-            assert again[rest].tobytes() == pb[rest].tobytes()
-            assert again_obj[rest].tobytes() == po[rest].tobytes()
+            # the polish sweeps settled problems again and leaves them as they are
+            pb, po = solver._polish_batch(Z[still], y[still], w[still], tau, b2[still], o2[still])
+            assert pb.tobytes() == b2[still].tobytes() and po.tobytes() == o2[still].tobytes()
             settled += still.size
         assert settled > 0
 
     def test_skipping_settled_problems_is_exact(self):
+        # polishing only a subset, every problem of it in every round, gives
+        # the bits of the reference, which skips settled problems
+        rng = np.random.default_rng(22)
         partial_rounds = 0
         for Z, y, w, tau, beta, obj in polish_batches():
             B = Z.shape[0]
-            want_beta, want_obj, moved = sweep_everything(Z, y, w, tau, beta, obj)
-            got_beta, got_obj, _ = solver._polish_batch(Z, y, w, tau, beta, obj, np.arange(B))
-            assert got_beta.tobytes() == want_beta.tobytes()
-            assert got_obj.tobytes() == want_obj.tobytes()
-            partial_rounds += sum(0 < m.size < B for m in moved[1:])
+            for rej in (np.arange(B), np.flatnonzero(rng.random(B) < 0.5)):
+                want_beta, want_obj, swept = reference_polish_batch(Z, y, w, tau, beta, obj, rej)
+                got_beta, got_obj = beta.copy(), obj.copy()
+                got_beta[rej], got_obj[rej] = solver._polish_batch(
+                    Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej]
+                )
+                assert got_beta.tobytes() == want_beta.tobytes()
+                assert got_obj.tobytes() == want_obj.tobytes()
+                partial_rounds += sum(0 < k < rej.size for k in swept[1:])
         assert partial_rounds > 0
 
 
@@ -469,6 +474,56 @@ class TestCertifiedSolve:
             assert np.all(converged)
             _, _, certified = solver._snap_and_certify(Z, y, w, tau, inner)
             assert np.all(certified), (Z.shape, tau)
+
+    def test_polish_gets_exactly_the_rejected_problems(self, monkeypatch):
+        calls, polish = [], solver._polish_batch
+
+        def spy(*args):
+            # copies too: the caller writes the result back into its views
+            calls.append((args, [np.copy(v) for v in args]))
+            return polish(*args)
+
+        monkeypatch.setattr(solver, "_polish_batch", spy)
+        for Z, y, w, tau in continuous_batches():
+            solver._solve_qr_batch(Z, y, w, tau, SolverOptions())
+        assert calls == []
+        subsets = 0
+        for Z, y, w, tau in padded_tied_batches():
+            inner = solver._frisch_newton(weighted_design(Z, w), y * w, tau, SolverOptions())[0]
+            beta, obj, certified = solver._snap_and_certify(Z, y, w, tau, inner)
+            rej = ~certified
+            calls.clear()
+            solver._solve_qr_batch(Z, y, w, tau, SolverOptions())
+            assert len(calls) == int(np.any(rej))
+            for _, args in calls:
+                for got, want in zip(args, (Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej])):
+                    assert got.tobytes() == np.asarray(want).tobytes()
+            subsets += 0 < np.count_nonzero(rej) < rej.size
+        assert subsets > 0
+        # a problem the certificate rejects (every row at zero residual)
+        # reaches the polish as the arrays themselves, without a copy
+        Z, y, w = np.ones((1, 5, 1)), np.ones((1, 5)), np.ones((1, 5))
+        calls.clear()
+        solver._solve_qr_batch(Z, y, w, 0.5, SolverOptions())
+        ((args, _),) = calls
+        assert all(np.shares_memory(got, v) for got, v in zip(args, (Z, y, w)))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_extreme_design_scales_are_certified(self, scale):
+        # the general-position test scales rows to unit length, so a design
+        # scaled by 1e-100 or 1e+100 certifies at the unscaled optimum
+        rng = np.random.default_rng(23)
+        Z = rng.normal(size=(20, 200, 5))
+        y = np.matmul(Z, rng.normal(size=5)) + rng.standard_t(3, size=(20, 200))
+        w = rng.uniform(0.1, 2.0, size=(20, 200))
+        objs = []
+        for s in (1.0, scale):
+            X = weighted_design(Z * s, w)
+            inner, converged = solver._frisch_newton(X, y * w, 0.5, SolverOptions())
+            _, obj, certified = solver._snap_and_certify(Z * s, y, w, 0.5, inner)
+            assert np.all(converged) and np.all(certified), s
+            objs.append(obj)
+        assert np.all(np.abs(objs[1] - objs[0]) <= 1e-12 * objs[0])
 
     def test_hand_built_vertex_with_a_dual_outside_is_rejected(self):
         # the constant fit through y = 5 of 1..5 at the median: the four
@@ -550,7 +605,7 @@ def reference_frisch_newton(X, yv, tau, opts):
     b = (1.0 - tau) * np.sum(X, axis=1)
     beta = solver._batch_solve(np.matmul(Xt, X), mv(Xt, yv))
     r = yv - mv(X, beta)
-    limit = opts.objective_tolerance * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
+    limit = solver._GAP_RTOL * np.sum(np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     limit[limit == 0] = np.inf
     shift = np.mean(np.abs(r), axis=1, keepdims=True)
     z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
