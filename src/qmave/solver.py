@@ -7,11 +7,12 @@ update the iterate in place, in a few row buffers, and take the gap the
 predictor would reach in closed form from two dot products.  Its fit is
 snapped to the exact fit through the ``p`` usable rows of smallest
 residual, and the Koenker-Bassett (1978) subgradient condition certifies
-that vertex optimal in closed form.  Problems the certificate rejects
-(tied or degenerate data) go to a vertex polish over exact-fit candidates
-through the rows with the smallest residuals.  The test for rows in
-general position scales each row to unit length first, so the certificate
-works at any design scale.
+that vertex optimal in closed form.  Blocks hold a fixed number of design
+cells, so a small call pays the per-call costs once.  Problems the
+certificate rejects (tied or degenerate data) go to a vertex polish over
+exact-fit candidates through the rows with the smallest residuals.  The
+test for rows in general position scales each row to unit length first,
+so the certificate works at any design scale.
 
 Weighted least squares solves the normal equations without a ridge, and
 gives NaN coefficients where the Gram matrix's eigenvalue ratio is at most
@@ -51,10 +52,11 @@ __all__ = [
 ]
 
 # Interior point: fraction of the way to the boundary a step may go
-# (Koenker's rqfnb), rows solved together in one block, and the duality
-# gap, relative to the objective at the start, at which a problem stops.
+# (Koenker's rqfnb), design cells (problems x rows x columns) solved
+# together in one block, and the duality gap, relative to the objective at
+# the start, at which a problem stops.
 _STEP = 0.99995
-_BLOCK_ROWS = 8192
+_BLOCK_CELLS = 6 * 8192
 _GAP_RTOL = 1e-9
 _MAX_POLISH_ROUNDS = 12
 
@@ -358,16 +360,27 @@ def _snap_and_certify(Z, y, w, tau, beta):
     from their p x p system, lie in ``[tau - 1, tau]`` and no other usable
     row sits at zero residual.  Returns ``(beta, obj, certified)``; an
     uncertified problem keeps the lower in objective of ``beta`` and the
-    vertex (if its basis is in general position)."""
-    usable = (w > 0) & np.any(Z != 0, axis=2)
+    vertex (if its basis is in general position).  The basis is ``p``
+    passes of ``argmin``, each writing ``inf`` over its pick: the first of
+    tied minima, so the rows a stable argsort puts first while every pick
+    is finite.  A problem with a NaN or inf pick takes that argsort."""
+    B, _, p = Z.shape
+    usable = (w > 0) & np.any([Z[:, :, k] != 0 for k in range(p)], axis=0)
     key = np.where(usable, w * np.abs(y - _mv(Z, beta)), np.inf)
-    basis = np.argsort(key, axis=1, kind="stable")[:, : Z.shape[2]]
+    rows, basis, rest = np.arange(B), np.empty((B, p), dtype=np.intp), np.zeros(B, dtype=bool)
+    for k in range(p):
+        pick = basis[:, k] = np.argmin(key, axis=1)
+        rest |= ~np.isfinite(key[rows, pick])
+        key[rows, pick] = np.inf
+    key = np.where(usable[rest], w[rest] * np.abs(y[rest] - _mv(Z[rest], beta[rest])), np.inf)
+    basis[rest] = np.argsort(key, axis=1, kind="stable")[:, :p]
     Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
     wb = np.take_along_axis(w, basis, axis=1)
     ok = _in_general_position(Zb) & np.all(np.take_along_axis(usable, basis, axis=1), axis=1)
-    Zb[~ok], wb[~ok] = np.eye(Z.shape[2]), 1.0
+    Zb[~ok], wb[~ok] = np.eye(p), 1.0
     vertex = _batch_solve(Zb, np.take_along_axis(y, basis, axis=1))
     r = y - _mv(Z, vertex)
+    obj = np.sum(w * np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     wpsi = w * np.where(r < 0, tau - 1.0, tau)
     np.put_along_axis(wpsi, basis, 0.0, axis=1)
     np.put_along_axis(r, basis, np.inf, axis=1)
@@ -376,7 +389,6 @@ def _snap_and_certify(Z, y, w, tau, beta):
     certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
     certified &= ~np.any(usable & (r == 0), axis=1)
     del r, wpsi
-    obj = _batch_objective(Z, y, w, vertex, tau)
     # a certified problem returns its vertex; only the others weigh beta
     rest = np.flatnonzero(~certified)
     if rest.size:
@@ -389,19 +401,21 @@ def _snap_and_certify(Z, y, w, tau, beta):
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     """Certified solve of stacked weighted quantile regressions.
 
-    Z is (B, n, p); y and w are (B, n).  Blocks of about ``_BLOCK_ROWS``
-    rows run the interior point on the rows ``w_i z_i, w_i y_i``, then the
-    snap and certificate; only problems the certificate rejects go to the
-    vertex polish, the whole arrays without a copy when every problem is
-    rejected.  Returns ``(beta, obj, complete)``, ``complete`` False
-    when ``opts.max_iterations`` ran out before a gap met its tolerance.
+    Z is (B, n, p); y and w are (B, n).  Blocks of at most
+    ``_BLOCK_CELLS`` cells ``B_k n p`` (at least one problem) run the
+    interior point on the rows ``w_i z_i, w_i y_i``, then the snap and
+    certificate; both work per problem, so blocks change no result.  Only
+    problems the certificate rejects go to the vertex polish, the whole
+    arrays without a copy when every problem is rejected.  Returns
+    ``(beta, obj, complete)``, ``complete`` False when
+    ``opts.max_iterations`` ran out before a gap met its tolerance.
     """
     Z = np.ascontiguousarray(Z, dtype=float)
     y, w = (np.asarray(v, dtype=float) for v in (y, w))
     B, n, p = Z.shape
     beta, obj, certified = np.empty((B, p)), np.empty(B), np.empty(B, dtype=bool)
     complete = True
-    step = max(1, _BLOCK_ROWS // max(n, 1))
+    step = max(1, _BLOCK_CELLS // max(n * p, 1))
     for k in (slice(lo, lo + step) for lo in range(0, B, step)):
         # the interior point reads the weighted design by columns
         inner, converged = _frisch_newton(

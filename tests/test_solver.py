@@ -709,3 +709,130 @@ class TestInteriorPoint:
         (_, ref_converged), ref_peak = traced_peak(reference_frisch_newton, X, yv, 0.5, opts)
         assert np.all(converged) and np.all(ref_converged)
         assert peak <= ref_peak, (peak, ref_peak)
+
+
+def reference_snap_and_certify(Z, y, w, tau, beta):
+    """The snap that chose its basis by a stable argsort of the keys and
+    scored the vertex by a second objective pass: the reference for the
+    bytes of ``solver._snap_and_certify``."""
+    mv = solver._mv
+    usable = (w > 0) & np.any(Z != 0, axis=2)
+    key = np.where(usable, w * np.abs(y - mv(Z, beta)), np.inf)
+    basis = np.argsort(key, axis=1, kind="stable")[:, : Z.shape[2]]
+    Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
+    wb = np.take_along_axis(w, basis, axis=1)
+    ok = solver._in_general_position(Zb) & np.all(
+        np.take_along_axis(usable, basis, axis=1), axis=1
+    )
+    Zb[~ok], wb[~ok] = np.eye(Z.shape[2]), 1.0
+    vertex = solver._batch_solve(Zb, np.take_along_axis(y, basis, axis=1))
+    r = y - mv(Z, vertex)
+    wpsi = w * np.where(r < 0, tau - 1.0, tau)
+    np.put_along_axis(wpsi, basis, 0.0, axis=1)
+    np.put_along_axis(r, basis, np.inf, axis=1)
+    Zt = Z.transpose(0, 2, 1)
+    dual = solver._batch_solve(Zb.transpose(0, 2, 1) * wb[:, None, :], -mv(Zt, wpsi))
+    certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
+    certified &= ~np.any(usable & (r == 0), axis=1)
+    obj = solver._batch_objective(Z, y, w, vertex, tau)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        beta_obj = solver._batch_objective(Z[rest], y[rest], w[rest], beta[rest], tau)
+        back = ~(ok[rest] & (obj[rest] <= beta_obj))
+        vertex[rest[back]], obj[rest[back]] = beta[rest[back]], beta_obj[back]
+    return vertex, obj, certified
+
+
+def assert_same_snap(Z, y, w, tau, beta):
+    got = solver._snap_and_certify(Z, y, w, tau, beta)
+    want = reference_snap_and_certify(Z, y, w, tau, beta)
+    for g, r in zip(got, want):
+        assert g.tobytes() == r.tobytes(), (Z.shape, tau)
+    return got
+
+
+class TestSnap:
+    def test_keeps_the_bytes_of_the_argsort_snap(self):
+        short = SolverOptions(max_iterations=3)
+        for Z, y, w, tau, beta, _ in polish_batches():
+            # the rounded fit of integer data ties keys everywhere
+            for start in (beta, np.round(beta)):
+                assert_same_snap(Z, y, w, tau, start)
+        for Z, y, w, tau in chain(padded_tied_batches(), continuous_batches()):
+            X, yv = weighted_design(Z, w), y * w
+            # the interior point's iterates, early and at the end, sit
+            # close to a vertex: their keys tie and vanish at the basis
+            for opts in (short, SolverOptions()):
+                assert_same_snap(Z, y, w, tau, solver._frisch_newton(X, yv, tau, opts)[0])
+
+    def test_nan_iterates_and_too_few_usable_rows(self):
+        rng = np.random.default_rng(24)
+        B, n, p = 6, 9, 3
+        Z = rng.integers(-2, 3, size=(B, n, p)).astype(float)
+        Z[:, :, 0] = 1.0
+        y = rng.integers(-3, 4, size=(B, n)).astype(float)
+        w = rng.choice([0.5, 1.0], size=(B, n))
+        beta = rng.normal(size=(B, p))
+        beta[1] = np.nan
+        beta[2, 0] = np.nan
+        w[3, 2:] = 0.0  # two usable rows for p = 3
+        Z[4, 1:] = 0.0  # one row with a nonzero design
+        w[5] = 0.0  # no usable row at all
+        with np.errstate(invalid="ignore"):
+            vertex, obj, certified = assert_same_snap(Z, y, w, 0.5, beta)
+        assert not np.any(certified[1:])
+        assert vertex[3:].tobytes() == beta[3:].tobytes()
+        # a NaN iterate sorts its NaN keys after the zero-weight row: the
+        # basis is that row, not the first row of NaN key, whose vertex 0
+        # would be certified
+        Z, y, w = np.ones((1, 4, 1)), np.array([[5.0, 0.0, -1.0, 1.0]]), np.array([[0.0, 1, 1, 1]])
+        with np.errstate(invalid="ignore"):
+            vertex, obj, certified = assert_same_snap(Z, y, w, 0.5, np.full((1, 1), np.nan))
+        assert np.isnan(vertex[0, 0]) and not certified[0]
+
+    def test_tied_keys_at_the_pth_position_pick_the_first_row(self):
+        # p = 1, keys 2, 2, 1, 1, 2 at beta = 0: the basis is row 2, whose
+        # vertex beats beta; row 3 would give a vertex worse than beta
+        Z, y = np.ones((1, 5, 1)), np.array([[2.0, 2.0, 1.0, -1.0, 2.0]])
+        vertex, _, _ = assert_same_snap(Z, y, np.ones((1, 5)), 0.5, np.zeros((1, 1)))
+        assert vertex.tolist() == [[1.0]]
+        # p = 2, keys 1, 1, 0 lead: the basis is rows 2 and 0, not 2 and 1
+        Z = np.stack([np.ones(7), np.array([1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 6.0])], axis=1)[None]
+        y = np.array([[1.0, -1.0, 0.0, 3.5, 3.5, 5.5, 4.5]])
+        for tau in (0.3, 0.5):
+            vertex, _, _ = assert_same_snap(Z, y, np.ones((1, 7)), tau, np.zeros((1, 2)))
+            assert vertex.tolist() == [[0.0, 1.0]]
+
+
+class TestBlocks:
+    def test_blocks_never_change_a_result(self, monkeypatch):
+        opts = SolverOptions()
+        for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
+            # one block per problem, then the whole batch as one block
+            monkeypatch.setattr(solver, "_BLOCK_CELLS", 1)
+            alone = solver._solve_qr_batch(Z, y, w, tau, opts)
+            monkeypatch.setattr(solver, "_BLOCK_CELLS", Z.size)
+            whole = solver._solve_qr_batch(Z, y, w, tau, opts)
+            for a, b in zip(alone, whole):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (Z.shape, tau)
+
+    @pytest.mark.parametrize("shape, calls", [((126, 78, 2), 1), ((133, 107, 6), 2)])
+    def test_interior_point_calls_per_batch(self, monkeypatch, shape, calls):
+        # index fits (p = 2) of the n=200 grid run as one block; the
+        # full-dimensional fits (p = 6) keep blocks of 76 problems
+        seen, frisch_newton = [], solver._frisch_newton
+
+        def spy(X, *args):
+            seen.append(X.shape[0])
+            return frisch_newton(X, *args)
+
+        monkeypatch.setattr(solver, "_frisch_newton", spy)
+        rng = np.random.default_rng(25)
+        B, n, p = shape
+        Z = rng.normal(size=shape)
+        Z[:, :, 0] = 1.0
+        y = np.matmul(Z, rng.normal(size=p)) + rng.standard_t(3, size=(B, n))
+        w = rng.uniform(0.1, 1.0, size=(B, n))
+        w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
+        solver._solve_qr_batch(Z, y, w, 0.5, SolverOptions())
+        assert len(seen) == calls and sum(seen) == B

@@ -22,7 +22,10 @@ bytes.  The cases:
   at n=1000 for two directions;
 - 120 seeded random stacked ``_solve_qr_batch`` solves with
   ``max_iterations`` between 1 and 200, ties, zero-weight rows, and
-  responses and weights in both memory orders.
+  responses and weights in both memory orders;
+- four ``_solve_qr_batch`` calls shaped like the n=200 grid's: 126
+  index problems of 78 rows with p=2 and 133 full-dimensional problems
+  of 107 rows with p=6, zero-weight padding, tau in {0.5, 0.3}.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
 1 if there is any, else 0.  Two reports help read a difference; the
@@ -195,8 +198,6 @@ OBJECTIVE_ULPS = 4
 
 
 def _solver_cases(qm, np, objectives):
-    from qmave.solver import _solve_qr_batch
-
     rng = np.random.default_rng(20240601)
     out = {}
     for k in range(120):
@@ -214,15 +215,34 @@ def _solver_cases(qm, np, objectives):
             y, w = np.asfortranarray(y), np.asfortranarray(w)
         tau = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
         opts = qm.SolverOptions(max_iterations=int(rng.integers(1, 201)))
-        beta, obj, complete = _solve_qr_batch(Z, y, w, tau, opts)
-        out[f"solver/{k:03d}"] = _digest(beta.tobytes(), obj.tobytes(), bool(complete))
-        r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
-        rho = np.where(r > 0, tau * r, (tau - 1.0) * r)
-        objectives[f"solver/{k:03d}"] = {
-            "objective": np.sum(w * rho, axis=1).tolist(),
-            "scale": np.sum(w * np.abs(y), axis=1).tolist(),
-        }
+        _solver_case(np, out, objectives, f"solver/{k:03d}", Z, y, w, tau, opts)
+    # the shapes of the n=200 grid's calls: index fits (p = 2) and
+    # full-dimensional fits (p = 6), windows padded with zero weights
+    rng = np.random.default_rng(20261020)
+    for kind, (B, n, p) in (("index", (126, 78, 2)), ("full", (133, 107, 6))):
+        for tau in (0.5, 0.3):
+            Z = rng.normal(size=(B, n, p))
+            Z[:, :, 0] = 1.0
+            y = np.matmul(Z, rng.normal(size=p)) + rng.standard_t(3, size=(B, n))
+            w = rng.uniform(0.1, 1.0, size=(B, n))
+            w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
+            name = f"solver/grid/{kind}/tau{tau}"
+            _solver_case(np, out, objectives, name, Z, y, w, tau, qm.SolverOptions())
     return out
+
+
+def _solver_case(np, out, objectives, name, Z, y, w, tau, opts):
+    """Digest one ``_solve_qr_batch`` call; record its objectives."""
+    from qmave.solver import _solve_qr_batch
+
+    beta, obj, complete = _solve_qr_batch(Z, y, w, tau, opts)
+    out[name] = _digest(beta.tobytes(), obj.tobytes(), bool(complete))
+    r = y - np.matmul(Z, beta[:, :, None])[:, :, 0]
+    rho = np.where(r > 0, tau * r, (tau - 1.0) * r)
+    objectives[name] = {
+        "objective": np.sum(w * rho, axis=1).tolist(),
+        "scale": np.sum(w * np.abs(y), axis=1).tolist(),
+    }
 
 
 def _emit(src: str) -> None:
