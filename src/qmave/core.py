@@ -154,11 +154,15 @@ def check_subgradient(v, tau: float):
 def kernel_eval(kernel: KernelSpec, u):
     """Kernel density value at ``u``; exactly zero outside [-1, 1]."""
     u = np.asarray(u, dtype=float)
-    base = np.maximum(0.0, 1.0 - u * u)
+    # one fresh buffer updated in place: max(0, 1 - u*u), then 0.75*b or (15/16)*b*b
+    out = np.multiply(u, u, out=np.empty(u.shape))
+    np.subtract(1.0, out, out=out)
+    np.maximum(0.0, out, out=out)
     if kernel.kind == "epanechnikov":
-        out = 0.75 * base
+        out *= 0.75
     else:
-        out = (15.0 / 16.0) * base * base
+        base, out = out, (15.0 / 16.0) * out
+        out *= base
     return float(out) if out.ndim == 0 else out
 
 
@@ -191,8 +195,16 @@ def index_dispersion(values) -> float:
 
 
 def coordinate_dispersion(x) -> float:
-    """Geometric mean of the per-coordinate sample standard deviations."""
+    """Geometric mean of the per-coordinate sample standard deviations;
+    one that overflows, or underflows to 0 on a non-constant column, raises."""
     x = np.asarray(x, dtype=float)
-    sds = np.std(x, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sds = np.std(x, axis=0, ddof=1)
+    lost = np.flatnonzero(~np.isfinite(sds) | ((sds == 0) & (np.ptp(x, axis=0) > 0)))
+    if lost.size:
+        raise InvalidInputError(
+            f"covariate column {lost[0]} is on a scale whose standard deviation "
+            f"{'overflows' if sds[lost[0]] else 'underflows to 0'}: rescale X"
+        )
     sds = np.where(sds > 0, sds, 1.0)
     return float(np.exp(np.mean(np.log(sds))))

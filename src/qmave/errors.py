@@ -41,4 +41,4 @@ class DegenerateUpdateError(QmaveError):
 
 
 class DegenerateDirectionError(QmaveError):
-    """A direction estimate is undefined because all inputs are zero."""
+    """A direction estimate is undefined: its inputs are zero or overflow."""

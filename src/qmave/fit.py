@@ -152,9 +152,13 @@ def outer_problem(
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
     t, ii, cc = _index_pairs(data, theta, j, h)
-    W = kernel_eval(cfg.kernel, (t[ii] - t[j[cc]]) / h)
-    design = b[cc, None] * (data.X[ii] - data.X[j[cc]])
-    response = data.Y[ii] - a[cc]
+    jj = np.take(j, cc)
+    W = kernel_eval(cfg.kernel, (np.take(t, ii) - np.take(t, jj)) / h)
+    design = np.take(data.X, ii, axis=0)
+    for col, xcol in zip(design.T, data.X.T):
+        col -= np.take(xcol, jj)
+    design *= np.take(b, cc)[:, None]
+    response = np.take(data.Y, ii) - np.take(a, cc)
     return WeightedRegressionProblem(design, response, W, cfg.loss)
 
 
@@ -238,20 +242,22 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
                 data, tau, base * _INIT_LADDER[k], cfg.trim, cfg.kernel, loss=cfg.loss
             )
             return est.theta
-        except (InsufficientDataError, DegenerateDirectionError):
-            continue
-    raise InsufficientDataError(
+        except (InsufficientDataError, DegenerateDirectionError) as exc:
+            last = exc
+    raise type(last)(
         "automatic initialisation failed: no bandwidth in the escalation "
-        "ladder produced enough usable local fits"
-    )
+        f"ladder gave an initial direction; at the widest: {last}"
+    ) from last
 
 
 def _check_covariates(X) -> None:
     """Reject covariates that leave the index unidentified: a constant
-    column, or columns that are exactly collinear after centring."""
+    column, columns that are exactly collinear after centring, or a column
+    on a scale whose spread `coordinate_dispersion` cannot represent."""
     constant = np.flatnonzero(np.ptp(X, axis=0) == 0)
     if constant.size:
         raise InvalidInputError(f"covariate column {int(constant[0])} is constant")
+    coordinate_dispersion(X)
     rank = int(np.linalg.matrix_rank(X - X.mean(axis=0)))
     if rank < X.shape[1]:
         raise InvalidInputError(

@@ -100,7 +100,8 @@ def ade_initial_estimate(
     check loss unless ``loss`` overrides it), averages the slopes, and
     normalises.  Falls back to :func:`opg_direction` when the mean slope
     is small relative to the mean slope magnitude.  Anchors whose local
-    fit fails for lack of data are counted as trimmed.
+    fit fails for lack of data are counted as trimmed.  Slopes whose
+    squares overflow raise ``DegenerateDirectionError``.
     """
     if not (0.0 < tau < 1.0):
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
@@ -113,6 +114,9 @@ def ade_initial_estimate(
         raise InsufficientDataError(
             f"only {m} usable local fits, need at least {data.d + 1}"
         )
+    # while the sum of squares is finite, so is every norm and outer product below
+    if not np.isfinite(np.sum(B * B)):
+        raise DegenerateDirectionError("local slopes or their squares are not finite")
     # fsum keeps the aggregation order-independent to the last bit
     v = np.array([math.fsum(B[:, l]) / m for l in range(data.d)])
     mean_norm = math.fsum(np.linalg.norm(B, axis=1)) / m

@@ -19,7 +19,9 @@ order, and the outer problem takes its (row, anchor) pairs from the same
 runs (`_index_pairs`).  In full dimension the product kernel is positive
 on a box, so the full fits and the ladder probe work on blocks of anchors
 with one (block, n) matrix of largest coordinate offsets each
-(`_box_blocks`).
+(`_box_blocks`).  Rows are gathered by ``np.take(A, rows, axis=0)``, the
+bytes of ``A[rows]`` by a faster path, then offset and scaled in place:
+no full-size temporary lives beside a design or the outer problem.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ def _local_core(D, Wg, Yg, h, loss, opts):
     kept positions and their (kept, k) slopes in the units of ``D``;
     ``complete`` is False when the iteration budget truncated the solve.
     """
-    Z = np.concatenate([np.ones(D.shape[:2] + (1,)), D / h], axis=2)
+    Z = np.empty(D.shape[:2] + (D.shape[2] + 1,))
+    Z[:, :, 0] = 1.0
+    np.divide(D, h, out=Z[:, :, 1:])
     beta, complete = _solve_ls_batch(Z, Yg, Wg), True
     sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
@@ -249,10 +253,13 @@ def _full_core(data, x0, R, h0, loss, kernel, opts):
     X = data.X
     box = _in_support(R / h0)
     c, r = np.nonzero(box)
-    under = np.prod(kernel_eval(kernel, (X[r] - x0[c]) / h0), axis=1) == 0
+    U = np.take(X, r, axis=0) - np.take(x0, c, axis=0)
+    under = np.prod(kernel_eval(kernel, U / h0), axis=1) == 0
     box[c[under], r[under]] = False
+    del U, c, r, under  # pair arrays must not live on through the local fits
     gather = np.argsort(~box, axis=1, kind="stable")[:, : np.count_nonzero(box, axis=1).max()]
-    D = X[gather] - x0[:, None, :]
+    D = np.take(X, gather, axis=0)
+    D -= x0[:, None, :]
     Wg = np.prod(kernel_eval(kernel, D / h0), axis=2)
     return _local_core(D, Wg, data.Y[gather], h0, loss, opts)
 

@@ -132,6 +132,28 @@ class TestKernels:
             KernelSpec("gaussian")
 
     @pytest.mark.parametrize("kind", ["epanechnikov", "quartic"])
+    def test_bytes_of_the_textbook_expression(self, kind):
+        # edge values and NaN give the bytes of the formula written out;
+        # 0-d input gives a float; the argument is never written
+        def textbook(u):
+            base = np.maximum(0.0, 1.0 - u * u)
+            return 0.75 * base if kind == "epanechnikov" else (15.0 / 16.0) * base * base
+
+        edge = np.nextafter(1.0, 0.0)
+        u = np.array([0.0, 0.5, -0.5, edge, -edge, 1.0, -1.0, 1.2, -1.2, np.nan])
+        kern, before = KernelSpec(kind), u.copy()
+        for arg in (u, u.reshape(2, 5), u[::-1]):
+            got = kernel_eval(kern, arg)
+            assert got.shape == arg.shape
+            assert got.tobytes() == textbook(arg).tobytes()
+        assert u.tobytes() == before.tobytes()
+        for x in u:
+            for arg in (float(x), np.float64(x), np.array(x)):
+                got = kernel_eval(kern, arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == textbook(np.float64(x)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["epanechnikov", "quartic"])
     def test_support_is_exactly_where_the_kernel_is_positive(self, kind):
         # 2000 consecutive doubles on each side of -1 and of +1, every
         # power of two down to the smallest subnormal, non-finite values

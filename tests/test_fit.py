@@ -8,6 +8,7 @@ import pytest
 
 from qmave import (
     Dataset,
+    DegenerateDirectionError,
     DegenerateUpdateError,
     InsufficientDataError,
     InvalidInputError,
@@ -182,6 +183,25 @@ class TestOuterStep:
         fits = inner_step(data, theta0, cfg)
         new = outer_step(data, theta0, fits, cfg)
         assert float(new @ theta0) > 0
+
+
+    @pytest.mark.parametrize("loss", [LossSpec.quantile(0.5), LossSpec.squared()])
+    def test_outer_build_peak_is_the_design_and_eight_row_vectors(self, loss):
+        # the build keeps no second (rows, d) array beside the design: its
+        # peak is the design plus eight float64 or int64 vectors of one
+        # entry per row
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        cfg = QmaveConfig(loss=loss, init=np.eye(5)[0])
+        run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
+        fits = inner_step(data, cfg.init, run)
+        tracemalloc.start()
+        try:
+            problem = outer_problem(data, cfg.init, fits, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.n > 100_000
+        assert peak <= problem.Z.nbytes + 8 * problem.n * 8
 
 
 def _raw_solution(prob):
@@ -379,6 +399,31 @@ class TestCovariateScale:
         theta_far = qmave_fit(Dataset(far, data.Y), cfg).theta
         theta_back = qmave_fit(Dataset(far - 1e6, data.Y), cfg).theta
         assert estimation_error(theta_far, theta_back) <= 1e-6
+
+
+class TestScaleOutOfRange:
+    """Data on a scale floating point cannot carry through the fit get an
+    error that names it, for both losses, not a bandwidth-ladder message
+    or a NaN direction blamed on theta."""
+
+    @pytest.mark.parametrize("init", [None, np.eye(5)[0]])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_covariate_scale_is_named(self, loss, scale, init):
+        data, _ = gen_model8(SimConfig(n=200, seed=3))
+        cfg = QmaveConfig(loss=loss, init=init)
+        with pytest.raises(InvalidInputError, match="covariate column 0 is on a scale"):
+            qmave_fit(Dataset(data.X * scale, data.Y), cfg)
+
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_overflowing_slopes_are_named_by_the_initial_estimate(self, loss):
+        # the slopes overflow on the way there, with numpy's warnings
+        data, _ = gen_model8(SimConfig(n=200, seed=3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateDirectionError) as err:
+                qmave_fit(Dataset(data.X, data.Y * 1e300), QmaveConfig(loss=loss))
+        assert "automatic initialisation failed" in str(err.value)
+        assert "local slopes or their squares are not finite" in str(err.value)
 
 
 class TestResponseAffineMap:

@@ -129,6 +129,15 @@ class TestAdeInitialEstimate:
         assert 0 <= est.trimmed_count < 120
         assert est.mean_slope_norm >= 0
 
+    def test_overflowing_slopes_raise(self):
+        # slopes near 1e300 are finite, but their squares and norms are not
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(400, 3))
+        Y = 1e300 * (X @ unit([1.0, -2.0, 1.5]) + 0.01 * rng.normal(size=400))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateDirectionError, match="squares are not finite"):
+                ade_initial_estimate(Dataset(X, Y), 0.5, 1.0, TrimSpec(), EPA)
+
     def test_selection_invariant_to_response_scaling(self):
         rng = np.random.default_rng(48)
         theta0 = unit([1.0, 1.0])

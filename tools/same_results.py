@@ -13,7 +13,11 @@ bytes.  The cases:
 - ``qmave_fit`` theta, objective-trace bytes and iteration count for
   tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
   squared-loss (MAVE) fit;
-- ``index_fit_batch`` and ``full_fit_batch`` for both losses;
+- ``index_fit_batch`` and ``full_fit_batch`` for both losses, and
+  ``full_fit_batch`` at every anchor of an n=1000 dataset (several anchor
+  blocks), both kernels and both losses;
+- ``kernel_eval`` of both kernels on edge values (0, +-0.5, the doubles
+  next to and at +-1, +-1.2, inf, NaN) and a sweep over [-1.5, 1.5];
 - ``index_fit_batch``, ``outer_problem`` (design, response and weight
   bytes) and ``eq_objective`` on adversarial n=200 data (index ties,
   index values and bandwidths on one grid so that kernel edges fall on
@@ -42,7 +46,7 @@ verdict and the exit code rest on the bytes alone:
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
-A full pass takes about a minute per tree.
+A full pass takes about 15 seconds per tree on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -111,7 +115,24 @@ def _batch_cases(qm, np):
             out[f"batch/index/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
             res = full_fit_batch(data, anchors, 2.0, loss, kernel)
             out[f"batch/full/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
+    # every anchor at n=1000, in several anchor blocks; at h0 = 0.7 about
+    # 7 in 10 windows hold a usable fit
+    data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
+    for lname, loss in (("q0.5", qm.LossSpec.quantile(0.5)), ("ls", qm.LossSpec.squared())):
+        for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
+            res = full_fit_batch(data, np.arange(1000), 0.7, loss, kernel)
+            out[f"batch/full/n1000/{lname}/{kname}"] = _digest(*(v.tobytes() for v in res))
     return out
+
+
+def _kernel_cases(qm, np):
+    edge = np.nextafter(1.0, 0.0)
+    u = np.array([0.0, -0.0, 0.5, -0.5, edge, -edge, 1.0, -1.0, 1.2, -1.2, np.inf, np.nan])
+    u = np.concatenate([u, np.linspace(-1.5, 1.5, 1001)])
+    return {
+        f"kernel/{kind}": _digest(qm.kernel_eval(qm.KernelSpec(kind), u).tobytes())
+        for kind in ("epanechnikov", "quartic")
+    }
 
 
 def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None):
@@ -255,6 +276,7 @@ def _emit(src: str) -> None:
     cases, objectives, details = {}, {}, {}
     cases.update(_solver_cases(qm, np, objectives))
     cases.update(_batch_cases(qm, np))
+    cases.update(_kernel_cases(qm, np))
     cases.update(_window_cases(qm, np, details))
     cases.update(_fit_cases(qm, np, details))
     cases.update(_grid_cases(qm))
