@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     BandwidthRule,
-    _in_support,
     KernelSpec,
     LossSpec,
     coordinate_dispersion,
@@ -208,11 +207,11 @@ def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:
     one median per bandwidth in ``h0s``, for either kernel.
 
     The product kernel is positive exactly where the largest coordinate
-    offset over h0 is below 1, so one block of those offsets serves every
-    bandwidth.
+    offset is below h0 (`localfit._box_offsets`), so one block of those
+    offsets serves every bandwidth.
     """
     counts = [
-        [np.count_nonzero(_in_support(R / h0), axis=1) for h0 in h0s]
+        [np.count_nonzero(R < h0, axis=1) for h0 in h0s]
         for _, R in _box_blocks(data.X, anchors)
     ]
     return np.median(np.concatenate(counts, axis=1), axis=1)

@@ -20,7 +20,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .localfit import Dataset, full_fit_batch
+from .localfit import Dataset, _check_bandwidth, full_fit_batch
 
 __all__ = [
     "TrimSpec",
@@ -105,6 +105,7 @@ def ade_initial_estimate(
     """
     if not (0.0 < tau < 1.0):
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
+    _check_bandwidth(h0)
     if loss is None:
         loss = LossSpec.quantile(tau)
     anchors = np.flatnonzero(trim_mask(data, trim))

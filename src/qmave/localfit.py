@@ -18,10 +18,14 @@ theta`` (`_index_windows`); the index fits read each window in that
 order, and the outer problem takes its (row, anchor) pairs from the same
 runs (`_index_pairs`).  In full dimension the product kernel is positive
 on a box, so the full fits and the ladder probe work on blocks of anchors
-with one (block, n) matrix of largest coordinate offsets each
-(`_box_blocks`).  Rows are gathered by ``np.take(A, rows, axis=0)``, the
-bytes of ``A[rows]`` by a faster path, then offset and scaled in place:
-no full-size temporary lives beside a design or the outer problem.
+with one (block, n) matrix R of largest coordinate offsets each
+(`_box_blocks`).  A row lies in the box where ``R < h0``.  For h0 > 0
+that is ``_in_support(R / h0)`` exactly: IEEE division is correctly
+rounded and monotone, so ``R >= h0`` gives ``R / h0 >= 1``, and ``R < h0``
+gives at most ``prev(h0) / h0``, which rounds below 1.  Rows are gathered
+by ``np.take(A, rows, axis=0)``, the bytes of ``A[rows]`` by a faster
+path, then offset and scaled in place: no full-size temporary lives
+beside a design or the outer problem.
 """
 
 from __future__ import annotations
@@ -196,19 +200,29 @@ def local_linear_full_fit(
 
 def _box_offsets(X, x0):
     """Largest absolute coordinate offset of each row of ``X`` from each
-    anchor point of ``x0`` (B, d), as a (B, n) matrix: the product kernel
-    at bandwidth h0 is positive only where the kernel of this offset over
-    h0 is, and exactly there unless the product underflows."""
-    R, T = np.zeros((x0.shape[0], X.shape[0])), np.empty((x0.shape[0], X.shape[0]))
-    for col, c0 in zip(X.T, x0.T):
-        np.subtract(col, c0[:, None], out=T)
-        np.maximum(R, np.abs(T, out=T), out=R)
+    anchor point of ``x0`` (B, d), as a (B, n) matrix R: the product kernel
+    at bandwidth h0 > 0 is positive only in the box ``R < h0`` (exactly
+    ``_in_support(R / h0)``: see the module docstring), and exactly there
+    unless the product underflows.  R is filled in chunks of at most
+    ``_BOX_CELLS`` cells; each entry is formed alone, so chunks change no
+    byte."""
+    B, n = x0.shape[0], X.shape[0]
+    step = max(1, _BOX_CELLS // n)
+    R, T = np.zeros((B, n)), np.empty((min(step, B), n))
+    cols = np.ascontiguousarray(X.T)  # each pass reads one column contiguously
+    for lo in range(0, B, step):
+        Rk, Tk = R[lo : lo + step], T[: min(step, B - lo)]
+        for col, c0 in zip(cols, x0[lo : lo + step].T):
+            np.subtract(col, c0[:, None], out=Tk)
+            np.maximum(Rk, np.abs(Tk, out=Tk), out=Rk)
     return R
 
 
 # Anchors per block of full fits and of the ladder probe: bounds the
-# (block, n) box offsets.
+# (block, n) box offsets.  `_box_offsets` fills them in chunks of at most
+# _BOX_CELLS cells, which stay in a core's L2 cache.
 _FULL_BLOCK = 256
+_BOX_CELLS = 4 * 8192
 
 
 def _box_blocks(X, anchors):
@@ -247,20 +261,29 @@ def _local_core(D, Wg, Yg, h, loss, opts):
 def _full_core(data, x0, R, h0, loss, kernel, opts):
     """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
     ``x0`` (B, d) with `_box_offsets` R, through `_local_core`.  A problem
-    holds its anchor's rows of positive weight (the box ``|R / h0| < 1``
-    less rows whose product underflows to 0), then its first other rows,
-    each part in row order, up to the longest L."""
+    holds its anchor's box rows ``R < h0`` of positive product weight,
+    taken with their weights from the (anchor, row) pairs of the box, then
+    its first other rows (all in the first L columns), each part in row
+    order, up to the longest L."""
     X = data.X
-    box = _in_support(R / h0)
-    c, r = np.nonzero(box)
+    box = R < h0
+    c, r = np.divmod(np.flatnonzero(box), box.shape[1])
     U = np.take(X, r, axis=0) - np.take(x0, c, axis=0)
-    under = np.prod(kernel_eval(kernel, U / h0), axis=1) == 0
+    w = np.prod(kernel_eval(kernel, np.divide(U, h0, out=U)), axis=1)
+    under = w == 0
     box[c[under], r[under]] = False
-    del U, c, r, under  # pair arrays must not live on through the local fits
-    gather = np.argsort(~box, axis=1, kind="stable")[:, : np.count_nonzero(box, axis=1).max()]
+    c, r, w = c[~under], r[~under], w[~under]
+    count = np.bincount(c, minlength=box.shape[0])
+    L = count.max()
+    pad = np.argsort(box[:, :L], axis=1, kind="stable")  # non-box rows first
+    gather = np.take_along_axis(pad, np.maximum(np.arange(L) - count[:, None], 0), axis=1)
+    at = (c, np.arange(c.size) - np.repeat(np.cumsum(count) - count, count))
+    gather[at] = r
+    Wg = np.zeros(gather.shape)
+    Wg[at] = w
+    del U, under, c, r, w, pad, at  # pair arrays must not live on through the local fits
     D = np.take(X, gather, axis=0)
     D -= x0[:, None, :]
-    Wg = np.prod(kernel_eval(kernel, D / h0), axis=2)
     return _local_core(D, Wg, data.Y[gather], h0, loss, opts)
 
 
@@ -345,6 +368,7 @@ def full_fit_batch(data, anchors, h0, loss, kernel):
     rank screen of `_local_core` or gives a non-finite solution are
     omitted.
     """
+    _check_bandwidth(h0)
     opts = SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmave import (
@@ -172,6 +174,23 @@ class TestKernels:
         inside = _in_support(u)
         np.testing.assert_array_equal(inside, kernel_eval(KernelSpec(kind), u) > 0)
         assert 0 < np.count_nonzero(inside) < u.size
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        h0=st.one_of(
+            st.floats(min_value=2.0**-1022, allow_infinity=False),  # normal
+            st.floats(min_value=0.0, max_value=2.0**-1022, exclude_min=True, exclude_max=True),
+            st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+        ),
+        draw=st.floats(min_value=0.0),
+    )
+    def test_box_comparison_is_the_support_of_the_ratio(self, h0, draw):
+        # the full fits test a largest coordinate offset R >= 0 against
+        # h0 > 0 as R < h0, in place of _in_support(R / h0)
+        with np.errstate(over="ignore", under="ignore"):
+            below = np.nextafter(h0, 0.0)
+            R = np.array([0.0, below, np.nextafter(below, 0.0), h0, np.nextafter(h0, np.inf), draw])
+            np.testing.assert_array_equal(R < h0, _in_support(R / h0))
 
 
 class TestBandwidth:

@@ -15,6 +15,9 @@ from qmave import (
     opg_direction,
     trim_mask,
 )
+from qmave.core import LossSpec
+from qmave.localfit import full_fit_batch
+from qmave.simulate import SimConfig, gen_model8
 
 EPA = KernelSpec.epanechnikov()
 
@@ -162,3 +165,15 @@ class TestAdeInitialEstimate:
         data = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
         with pytest.raises(InvalidInputError):
             ade_initial_estimate(data, 1.5, 1.0, TrimSpec(), EPA)
+
+    @pytest.mark.parametrize("h0", [-2.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["ade", "full_fit_batch"])
+    def test_bandwidth_validated(self, entry, h0):
+        # a negative h0 would fit at |h0|, a zero one divide by zero, and a
+        # non-finite one leave no usable fit
+        data, _ = gen_model8(SimConfig(n=200, seed=1))
+        with pytest.raises(InvalidInputError, match="bandwidth must be finite and positive"):
+            if entry == "ade":
+                ade_initial_estimate(data, 0.5, h0, TrimSpec(), EPA)
+            else:
+                full_fit_batch(data, np.arange(data.n), h0, LossSpec.quantile(0.5), EPA)

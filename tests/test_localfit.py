@@ -19,6 +19,7 @@ from qmave import (
     local_linear_index_fit,
     qr_oracle,
 )
+from qmave import localfit
 from qmave.core import check_loss, kernel_eval
 from qmave.fit import QmaveConfig, _auto_init, eq_objective, outer_problem
 from qmave.localfit import (
@@ -516,21 +517,27 @@ class TestPooledObjectiveIsExact:
         assert eq_objective(data, theta, fits, cfg) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def dense_full_problems(data, anchors, h0, kernel):
+    """The stacked problems ``(block, D, W, Y)`` of the full fits, built on
+    the dense (n, m, d) offset tensor and (n, m) product-kernel weights,
+    one per block of anchors (a block is one stacked solve): the reference
+    for the box windows."""
+    for start in range(0, anchors.size, _FULL_BLOCK):
+        block = anchors[start : start + _FULL_BLOCK]
+        D = data.X[:, None, :] - data.X[None, block, :]
+        W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
+        gather = _padded_gather(W)
+        Dg = np.take_along_axis(D.transpose(1, 0, 2), gather[:, :, None], axis=1)
+        yield block, Dg, np.take_along_axis(W.T, gather, axis=1), data.Y[gather]
+
+
 def dense_full_fits(data, anchors, h0, loss, kernel):
-    """Full fits built on the dense (n, m, d) offset tensor and (n, m)
-    product-kernel weights, in the library's blocks of anchors (a block
-    is one stacked solve): the reference for the box windows."""
-    if anchors.size > _FULL_BLOCK:
-        head = dense_full_fits(data, anchors[:_FULL_BLOCK], h0, loss, kernel)
-        tail = dense_full_fits(data, anchors[_FULL_BLOCK:], h0, loss, kernel)
-        return tuple(np.concatenate(pair) for pair in zip(head, tail))
-    D = data.X[:, None, :] - data.X[None, anchors, :]
-    W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
-    gather = _padded_gather(W)
-    Dg = np.take_along_axis(D.transpose(1, 0, 2), gather[:, :, None], axis=1)
-    Wg = np.take_along_axis(W.T, gather, axis=1)
-    kept, a, B, effw = reference_fits(Dg, Wg, data.Y[gather], h0, loss)
-    return anchors[kept], a, B, effw
+    """`reference_fits` on each of the `dense_full_problems`."""
+    parts = []
+    for block, Dg, Wg, Yg in dense_full_problems(data, anchors, h0, kernel):
+        kept, a, B, effw = reference_fits(Dg, Wg, Yg, h0, loss)
+        parts.append((block[kept], a, B, effw))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def underflow_data():
@@ -551,8 +558,10 @@ class TestBoxFullFits:
 
     @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
     @pytest.mark.parametrize("loss", [LossSpec.quantile(0.3), MEDIAN, LossSpec.squared()])
-    @pytest.mark.parametrize("case", ["n200", "n300_blocks", "ties", "underflow"])
-    def test_matches_dense_construction(self, case, loss, kernel):
+    @pytest.mark.parametrize(
+        "case", ["n200", "n300_blocks", "ties", "underflow", "only_anchor", "every_row", "sorted"]
+    )
+    def test_matches_dense_construction(self, case, loss, kernel, monkeypatch):
         if case == "underflow":
             data, h0 = underflow_data(), 1.0
             D = data.X - data.X[0]
@@ -564,14 +573,40 @@ class TestBoxFullFits:
             X = rng.normal(size=(n, 3))
             if case == "ties":
                 X = np.round(X * 2) / 2  # coordinate offsets land on the box edge
+            if case == "sorted":
+                X = X[np.argsort(X[:, 0])]
             data = Dataset(X, np.round(X @ [1.0, -1.0, 0.5] + rng.standard_t(3, size=n), 1))
-            h0 = 1.5 if case == "ties" else 1.2
+            R = np.max(np.abs(X[:, None, :] - X[None, :, :]), axis=2)
+            widths = {"ties": 1.5, "only_anchor": np.min(R[R > 0]), "every_row": np.max(R) * 1.01}
+            h0 = widths.get(case, 1.2)
         anchors = np.arange(data.n)
-        want = dense_full_fits(data, anchors, h0, loss, kernel)
+        stacked = []
+
+        def spy(D, Wg, Yg, *rest):
+            stacked.append((D.copy(), Wg.copy(), Yg.copy()))
+            return local_core(D, Wg, Yg, *rest)
+
+        local_core = localfit._local_core
+        monkeypatch.setattr(localfit, "_local_core", spy)
         have = full_fit_batch(data, anchors, h0, loss, kernel)
-        assert want[0].size > 0
+        problems = list(dense_full_problems(data, anchors, h0, kernel))
+        assert len(stacked) == len(problems)
+        for got, (block, *want) in zip(stacked, problems):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        want = dense_full_fits(data, anchors, h0, loss, kernel)
         for w, h in zip(want, have):
             assert h.tobytes() == w.tobytes()
+        L = stacked[0][0].shape[1]
+        if case == "only_anchor":
+            assert L == 1 and want[0].size == 0  # one row admits no fit
+        else:
+            assert want[0].size > 0
+        if case == "every_row":
+            assert L == data.n
+        if case == "sorted":
+            # the last anchor's box rows all sit past the first L columns
+            assert np.all(R[-1, :L] >= h0)
 
     def test_auto_init_peak_memory(self):
         data, _ = gen_model8(SimConfig(n=2000, seed=7))

@@ -16,6 +16,10 @@ bytes.  The cases:
 - ``index_fit_batch`` and ``full_fit_batch`` for both losses, and
   ``full_fit_batch`` at every anchor of an n=1000 dataset (several anchor
   blocks), both kernels and both losses;
+- the init ladder probe ``_median_window_count`` at every rung of
+  ``_INIT_LADDER``, one digest per rung, at n=200 and n=1000, and the
+  ``_auto_init`` theta at n=1000 for seeds 100-103 and both losses, so
+  that a changed rung choice shows as its own case;
 - ``kernel_eval`` of both kernels on edge values (0, +-0.5, the doubles
   next to and at +-1, +-1.2, inf, NaN) and a sweep over [-1.5, 1.5];
 - ``index_fit_batch``, ``outer_problem`` (design, response and weight
@@ -122,6 +126,30 @@ def _batch_cases(qm, np):
         for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
             res = full_fit_batch(data, np.arange(1000), 0.7, loss, kernel)
             out[f"batch/full/n1000/{lname}/{kname}"] = _digest(*(v.tobytes() for v in res))
+    return out
+
+
+def _init_cases(qm, np):
+    from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth
+    from qmave.fit import _INIT_LADDER, _auto_init, _median_window_count
+
+    out = {}
+    for n in (200, 1000):
+        data, _ = qm.gen_model8(qm.SimConfig(n=n, seed=5))
+        scale = coordinate_dispersion(data.X)
+        base = default_bandwidth(BandwidthRule.full_dim(data.d), data.n, scale)
+        anchors = np.flatnonzero(qm.trim_mask(data, qm.TrimSpec()))
+        counts = _median_window_count(data, anchors, [base * mult for mult in _INIT_LADDER])
+        for k, count in enumerate(counts):
+            out[f"init/probe/n{n}/rung{k}"] = _digest(count.tobytes())
+    for seed in range(100, 104):
+        data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=seed))
+        for lname, loss in (("q0.5", qm.LossSpec.quantile(0.5)), ("ls", qm.LossSpec.squared())):
+            try:
+                theta = _auto_init(data, qm.QmaveConfig(loss=loss)).tobytes()
+            except qm.QmaveError as exc:
+                theta = (type(exc).__name__, str(exc))
+            out[f"init/auto/n1000/seed{seed}/{lname}"] = _digest(theta)
     return out
 
 
@@ -276,6 +304,7 @@ def _emit(src: str) -> None:
     cases, objectives, details = {}, {}, {}
     cases.update(_solver_cases(qm, np, objectives))
     cases.update(_batch_cases(qm, np))
+    cases.update(_init_cases(qm, np))
     cases.update(_kernel_cases(qm, np))
     cases.update(_window_cases(qm, np, details))
     cases.update(_fit_cases(qm, np, details))
