@@ -4,8 +4,9 @@ Each iteration performs two steps: the inner step refits a local-linear
 model at every untrimmed anchor along the current index, and the outer
 step pools all (observation, anchor) pairs into one weighted linear
 regression whose solution, normalised to unit length, becomes the next
-index.  Iteration stops when successive indices agree up to sign within
-``tol``.
+index; for the squared loss, from normal equations summed over chunks of
+those pairs.  Iteration stops when successive indices agree up to sign
+within ``tol``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .initial import TrimSpec, ade_initial_estimate, trim_mask
 from .localfit import (
+    _BOX_CELLS,
     Dataset,
     _as_unit,
     _box_blocks,
@@ -42,7 +44,8 @@ from .localfit import (
 )
 from .solver import (
     WeightedRegressionProblem,
-    solve_weighted_ls,
+    _gram_batch,
+    _solve_normal,
     solve_weighted_qr,
 )
 
@@ -137,45 +140,75 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     return idx, a, b, effw
 
 
-def outer_problem(
-    data: Dataset, theta, fits, cfg: QmaveConfig
-) -> WeightedRegressionProblem:
-    """Pooled regression of the index update.
-
-    ``fits`` is the ``(anchors, a, b, effective_weight)`` tuple of
-    ``inner_step``.  One row per (i, j) pair with positive kernel weight:
-    response ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight
-    ``K(theta'(X_i-X_j)/h)``.
-    """
+def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
+    """``(count, chunks)``: the number of pooled rows of the index update,
+    and a generator of their ``(design, response, weight)`` in L2-sized
+    runs of ``_BOX_CELLS // d`` rows; each entry is formed alone, so runs
+    change no byte.  One row per (i, j) pair of `_index_pairs`: response
+    ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight
+    ``K(theta'(X_i-X_j)/h)``, with (a, b) from the ``inner_step`` fits."""
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
     t, ii, cc = _index_pairs(data, theta, j, h)
-    jj = np.take(j, cc)
-    W = kernel_eval(cfg.kernel, (np.take(t, ii) - np.take(t, jj)) / h)
-    design = np.take(data.X, ii, axis=0)
-    for col, xcol in zip(design.T, data.X.T):
-        col -= np.take(xcol, jj)
-    design *= np.take(b, cc)[:, None]
-    response = np.take(data.Y, ii) - np.take(a, cc)
-    return WeightedRegressionProblem(design, response, W, cfg.loss)
+    step = max(1, _BOX_CELLS // data.d)
+
+    def chunks():
+        for lo in range(0, ii.size, step):
+            i, c = ii[lo : lo + step], cc[lo : lo + step]
+            jj = np.take(j, c)
+            W = kernel_eval(cfg.kernel, (np.take(t, i) - np.take(t, jj)) / h)
+            design = np.take(data.X, i, axis=0)
+            design -= np.take(data.X, jj, axis=0)
+            design *= np.take(b, c)[:, None]
+            yield design, np.take(data.Y, i) - np.take(a, c), W
+
+    return ii.size, chunks()
+
+
+def outer_problem(
+    data: Dataset, theta, fits, cfg: QmaveConfig
+) -> WeightedRegressionProblem:
+    """Pooled regression of the index update: `_pooled_rows` as one problem."""
+    count, chunks = _pooled_rows(data, theta, fits, cfg)
+    design, response, weight = np.empty((count, data.d)), np.empty(count), np.empty(count)
+    lo = 0
+    for D, r, w in chunks:
+        hi = lo + r.size
+        design[lo:hi], response[lo:hi], weight[lo:hi] = D, r, w
+        lo = hi
+    return WeightedRegressionProblem(design, response, weight, cfg.loss)
+
+
+def _squared_sums(data: Dataset, theta, fits, cfg: QmaveConfig, normal: bool):
+    """The squared-loss pooled objective at ``theta`` and, if ``normal``,
+    the (1, d, d) Gram and (1, d) right-hand side of the index update,
+    summed over the chunks of `_pooled_rows`, each a checked problem."""
+    objective, gram, rhs = 0.0, np.zeros((1, data.d, data.d)), np.zeros((1, data.d))
+    for rows in _pooled_rows(data, theta, fits, cfg)[1]:
+        chunk = WeightedRegressionProblem(*rows, cfg.loss)
+        objective += chunk.objective(theta)
+        if normal:
+            g, r = _gram_batch(chunk.Z[None], chunk.y[None], chunk.w[None])
+            gram, rhs = gram + g, rhs + r
+    return objective, gram, rhs
 
 
 def _outer(data: Dataset, theta, fits, cfg: QmaveConfig):
     """``(objective, new)``: the pooled objective at ``theta`` and the next
-    index, both from one `outer_problem`.  The problem stays local, so it
-    is freed before the next inner step."""
+    index, from one pass over the pooled rows; no pooled problem outlives it."""
     j, _, b, _ = fits
     if j.size == 0:
         raise InsufficientDataError("no local fits supplied to the outer step")
     if np.all(b == 0):
         raise DegenerateUpdateError("all local slopes are zero")
-    problem = outer_problem(data, theta, fits, cfg)
     try:
         if cfg.loss.is_quantile:
-            beta = solve_weighted_qr(problem)
+            problem = outer_problem(data, theta, fits, cfg)
+            beta, objective = solve_weighted_qr(problem), problem.objective(theta)
         else:
-            beta = solve_weighted_ls(problem)
+            objective, gram, rhs = _squared_sums(data, theta, fits, cfg, normal=True)
+            beta = _solve_normal(gram, rhs)
     except DegenerateProblemError as exc:
         raise DegenerateUpdateError(str(exc)) from exc
     nrm = float(np.linalg.norm(beta))
@@ -184,7 +217,7 @@ def _outer(data: Dataset, theta, fits, cfg: QmaveConfig):
     new = beta / nrm
     if float(new @ np.asarray(theta, dtype=float)) < 0:
         new = -new
-    return problem.objective(theta), new
+    return objective, new
 
 
 def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
@@ -197,9 +230,11 @@ def outer_step(data: Dataset, theta, fits, cfg: QmaveConfig) -> np.ndarray:
 def eq_objective(data: Dataset, theta, fits, cfg: QmaveConfig) -> float:
     """Pooled local-fit objective at ``theta`` given the fitted (a_j, b_j)
     of the ``(anchors, a, b, effective_weight)`` tuple ``fits``: the
-    objective of `outer_problem` at ``theta``,
+    objective of `outer_problem` (or `_squared_sums`) at ``theta``,
     ``sum_{i,j} K(theta'(X_i-X_j)/h) loss(Y_i - a_j - b_j (X_i-X_j)'theta)``."""
-    return outer_problem(data, theta, fits, cfg).objective(theta)
+    if cfg.loss.is_quantile:
+        return outer_problem(data, theta, fits, cfg).objective(theta)
+    return _squared_sums(data, theta, fits, cfg, normal=False)[0]
 
 
 def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:

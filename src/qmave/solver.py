@@ -15,9 +15,9 @@ test for rows in general position scales each row to unit length first,
 so the certificate works at any design scale.
 
 Weighted least squares solves the normal equations without a ridge, and
-gives NaN coefficients where the Gram matrix's eigenvalue ratio is at most
-``_RANK_RTOL``: the one rank rule, which also screens the local fits.  No
-tolerance is absolute, so solutions follow rescaled data.
+gives NaN coefficients where the Gram is not finite or its eigenvalue
+ratio is at most ``_RANK_RTOL``: the one rank rule, which also screens the
+local fits and solves Grams summed elsewhere.  No tolerance is absolute.
 
 Conformance is defined in objective value, never in coefficients: optima
 of piecewise-linear objectives can sit on flat faces.  ``qr_oracle`` is an
@@ -432,19 +432,37 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     return beta, obj, complete
 
 
-def _solve_ls_batch(Z, y, w):
-    """Stacked weighted least squares by the normal equations, under the
-    one rank rule of least squares and of the local fits: a problem whose
-    Gram has its smallest eigenvalue at most ``_RANK_RTOL`` times its
-    largest gets NaN coefficients."""
+def _gram_batch(Z, y, w):
+    """The Grams ``Z'WZ`` and right-hand sides ``Z'Wy`` of stacked problems."""
     # a C-ordered left factor keeps matmul on its fast path
     Wt = np.multiply(Z.transpose(0, 2, 1), w[:, None, :], order="C")
-    gram = np.matmul(Wt, Z)
+    return np.matmul(Wt, Z), _mv(Wt, y)
+
+
+def _solve_gram_batch(gram, rhs):
+    """Stacked ``gram beta = rhs`` under the one rank rule: a problem whose
+    Gram is not finite, or has its smallest eigenvalue at most
+    ``_RANK_RTOL`` times its largest, gets NaN.  Overwrites ``gram``."""
+    ok = np.all(np.isfinite(gram), axis=(1, 2))
+    gram[~ok] = np.eye(gram.shape[2])
     eigs = np.linalg.eigvalsh(gram)
-    ok = eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
-    gram[~ok] = np.eye(Z.shape[2])
-    beta = _batch_solve(gram, _mv(Wt, y))
+    ok &= eigs[:, 0] > _RANK_RTOL * eigs[:, -1]
+    gram[~ok] = np.eye(gram.shape[2])
+    beta = _batch_solve(gram, rhs)
     beta[~ok] = np.nan
+    return beta
+
+
+def _solve_ls_batch(Z, y, w):
+    """Stacked weighted least squares: the local fits' rank screen."""
+    return _solve_gram_batch(*_gram_batch(Z, y, w))
+
+
+def _solve_normal(gram, rhs):
+    """`_solve_gram_batch` on a batch of one, raising where it gives NaN."""
+    beta = _solve_gram_batch(gram, rhs)[0]
+    if not np.all(np.isfinite(beta)):
+        raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")
     return beta
 
 
@@ -503,19 +521,16 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
 
 
 def solve_weighted_ls(problem: WeightedRegressionProblem):
-    """Weighted least squares by the normal equations (`_solve_ls_batch`).
+    """Weighted least squares by the normal equations (`_solve_normal`).
 
     Raises ``DegenerateProblemError`` when the weighted cross-product
-    matrix fails the rank rule: its smallest eigenvalue is at most
-    ``_RANK_RTOL`` times its largest.
+    matrix fails the rank rule: it is not finite, or its smallest
+    eigenvalue is at most ``_RANK_RTOL`` times its largest.
     """
     if problem.loss.is_quantile:
         raise InvalidInputError("solve_weighted_ls requires the squared loss")
     Za, ya, wa = _active_rows(problem, problem.w > 0)
-    beta = _solve_ls_batch(Za[None], ya[None], wa[None])[0]
-    if not np.all(np.isfinite(beta)):
-        raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")
-    return beta
+    return _solve_normal(*_gram_batch(Za[None], ya[None], wa[None]))
 
 
 def qr_oracle(problem: WeightedRegressionProblem):

@@ -28,6 +28,7 @@ from qmave import (
 from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth, kernel_eval
 from qmave.fit import _INIT_LADDER, _median_window_count, eq_objective, resolve_bandwidth
 from qmave.initial import TrimSpec, trim_mask
+from qmave.localfit import _index_pairs
 
 EPA = KernelSpec.epanechnikov()
 
@@ -202,6 +203,24 @@ class TestOuterStep:
             tracemalloc.stop()
         assert problem.n > 100_000
         assert peak <= problem.Z.nbytes + 8 * problem.n * 8
+
+    @pytest.mark.parametrize("step", [outer_step, eq_objective])
+    def test_squared_step_builds_no_pooled_design(self, step):
+        # the squared loss sums its normal equations and objective over
+        # chunks of the pooled rows: its peak is below one (pairs, d) design
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
+        run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
+        fits = inner_step(data, cfg.init, run)
+        pairs = _index_pairs(data, cfg.init, fits[0], run.h)[1].size
+        tracemalloc.start()
+        try:
+            step(data, cfg.init, fits, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 100_000
+        assert peak < pairs * data.d * np.dtype(float).itemsize
 
 
 def _raw_solution(prob):
@@ -424,6 +443,19 @@ class TestScaleOutOfRange:
                 qmave_fit(Dataset(data.X, data.Y * 1e300), QmaveConfig(loss=loss))
         assert "automatic initialisation failed" in str(err.value)
         assert "local slopes or their squares are not finite" in str(err.value)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e250, 1e300])
+    def test_overflowing_outer_gram_is_a_degenerate_update(self, scale):
+        # the local fits hold, but the pooled Gram of their slopes
+        # overflows, with numpy's warnings
+        data, _ = gen_model8(SimConfig(n=200, seed=3))
+        cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                DegenerateUpdateError,
+                match="iteration 1: weighted cross-product matrix is rank-deficient",
+            ):
+                qmave_fit(Dataset(data.X, data.Y * scale), cfg)
 
 
 class TestResponseAffineMap:

@@ -19,9 +19,18 @@ from qmave import (
     local_linear_index_fit,
     qr_oracle,
 )
+from qmave import fit as fit_module
 from qmave import localfit
 from qmave.core import check_loss, kernel_eval
-from qmave.fit import QmaveConfig, _auto_init, eq_objective, outer_problem
+from qmave.fit import (
+    QmaveConfig,
+    _auto_init,
+    eq_objective,
+    estimation_error,
+    inner_step,
+    outer_problem,
+    outer_step,
+)
 from qmave.localfit import (
     _FULL_BLOCK,
     _index_pairs,
@@ -30,7 +39,7 @@ from qmave.localfit import (
     index_fit_batch,
 )
 from qmave.simulate import SimConfig, gen_model8
-from qmave.solver import _RANK_RTOL, _solve_ls_batch, _solve_qr_batch
+from qmave.solver import _RANK_RTOL, _solve_ls_batch, _solve_qr_batch, solve_weighted_ls
 
 EPA = KernelSpec.epanechnikov()
 MEDIAN = LossSpec.quantile(0.5)
@@ -515,6 +524,37 @@ class TestPooledObjectiveIsExact:
         assert problem.n >= 100
         exact = exact_pooled(data, theta, fits, h, loss, problem.w)
         assert eq_objective(data, theta, fits, cfg) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+class TestChunkedSquaredStep:
+    """The squared-loss outer step and pooled objective sum over chunks of
+    the pooled rows instead of building the pooled problem: chunking
+    changes only rounding, and the pooled problem assembled from chunks of
+    any size has the same bytes."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("kind", ["model8", "shifted"])
+    def test_matches_the_pooled_problem(self, monkeypatch, kind, kernel, rows):
+        if kind == "model8":
+            data, theta = gen_model8(SimConfig(n=100, seed=4))
+            h = 0.5 * np.std(data.X @ theta, ddof=1)
+        else:  # X * 1e-3 + 1e6
+            data, theta = window_data("shifted")
+            h = 0.1 * np.std(data.X @ theta, ddof=1)
+        cfg = QmaveConfig(loss=LossSpec.squared(), kernel=kernel, h=h)
+        fits = inner_step(data, theta, cfg)
+        problem = outer_problem(data, theta, fits, cfg)
+        # rows per chunk: 1, 7, or every pair in one chunk
+        monkeypatch.setattr(fit_module, "_BOX_CELLS", data.d * (rows or problem.n))
+        chunked = outer_problem(data, theta, fits, cfg)
+        for want, have in zip((problem.Z, problem.y, problem.w), (chunked.Z, chunked.y, chunked.w)):
+            assert have.tobytes() == want.tobytes()
+        beta = solve_weighted_ls(problem)
+        new = outer_step(data, theta, fits, cfg)
+        assert estimation_error(new, beta / np.linalg.norm(beta)) <= 1e-12
+        want = problem.objective(theta)
+        assert eq_objective(data, theta, fits, cfg) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def dense_full_problems(data, anchors, h0, kernel):

@@ -284,6 +284,26 @@ class TestSolveWeightedLs:
         with pytest.raises(InvalidInputError):
             solve_weighted_ls(prob)
 
+    def test_overflowing_gram_raises(self):
+        # the Gram of a design on 1e160 overflows to inf, which fails the
+        # rank rule before any eigenvalue is taken
+        rng = np.random.default_rng(13)
+        Z = rng.normal(size=(50, 3)) * 1e160
+        prob = WeightedRegressionProblem(Z, rng.normal(size=50), np.ones(50), LossSpec.squared())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateProblemError, match="rank-deficient"):
+                solve_weighted_ls(prob)
+
+    def test_overflowing_gram_spares_the_rest_of_its_batch(self):
+        rng = np.random.default_rng(14)
+        Z, y, w = rng.normal(size=(3, 50, 3)), rng.normal(size=(3, 50)), np.ones((3, 50))
+        want = solver._solve_ls_batch(Z, y, w)
+        Z[1] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solver._solve_ls_batch(Z, y, w)
+        assert np.all(np.isnan(got[1]))
+        np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
+
 
 class TestQrOracle:
     def test_median_candidates(self):

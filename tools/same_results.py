@@ -12,7 +12,9 @@ bytes.  The cases:
   at a fixed-iteration config (``tol=1e-12, max_iter=5``);
 - ``qmave_fit`` theta, objective-trace bytes and iteration count for
   tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
-  squared-loss (MAVE) fit;
+  squared-loss (MAVE) fit, and two more at the benchmark's timed config
+  (``tol=1e-12, max_iter=5``, normal and t1 noise), whose traces end with
+  the objective of the unconverged tail;
 - ``index_fit_batch`` and ``full_fit_batch`` for both losses, and
   ``full_fit_batch`` at every anchor of an n=1000 dataset (several anchor
   blocks), both kernels and both losses;
@@ -50,7 +52,8 @@ verdict and the exit code rest on the bytes alone:
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
-A full pass takes about 15 seconds per tree on a 2-core machine.
+A full pass takes about 6 seconds per tree, 12 to 15 for the pair, on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ def _fit_cases(qm, np, details):
     data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
     cfg = qm.QmaveConfig(loss=qm.LossSpec.squared())
     out["fit/mave/n1000"] = _fit_or_error(qm, data, cfg, details, "fit/mave/n1000")
+    # the benchmark's timed config: five iterations, unconverged, so the
+    # objective of the tail iterate is recorded too
+    for law in (qm.NoiseLaw.SCALED_NORMAL, qm.NoiseLaw.SCALED_T1):
+        data, _ = qm.gen_model8(qm.SimConfig(n=1000, noise=law, seed=3))
+        cfg = qm.QmaveConfig(loss=qm.LossSpec.squared(), tol=1e-12, max_iter=5)
+        name = f"fit/mave/n1000/timed/{law.value}"
+        out[name] = _fit_or_error(qm, data, cfg, details, name)
     return out
 
 
