@@ -84,27 +84,17 @@ def parse_dataset_csv(path: str, y_column) -> Dataset:
     return Dataset(X, Y)
 
 
-def _check_tau(text: str) -> float:
-    tau = float(text)
-    if not (0.0 < tau < 1.0):
-        raise argparse.ArgumentTypeError(f"tau must lie strictly in (0, 1), got {tau}")
-    return tau
+def _library_type(make):
+    """An argparse type that builds a flag's value from its text with the
+    library's own constructor ``make``: a value it rejects is a usage error."""
 
+    def parse(text):
+        try:
+            return make(text)
+        except (ValueError, QmaveError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _check_h(text: str) -> float | None:
-    if text == "auto":
-        return None
-    h = float(text)
-    if not (np.isfinite(h) and h > 0):
-        raise argparse.ArgumentTypeError(f"bandwidth must be finite and positive, got {text}")
-    return h
-
-
-def _check_trim(text: str) -> float:
-    alpha = float(text)
-    if not (0.0 <= alpha < 0.5):
-        raise argparse.ArgumentTypeError(f"trim must lie in [0, 0.5), got {alpha}")
-    return alpha
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,10 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="estimate the index direction from a CSV file")
     fit.add_argument("--input", required=True, help="CSV file with a header row")
     fit.add_argument("--y-col", required=True, help="response column name or index")
-    fit.add_argument("--tau", type=_check_tau, default=0.5)
+    fit.add_argument("--tau", type=_library_type(LossSpec.quantile), default="0.5")
     fit.add_argument("--loss", choices=("quantile", "squared"), default="quantile")
-    fit.add_argument("--h", type=_check_h, default="auto", help='bandwidth, or "auto"')
-    fit.add_argument("--trim", type=_check_trim, default=0.05)
+    fit.add_argument(
+        "--h",
+        type=_library_type(lambda s: QmaveConfig(h=None if s == "auto" else float(s)).h),
+        default="auto",
+        help='bandwidth, or "auto"',
+    )
+    fit.add_argument("--trim", type=_library_type(lambda s: TrimSpec(float(s))), default="0.05")
     fit.add_argument("--out", required=True, help="report file to write")
     fit.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -174,11 +169,8 @@ def _fit_report_csv(result) -> str:
 
 def _cmd_fit(args) -> int:
     data = parse_dataset_csv(args.input, args.y_col)
-    if args.loss == "quantile":
-        loss = LossSpec.quantile(args.tau)
-    else:
-        loss = LossSpec.squared()
-    cfg = QmaveConfig(loss=loss, h=args.h, trim=TrimSpec(args.trim))
+    loss = args.tau if args.loss == "quantile" else LossSpec.squared()
+    cfg = QmaveConfig(loss=loss, h=args.h, trim=args.trim)
     result = qmave_fit(data, cfg)
     text = _fit_report_json(result) if args.format == "json" else _fit_report_csv(result)
     with open(args.out, "w") as fh:
@@ -219,8 +211,6 @@ def _cmd_benchmark(args) -> int:
         laws = [NoiseLaw(s.strip()) for s in args.noises.split(",") if s.strip()]
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
-    if args.reps < 1:
-        raise InvalidInputError("--reps must be at least 1")
     if args.workers < 1:
         raise InvalidInputError("--workers must be at least 1")
     report = run_benchmark(
@@ -242,10 +232,7 @@ def run_cli(args) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except QmaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QmaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,8 +63,7 @@ class InitialEstimate:
 def trim_mask(data: Dataset, trim: TrimSpec) -> np.ndarray:
     """True for points whose every coordinate falls inside its empirical
     [alpha, 1-alpha] quantile interval (linear-interpolation quantiles)."""
-    lo = np.quantile(data.X, trim.alpha, axis=0)
-    hi = np.quantile(data.X, 1.0 - trim.alpha, axis=0)
+    lo, hi = np.quantile(data.X, [trim.alpha, 1.0 - trim.alpha], axis=0)
     return np.all((data.X >= lo) & (data.X <= hi), axis=1)
 
 

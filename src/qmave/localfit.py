@@ -22,10 +22,12 @@ with one (block, n) matrix R of largest coordinate offsets each
 (`_box_blocks`).  A row lies in the box where ``R < h0``.  For h0 > 0
 that is ``_in_support(R / h0)`` exactly: IEEE division is correctly
 rounded and monotone, so ``R >= h0`` gives ``R / h0 >= 1``, and ``R < h0``
-gives at most ``prev(h0) / h0``, which rounds below 1.  Rows are gathered
-by ``np.take(A, rows, axis=0)``, the bytes of ``A[rows]`` by a faster
-path, then offset and scaled in place: no full-size temporary lives
-beside a design or the outer problem.
+gives at most ``prev(h0) / h0``, which rounds below 1.  Both kinds of
+fit pad their stacked problems by one rule (`_slots`): the slots past a
+problem's rows repeat its last row at weight 0.  Rows are gathered by
+``np.take(A, rows, axis=0)``, the bytes of ``A[rows]`` by a faster path,
+then offset and scaled in place: no full-size temporary lives beside a
+design or the outer problem.
 """
 
 from __future__ import annotations
@@ -258,30 +260,33 @@ def _local_core(D, Wg, Yg, h, loss, opts):
     return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok], complete
 
 
+def _slots(start, count):
+    """The pad rule of stacked local problems: ``(pos, inside)`` of shape
+    (B, L), L the longest run.  Slot k of run c is the position ``start[c]
+    + k``; the slots past a run (``inside`` False) repeat its last
+    position."""
+    slot = np.arange(count.max(initial=0))
+    count = count[:, None]
+    return start[:, None] + np.minimum(slot, count - 1), slot < count
+
+
 def _full_core(data, x0, R, h0, loss, kernel, opts):
     """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
     ``x0`` (B, d) with `_box_offsets` R, through `_local_core`.  A problem
-    holds its anchor's box rows ``R < h0`` of positive product weight,
-    taken with their weights from the (anchor, row) pairs of the box, then
-    its first other rows (all in the first L columns), each part in row
-    order, up to the longest L."""
+    holds its anchor's box rows ``R < h0`` of positive product weight, in
+    row order, taken with their weights from the (anchor, row) pairs of
+    the box; its slots past them (`_slots`) repeat its last row at weight
+    0."""
     X = data.X
-    box = R < h0
-    c, r = np.divmod(np.flatnonzero(box), box.shape[1])
+    c, r = np.divmod(np.flatnonzero(R < h0), R.shape[1])
     U = np.take(X, r, axis=0) - np.take(x0, c, axis=0)
     w = np.prod(kernel_eval(kernel, np.divide(U, h0, out=U)), axis=1)
-    under = w == 0
-    box[c[under], r[under]] = False
-    c, r, w = c[~under], r[~under], w[~under]
-    count = np.bincount(c, minlength=box.shape[0])
-    L = count.max()
-    pad = np.argsort(box[:, :L], axis=1, kind="stable")  # non-box rows first
-    gather = np.take_along_axis(pad, np.maximum(np.arange(L) - count[:, None], 0), axis=1)
-    at = (c, np.arange(c.size) - np.repeat(np.cumsum(count) - count, count))
-    gather[at] = r
-    Wg = np.zeros(gather.shape)
-    Wg[at] = w
-    del U, under, c, r, w, pad, at  # pair arrays must not live on through the local fits
+    keep = w > 0
+    c, r, w = c[keep], r[keep], w[keep]
+    count = np.bincount(c, minlength=R.shape[0])
+    pos, inside = _slots(np.cumsum(count) - count, count)
+    gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
+    del U, keep, c, r, w, pos  # pair arrays must not live on through the local fits
     D = np.take(X, gather, axis=0)
     D -= x0[:, None, :]
     return _local_core(D, Wg, data.Y[gather], h0, loss, opts)
@@ -339,10 +344,9 @@ def _index_problems(data, theta, anchors, h):
     window, in index order, at index offset ``Tg[c, k]``; the slots past
     the window (``inside`` False) repeat its last row."""
     t, order, lo, hi = _index_windows(data, theta, anchors, h)
-    count = (hi - lo)[:, None]
-    slot = np.arange(count.max(initial=0))
-    gather = order[lo[:, None] + np.minimum(slot, count - 1)]
-    return gather, t[gather] - t[anchors, None], slot < count
+    pos, inside = _slots(lo, hi - lo)
+    gather = order[pos]
+    return gather, t[gather] - t[anchors, None], inside
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel):

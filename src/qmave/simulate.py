@@ -18,7 +18,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -166,51 +166,19 @@ class BenchmarkReport:
 
     rows: list
 
-    CSV_COLUMNS = (
-        "n",
-        "method",
-        "noise",
-        "mean_error",
-        "sd_error",
-        "replications",
-        "excluded",
-    )
+    CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_COLUMNS)
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.n,
-                    r.method,
-                    r.noise,
-                    repr(r.mean_error),
-                    repr(r.sd_error),
-                    r.replications,
-                    r.excluded,
-                ]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(r)])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "rows": [
-                {
-                    "n": r.n,
-                    "method": r.method,
-                    "noise": r.noise,
-                    "mean_error": r.mean_error,
-                    "sd_error": r.sd_error,
-                    "replications": r.replications,
-                    "excluded": r.excluded,
-                    "flagged": r.flagged,
-                }
-                for r in self.rows
-            ]
-        }
-        return json.dumps(payload, indent=2, allow_nan=True)
+        rows = [{**asdict(r), "flagged": r.flagged} for r in self.rows]
+        return json.dumps({"rows": rows}, indent=2, allow_nan=True)
 
     def cell(self, n: int, method: str, noise: str) -> BenchmarkRow:
         for r in self.rows:

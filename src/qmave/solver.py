@@ -459,7 +459,12 @@ def _solve_ls_batch(Z, y, w):
 
 
 def _solve_normal(gram, rhs):
-    """`_solve_gram_batch` on a batch of one, raising where it gives NaN."""
+    """`_solve_gram_batch` on a batch of one, raising where it gives NaN;
+    a Gram that is not finite is named as an overflow, not a rank loss."""
+    if not np.all(np.isfinite(gram)):
+        raise DegenerateProblemError(
+            "weighted cross-product matrix is not finite: the design or response overflows"
+        )
     beta = _solve_gram_batch(gram, rhs)[0]
     if not np.all(np.isfinite(beta)):
         raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")

@@ -107,6 +107,20 @@ class TestCliSimulateAndFit:
                   "--out", str(tmp_path / "o.json")])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tau", "0", "quantile level must lie strictly in (0, 1), got 0.0"),
+            ("--trim", "0.5", "alpha must lie in [0, 0.5), got 0.5"),
+        ],
+    )
+    def test_library_domain_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fit", "--input", "x.csv", "--y-col", "y", flag, value,
+                  "--out", str(tmp_path / "o.json")])
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("h", ["abc", "-1", "0", "nan", "inf"])
     def test_invalid_bandwidth_is_usage_error(self, tmp_path, h):
         with pytest.raises(SystemExit) as exc_info:
@@ -159,6 +173,16 @@ class TestCliBenchmark:
         assert code == 0
         payload = json.loads(out.read_text())
         assert {r["method"] for r in payload["rows"]} == {"MAVE", "qMAVE"}
+
+    def test_zero_reps_is_single_line_error(self, tmp_path, capsys):
+        code = main(
+            ["benchmark", "--ns", "50", "--noises", "normal", "--reps", "0",
+             "--out", str(tmp_path / "b.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "replication" in err
 
     def test_bad_noise_is_single_line_error(self, tmp_path, capsys):
         code = main(

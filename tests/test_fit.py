@@ -453,7 +453,8 @@ class TestScaleOutOfRange:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
                 DegenerateUpdateError,
-                match="iteration 1: weighted cross-product matrix is rank-deficient",
+                match="iteration 1: weighted cross-product matrix is not finite: "
+                "the design or response overflows",
             ):
                 qmave_fit(Dataset(data.X, data.Y * scale), cfg)
 

@@ -348,13 +348,15 @@ class TestRoundingOnlyWindows:
 def _padded_gather(weights):
     """Pack positive-weight rows first along axis 0, preserving row order.
 
-    ``weights`` is (n, m); returns gather indices of shape (m, L) with
-    L = max positive count: each column's positive rows in row order, then
-    its first other rows in row order.
+    ``weights`` is (n, m); returns ``(gather, inside)`` of shape (m, L)
+    with L = max positive count: each column's positive rows in row order,
+    then repeats of its last positive row, where ``inside`` is False.
     """
-    max_len = max(int(np.count_nonzero(weights > 0, axis=0).max()), 1)
-    order = np.argsort(weights <= 0, axis=0, kind="stable")
-    return order[:max_len].T
+    count = np.count_nonzero(weights > 0, axis=0)
+    slot = np.arange(max(int(count.max()), 1))
+    order = np.argsort(weights <= 0, axis=0, kind="stable")[: slot.size].T
+    last = np.minimum(slot, count[:, None] - 1)
+    return np.take_along_axis(order, last, axis=1), slot < count[:, None]
 
 
 def _local_objectives(Tg, Wg, Yg, a, b, loss):
@@ -394,9 +396,9 @@ def dense_index_fits(data, theta, anchors, h, loss, kernel):
     T = t[:, None] - t[anchors][None, :]
     W = kernel_eval(kernel, T / h)
     pos = W > 0
-    gather = _padded_gather(W)
+    gather, inside = _padded_gather(W)
     Tg = np.take_along_axis(T.T, gather, axis=1)
-    Wg = np.take_along_axis(W.T, gather, axis=1)
+    Wg = np.where(inside, np.take_along_axis(W.T, gather, axis=1), 0.0)
     kept, a, B, effw = reference_fits(Tg[:, :, None], Wg, data.Y[gather], h, loss)
     windows = [(np.flatnonzero(p), T[p, c], W[p, c]) for c, p in enumerate(pos.T)]
     return (anchors[kept], a, B[:, 0], effw), windows
@@ -566,9 +568,10 @@ def dense_full_problems(data, anchors, h0, kernel):
         block = anchors[start : start + _FULL_BLOCK]
         D = data.X[:, None, :] - data.X[None, block, :]
         W = np.prod(kernel_eval(kernel, D / h0), axis=-1)
-        gather = _padded_gather(W)
+        gather, inside = _padded_gather(W)
         Dg = np.take_along_axis(D.transpose(1, 0, 2), gather[:, :, None], axis=1)
-        yield block, Dg, np.take_along_axis(W.T, gather, axis=1), data.Y[gather]
+        Wg = np.where(inside, np.take_along_axis(W.T, gather, axis=1), 0.0)
+        yield block, Dg, Wg, data.Y[gather]
 
 
 def dense_full_fits(data, anchors, h0, loss, kernel):

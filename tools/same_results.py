@@ -8,8 +8,10 @@ Each tree's ``src/`` runs in its own subprocess over one fixed set of
 cases, and every case's output is reduced to a SHA-256 digest of its
 bytes.  The cases:
 
-- the n=200 four-law ``run_benchmark`` CSV at the benchmark config and
-  at a fixed-iteration config (``tol=1e-12, max_iter=5``);
+- the n=200 four-law ``run_benchmark`` CSV and JSON reports at the
+  benchmark config and at a fixed-iteration config (``tol=1e-12,
+  max_iter=5``), and both reports of three hand-made rows: a NaN cell, a
+  flagged cell and a plain one;
 - ``qmave_fit`` theta, objective-trace bytes and iteration count for
   tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
   squared-loss (MAVE) fit, and two more at the benchmark's timed config
@@ -18,6 +20,8 @@ bytes.  The cases:
 - ``index_fit_batch`` and ``full_fit_batch`` for both losses, and
   ``full_fit_batch`` at every anchor of an n=1000 dataset (several anchor
   blocks), both kernels and both losses;
+- ``local_linear_full_fit`` for both losses at two bandwidths and four
+  anchors: two rows, the data mean and a point whose box is empty;
 - the init ladder probe ``_median_window_count`` at every rung of
   ``_INIT_LADDER``, one digest per rung, at n=200 and n=1000, and the
   ``_auto_init`` theta at n=1000 for seeds 100-103 and both losses, so
@@ -81,6 +85,15 @@ def _grid_cases(qm):
             ns=[200], laws=laws, replications=2, workers=1, base_seed=7, **budget
         )
         out[f"grid/{label}"] = _digest(report.to_csv().encode())
+        out[f"grid/{label}/json"] = _digest(report.to_json().encode())
+    # a NaN cell, a flagged cell and a plain one, serialised both ways
+    rows = [
+        qm.BenchmarkRow(50, "MAVE", "t1", math.nan, math.nan, 3, 3),
+        qm.BenchmarkRow(50, "qMAVE", "t1", 0.25, 0.0, 10, 2),
+        qm.BenchmarkRow(200, "qMAVE", "normal", 0.1 / 3, 1e-17, 10, 1),
+    ]
+    report = qm.BenchmarkReport(rows)
+    out["grid/edge_rows"] = _digest(report.to_csv().encode(), report.to_json().encode())
     return out
 
 
@@ -129,6 +142,19 @@ def _batch_cases(qm, np):
             out[f"batch/index/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
             res = full_fit_batch(data, anchors, 2.0, loss, kernel)
             out[f"batch/full/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
+    # single full fits: at data points, off the data and far outside it
+    # (an empty box)
+    points = {"row0": data.X[0], "row50": data.X[50], "mean": data.X.mean(axis=0)}
+    points["far"] = data.X[0] + 10.0
+    for lname, loss in (("q0.3", qm.LossSpec.quantile(0.3)), ("ls", qm.LossSpec.squared())):
+        for pname, x0 in points.items():
+            for h0 in (1.0, 2.0):
+                try:
+                    fit = qm.local_linear_full_fit(data, x0, h0, loss, qm.KernelSpec.quartic())
+                    got = (float(fit.a).hex(), fit.b.tobytes(), float(fit.effective_weight).hex())
+                except qm.QmaveError as exc:
+                    got = (type(exc).__name__, str(exc))
+                out[f"single/full/{lname}/{pname}/h{h0}"] = _digest(*got)
     # every anchor at n=1000, in several anchor blocks; at h0 = 0.7 about
     # 7 in 10 windows hold a usable fit
     data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
