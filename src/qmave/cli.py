@@ -211,8 +211,6 @@ def _cmd_benchmark(args) -> int:
         laws = [NoiseLaw(s.strip()) for s in args.noises.split(",") if s.strip()]
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
-    if args.workers < 1:
-        raise InvalidInputError("--workers must be at least 1")
     report = run_benchmark(
         ns, laws, replications=args.reps, base_seed=args.seed, workers=args.workers
     )

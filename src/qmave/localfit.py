@@ -16,18 +16,21 @@ no neighbourhood is found by evaluating a kernel.  Along an index the
 rows of an anchor's window are one run of the rows sorted by ``t = X
 theta`` (`_index_windows`); the index fits read each window in that
 order, and the outer problem takes its (row, anchor) pairs from the same
-runs (`_index_pairs`).  In full dimension the product kernel is positive
-on a box, so the full fits and the ladder probe work on blocks of anchors
-with one (block, n) matrix R of largest coordinate offsets each
-(`_box_blocks`).  A row lies in the box where ``R < h0``.  For h0 > 0
-that is ``_in_support(R / h0)`` exactly: IEEE division is correctly
-rounded and monotone, so ``R >= h0`` gives ``R / h0 >= 1``, and ``R < h0``
-gives at most ``prev(h0) / h0``, which rounds below 1.  Both kinds of
-fit pad their stacked problems by one rule (`_slots`): the slots past a
-problem's rows repeat its last row at weight 0.  Rows are gathered by
-``np.take(A, rows, axis=0)``, the bytes of ``A[rows]`` by a faster path,
-then offset and scaled in place: no full-size temporary lives beside a
-design or the outer problem.
+runs (`_index_pairs`).  The index fits run in blocks of anchors, the
+interior point's own block of p = 2 problems, each padded to the longest
+window of all anchors: pad rows enter the interior point's gap and the
+sums, so one pad length keeps the bytes of a single stack.  In full
+dimension the product kernel is positive on a box, so the full fits and
+the ladder probe work on blocks of anchors with one (block, n) matrix R
+of largest coordinate offsets each (`_box_blocks`).  A row lies in the
+box where ``R < h0``.  For h0 > 0 that is ``_in_support(R / h0)``
+exactly: IEEE division is correctly rounded and monotone, so ``R >= h0``
+gives ``R / h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``,
+which rounds below 1.  Both kinds of fit pad their stacked problems by
+one rule (`_slots`): the slots past a problem's rows repeat its last row
+at weight 0.  Rows are gathered by ``np.take(A, rows, axis=0)``, the
+bytes of ``A[rows]`` by a faster path, then offset and scaled in place:
+no full-size temporary lives beside a design or the outer problem.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import SolverOptions, _solve_ls_batch, _solve_qr_batch
+from .solver import _BLOCK_CELLS, SolverOptions, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -260,12 +263,12 @@ def _local_core(D, Wg, Yg, h, loss, opts):
     return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok], complete
 
 
-def _slots(start, count):
+def _slots(start, count, width):
     """The pad rule of stacked local problems: ``(pos, inside)`` of shape
-    (B, L), L the longest run.  Slot k of run c is the position ``start[c]
-    + k``; the slots past a run (``inside`` False) repeat its last
-    position."""
-    slot = np.arange(count.max(initial=0))
+    (B, width), width at least the longest run.  Slot k of run c is the
+    position ``start[c] + k``; the slots past a run (``inside`` False)
+    repeat its last position."""
+    slot = np.arange(width)
     count = count[:, None]
     return start[:, None] + np.minimum(slot, count - 1), slot < count
 
@@ -284,7 +287,7 @@ def _full_core(data, x0, R, h0, loss, kernel, opts):
     keep = w > 0
     c, r, w = c[keep], r[keep], w[keep]
     count = np.bincount(c, minlength=R.shape[0])
-    pos, inside = _slots(np.cumsum(count) - count, count)
+    pos, inside = _slots(np.cumsum(count) - count, count, count.max(initial=0))
     gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
     del U, keep, c, r, w, pos  # pair arrays must not live on through the local fits
     D = np.take(X, gather, axis=0)
@@ -337,31 +340,43 @@ def _index_pairs(data, theta, anchors, h):
     return t, order[pos], cols
 
 
-def _index_problems(data, theta, anchors, h):
-    """The stacked problems of `index_fit_batch`: ``(gather, Tg,
+def _index_problems(windows, anchors, block, width):
+    """The stacked problems of `index_fit_batch` at the anchors
+    ``anchors[block]``, from their `_index_windows`: ``(gather, Tg,
     inside)``, one row per anchor (each anchor lies in its own window).
     Slot k of anchor c is the row ``gather[c, k] = order[lo + k]`` of its
     window, in index order, at index offset ``Tg[c, k]``; the slots past
-    the window (``inside`` False) repeat its last row."""
-    t, order, lo, hi = _index_windows(data, theta, anchors, h)
-    pos, inside = _slots(lo, hi - lo)
+    the window, up to ``width`` (``inside`` False), repeat its last row."""
+    t, order, lo, hi = windows
+    pos, inside = _slots(lo[block], hi[block] - lo[block], width)
     gather = order[pos]
-    return gather, t[gather] - t[anchors, None], inside
+    return gather, t[gather] - t[anchors[block], None], inside
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel):
-    """Local-linear index fits at ``X[anchors]``, all anchors at once.
+    """Local-linear index fits at ``X[anchors]``, in blocks of anchors.
 
     Returns ``(kept_anchor_indices, a, b, effective_weight)`` in the order
     of ``anchors``; anchors whose window fails the rank screen of
     `_local_core` (or gives a non-finite solution) are silently omitted.
+    Anchors run in L2-sized blocks of ``_BLOCK_CELLS // 2L``, the interior
+    point's block of p = 2 problems, each padded to L, the longest window
+    of all anchors: pad rows enter the interior point's gap and the sums,
+    so a pad length per block would change bits.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    gather, Tg, inside = _index_problems(data, theta, anchors, h)
-    Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
-    kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, SolverOptions())
-    return anchors[kept], a, B[:, 0], effw
+    opts = SolverOptions()
+    windows = _index_windows(data, theta, anchors, h)
+    width = np.max(windows[3] - windows[2], initial=0)
+    step = max(1, _BLOCK_CELLS // max(2 * width, 1))
+    parts = [(anchors[:0], np.empty(0), np.empty(0), np.empty(0))]
+    for block in (slice(lo, lo + step) for lo in range(0, anchors.size, step)):
+        gather, Tg, inside = _index_problems(windows, anchors, block, width)
+        Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
+        kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+        parts.append((anchors[block][kept], a, B[:, 0], effw))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def full_fit_batch(data, anchors, h0, loss, kernel):

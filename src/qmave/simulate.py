@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
@@ -229,10 +230,12 @@ def run_benchmark(
     seeds are derived from ``(base_seed, n, law, rep)``, so the report is
     identical for any ``workers`` value and any scheduling order.
     Replications whose fit raises are excluded from the aggregates and
-    counted in ``excluded``.
+    counted in ``excluded``.  ``replications`` and ``workers`` must be
+    integers >= 1.
     """
-    if replications < 1:
-        raise InvalidInputError("need at least one replication")
+    for name, count in (("replications", replications), ("workers", workers)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise InvalidInputError(f"{name} must be an integer >= 1, got {count!r}")
     ns = [int(n) for n in ns]
     laws = list(laws)
     methods = tuple(methods)

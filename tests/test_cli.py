@@ -184,6 +184,16 @@ class TestCliBenchmark:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "replication" in err
 
+    def test_zero_workers_is_single_line_error(self, tmp_path, capsys):
+        code = main(
+            ["benchmark", "--ns", "50", "--noises", "normal", "--reps", "1",
+             "--workers", "0", "--out", str(tmp_path / "b.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "workers" in err
+
     def test_bad_noise_is_single_line_error(self, tmp_path, capsys):
         code = main(
             ["benchmark", "--ns", "50", "--noises", "cauchy", "--reps", "1",

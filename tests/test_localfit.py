@@ -18,6 +18,7 @@ from qmave import (
     local_linear_full_fit,
     local_linear_index_fit,
     qr_oracle,
+    trim_mask,
 )
 from qmave import fit as fit_module
 from qmave import localfit
@@ -30,11 +31,13 @@ from qmave.fit import (
     inner_step,
     outer_problem,
     outer_step,
+    resolve_bandwidth,
 )
 from qmave.localfit import (
     _FULL_BLOCK,
     _index_pairs,
     _index_problems,
+    _index_windows,
     full_fit_batch,
     index_fit_batch,
 )
@@ -454,7 +457,9 @@ class TestSortedWindowsAreExact:
                 assert fits[0].size >= 2
                 assert got[0].tobytes() == fits[0].tobytes()
                 # window contents: each anchor's (row, T, Y) set
-                gather, Tg, inside = _index_problems(data, theta, anchors, h)
+                runs = _index_windows(data, theta, anchors, h)
+                L = np.max(runs[3] - runs[2])
+                gather, Tg, inside = _index_problems(runs, anchors, slice(None), L)
                 assert len(windows) == anchors.size
                 for k, (rows, T, _) in enumerate(windows):
                     by_row = np.argsort(gather[k, inside[k]], kind="stable")
@@ -489,6 +494,70 @@ class TestSortedWindowsAreExact:
                     assert have[perm].tobytes() == want.tobytes()
                 have = eq_objective(data, theta, got, cfg)
                 assert have == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+class TestIndexBlocks:
+    """`index_fit_batch` runs its anchors in blocks, each padded to the
+    longest window of all anchors: blocks of any size give the bytes of
+    one block."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    @pytest.mark.parametrize("kind", ["plain", "ties", "duplicates", "shifted", "isolated"])
+    def test_blocks_change_no_byte(self, monkeypatch, kind, loss, kernel):
+        data, theta = window_data("plain" if kind == "isolated" else kind)
+        if kind == "isolated":
+            # the first 16 rows on one far point: their 8 anchors fill the
+            # first block of 7, and the rank screen drops every one
+            X = data.X.copy()
+            X[:16] = X[0] + 50.0
+            data = Dataset(X, data.Y)
+        h = 0.75 if kind == "ties" else 0.1 * np.std(data.X @ theta, ddof=1)
+        anchors = np.arange(1, 120, 2)
+        _, _, lo, hi = _index_windows(data, theta, anchors, h)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return local_core(*args)
+
+        local_core = localfit._local_core
+        monkeypatch.setattr(localfit, "_local_core", spy)
+        fits = {}
+        # anchors per block: all 60 at once, 1, and 7 with a short last block
+        for size in (anchors.size, 1, 7):
+            monkeypatch.setattr(localfit, "_BLOCK_CELLS", size * 2 * np.max(hi - lo))
+            calls.clear()
+            fits[size] = index_fit_batch(data, theta, anchors, h, loss, kernel)
+            assert calls == [min(size, anchors.size - k) for k in range(0, anchors.size, size)]
+        want = fits[anchors.size]
+        assert want[0].size >= 2
+        if kind == "isolated":
+            assert not np.isin(anchors[:8], want[0]).any()
+        for size in (1, 7):
+            for w, g in zip(want, fits[size]):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    def test_no_anchors(self, loss):
+        data, theta = window_data("plain")
+        idx, a, b, effw = index_fit_batch(data, theta, [], 0.5, loss, EPA)
+        assert idx.dtype.kind == "i" and idx.shape == (0,)
+        assert a.shape == b.shape == effw.shape == (0,)
+
+    def test_peak_memory_at_n1000(self):
+        data, theta = gen_model8(SimConfig(n=1000, seed=3))
+        cfg = QmaveConfig(loss=LossSpec.squared())
+        h = resolve_bandwidth(data, theta, cfg)
+        anchors = np.flatnonzero(trim_mask(data, cfg.trim))
+        tracemalloc.start()
+        try:
+            index_fit_batch(data, theta, anchors, h, cfg.loss, cfg.kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one stacked problem of every anchor peaks at about 12 MB
+        assert peak < 4e6
 
 
 def exact_pooled(data, theta, fits, h, loss, w):

@@ -98,6 +98,13 @@ class TestRunBenchmark:
             assert row.sd_error == 0.0
             assert row.replications == 1
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 1.5])
+    @pytest.mark.parametrize("name", ["replications", "workers"])
+    def test_counts_must_be_positive_integers(self, name, bad):
+        kw = {"replications": 1, "workers": 1, name: bad}
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer >= 1"):
+            run_benchmark([80], [NoiseLaw.SCALED_NORMAL], **kw)
+
     def test_deterministic_across_parallelism(self):
         kw = dict(
             ns=[80],

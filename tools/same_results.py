@@ -14,12 +14,15 @@ bytes.  The cases:
   flagged cell and a plain one;
 - ``qmave_fit`` theta, objective-trace bytes and iteration count for
   tau in {0.1, 0.5, 0.9}, both kernels and two datasets, plus one n=1000
-  squared-loss (MAVE) fit, and two more at the benchmark's timed config
+  squared-loss (MAVE) fit, two more at the benchmark's timed config
   (``tol=1e-12, max_iter=5``, normal and t1 noise), whose traces end with
-  the objective of the unconverged tail;
-- ``index_fit_batch`` and ``full_fit_batch`` for both losses, and
-  ``full_fit_batch`` at every anchor of an n=1000 dataset (several anchor
-  blocks), both kernels and both losses;
+  the objective of the unconverged tail, and one n=1000 qMAVE fit at
+  ``tol=1e-12, max_iter=2``;
+- ``index_fit_batch`` and ``full_fit_batch`` for both losses, and at
+  n=1000 (several anchor blocks, both kernels and both losses)
+  ``full_fit_batch`` at every anchor and ``index_fit_batch`` at every
+  trimmed anchor, at the default bandwidth and at a wide one whose
+  windows hold nearly every row;
 - ``local_linear_full_fit`` for both losses at two bandwidths and four
   anchors: two rows, the data mean and a point whose box is empty;
 - the init ladder probe ``_median_window_count`` at every rung of
@@ -56,7 +59,7 @@ verdict and the exit code rest on the bytes alone:
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
-A full pass takes about 6 seconds per tree, 12 to 15 for the pair, on a
+A full pass takes about 10 seconds per tree, 20 to 22 for the pair, on a
 2-core machine.
 """
 
@@ -117,6 +120,10 @@ def _fit_cases(qm, np, details):
         cfg = qm.QmaveConfig(loss=qm.LossSpec.squared(), tol=1e-12, max_iter=5)
         name = f"fit/mave/n1000/timed/{law.value}"
         out[name] = _fit_or_error(qm, data, cfg, details, name)
+    # one qMAVE fit at n=1000: quantile index fits in several anchor blocks
+    data, _ = qm.gen_model8(qm.SimConfig(n=1000, noise=qm.NoiseLaw.SCALED_T1, seed=3))
+    cfg = qm.QmaveConfig(loss=qm.LossSpec.quantile(0.5), tol=1e-12, max_iter=2)
+    out["fit/qmave/n1000/timed"] = _fit_or_error(qm, data, cfg, details, "fit/qmave/n1000/timed")
     return out
 
 
@@ -157,11 +164,24 @@ def _batch_cases(qm, np):
                 out[f"single/full/{lname}/{pname}/h{h0}"] = _digest(*got)
     # every anchor at n=1000, in several anchor blocks; at h0 = 0.7 about
     # 7 in 10 windows hold a usable fit
-    data, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
+    data, theta0 = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
     for lname, loss in (("q0.5", qm.LossSpec.quantile(0.5)), ("ls", qm.LossSpec.squared())):
         for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
             res = full_fit_batch(data, np.arange(1000), 0.7, loss, kernel)
             out[f"batch/full/n1000/{lname}/{kname}"] = _digest(*(v.tobytes() for v in res))
+    # every trimmed anchor at n=1000, in several anchor blocks: at the
+    # default bandwidth, and at a wide one whose windows hold nearly every
+    # row, so that a block holds few anchors
+    from qmave.fit import resolve_bandwidth
+
+    anchors = np.flatnonzero(qm.trim_mask(data, qm.TrimSpec()))
+    default = resolve_bandwidth(data, theta0, qm.QmaveConfig())
+    wide = 2.0 * float(np.std(data.X @ theta0, ddof=1))
+    for hname, h in (("default", default), ("wide", wide)):
+        for lname, loss in (("q0.5", qm.LossSpec.quantile(0.5)), ("ls", qm.LossSpec.squared())):
+            for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
+                res = index_fit_batch(data, theta0, anchors, h, loss, kernel)
+                out[f"batch/index/n1000/{hname}/{lname}/{kname}"] = _digest(*(v.tobytes() for v in res))
     return out
 
 
