@@ -7,6 +7,7 @@ scalars or numpy arrays and evaluate elementwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,18 @@ __all__ = [
 ]
 
 
+def _check_count(name, value):
+    """Raise unless ``value`` is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive(name, value):
+    """Raise unless ``value`` is a real number, finite and positive."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Either the check loss at level ``tau`` or the squared loss.
@@ -39,7 +52,7 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind == "quantile":
-            if self.tau is None or not (0.0 < self.tau < 1.0):
+            if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < 1.0):
                 raise InvalidInputError(
                     f"quantile level must lie strictly in (0, 1), got {self.tau!r}"
                 )
@@ -51,7 +64,12 @@ class LossSpec:
 
     @classmethod
     def quantile(cls, tau: float) -> "LossSpec":
-        return cls("quantile", float(tau))
+        """The check loss at level ``tau``, a real number or its text."""
+        try:
+            tau = float(tau)
+        except (TypeError, ValueError):
+            pass  # not a number: the level check names it
+        return cls("quantile", tau)
 
     @classmethod
     def squared(cls) -> "LossSpec":
@@ -98,14 +116,12 @@ class BandwidthRule:
     c_h: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.c_h < math.inf):
-            raise InvalidInputError(f"c_h must be finite and positive, got {self.c_h}")
+        _check_positive("c_h", self.c_h)
         if self.stage == "index":
             if self.d is not None:
                 raise InvalidInputError("index stage takes no dimension")
         elif self.stage == "full_dim":
-            if self.d is None or self.d < 1:
-                raise InvalidInputError("full_dim stage needs a dimension d >= 1")
+            _check_count("d", self.d)
         else:
             raise InvalidInputError(f"unknown bandwidth stage {self.stage!r}")
 
@@ -115,7 +131,7 @@ class BandwidthRule:
 
     @classmethod
     def full_dim(cls, d: int, c_h: float = 1.0) -> "BandwidthRule":
-        return cls("full_dim", int(d), c_h)
+        return cls("full_dim", d, c_h)
 
     @property
     def exponent(self) -> float:
@@ -144,8 +160,7 @@ def check_subgradient(v, tau: float):
     Returns tau for v > 0 and tau - 1 for v <= 0; the v = 0 convention
     follows the indicator split of the loss definition.
     """
-    if not (0.0 < tau < 1.0):
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
+    tau = LossSpec.quantile(tau).tau
     v = np.asarray(v, dtype=float)
     out = np.where(v > 0, tau, tau - 1.0)
     return float(out) if out.ndim == 0 else out
@@ -181,8 +196,7 @@ def default_bandwidth(rule: BandwidthRule, n: int, scale: float) -> float:
     """
     if n < 2:
         raise InvalidInputError(f"need n >= 2 to form a bandwidth, got n={n}")
-    if not scale > 0:
-        raise InvalidInputError(f"scale must be positive, got {scale}")
+    _check_positive("scale", scale)
     return rule.c_h * scale * (math.log(n) / n) ** rule.exponent
 
 

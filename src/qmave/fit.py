@@ -19,6 +19,8 @@ from .core import (
     BandwidthRule,
     KernelSpec,
     LossSpec,
+    _check_count,
+    _check_positive,
     coordinate_dispersion,
     default_bandwidth,
     index_dispersion,
@@ -38,7 +40,6 @@ from .localfit import (
     Dataset,
     _as_unit,
     _box_blocks,
-    _check_bandwidth,
     _index_pairs,
     index_fit_batch,
 )
@@ -84,14 +85,10 @@ class QmaveConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidInputError(f"tol must be positive, got {self.tol}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise InvalidInputError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_positive("tol", self.tol)
+        _check_count("max_iter", self.max_iter)
         if self.h is not None:
-            _check_bandwidth(self.h)
+            _check_positive("bandwidth", self.h)
 
 
 @dataclass

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelSpec, LossSpec
+from .core import KernelSpec, LossSpec, _check_positive
 from .errors import (
     DegenerateDirectionError,
     InsufficientDataError,
     InvalidInputError,
 )
-from .localfit import Dataset, _check_bandwidth, full_fit_batch
+from .localfit import Dataset, full_fit_batch
 
 __all__ = [
     "TrimSpec",
@@ -102,11 +102,9 @@ def ade_initial_estimate(
     fit fails for lack of data are counted as trimmed.  Slopes whose
     squares overflow raise ``DegenerateDirectionError``.
     """
-    if not (0.0 < tau < 1.0):
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
-    _check_bandwidth(h0)
-    if loss is None:
-        loss = LossSpec.quantile(tau)
+    level = LossSpec.quantile(tau)  # checks tau even when ``loss`` overrides it
+    _check_positive("bandwidth", h0)
+    loss = level if loss is None else loss
     anchors = np.flatnonzero(trim_mask(data, trim))
     idx, _, B, _ = full_fit_batch(data, anchors, h0, loss, kernel)
     m = idx.size

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelSpec, LossSpec, _in_support, kernel_eval
+from .core import KernelSpec, LossSpec, _check_positive, _in_support, kernel_eval
 from .errors import (
     ConvergenceError,
     InsufficientLocalDataError,
@@ -131,11 +131,6 @@ def _as_unit(v, name, size=None):
     return v / nrm
 
 
-def _check_bandwidth(h):
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
-
-
 def _single_fit(fits, opts, reason) -> LocalFit:
     """The one fit of a single-problem core call; raises when it was dropped."""
     kept, a, b, effw, complete = fits
@@ -165,7 +160,7 @@ def local_linear_index_fit(
     Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
     """
     theta = _as_unit(theta, "index vector", data.d)
-    _check_bandwidth(h)
+    _check_positive("bandwidth", h)
     opts = opts or SolverOptions()
     T = (data.X - np.asarray(x0, dtype=float).ravel()) @ theta
     rows = np.flatnonzero(_in_support(T / h))
@@ -190,7 +185,7 @@ def local_linear_full_fit(
     Weights come from the product kernel ``prod_l K((X_il - x0_l)/h0)``.
     Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
     """
-    _check_bandwidth(h0)
+    _check_positive("bandwidth", h0)
     opts = opts or SolverOptions()
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape != (data.d,):
@@ -387,7 +382,7 @@ def full_fit_batch(data, anchors, h0, loss, kernel):
     rank screen of `_local_core` or gives a non-finite solution are
     omitted.
     """
-    _check_bandwidth(h0)
+    _check_positive("bandwidth", h0)
     opts = SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]

@@ -17,14 +17,13 @@ import hashlib
 import io
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .core import LossSpec
+from .core import LossSpec, _check_count
 from .errors import InvalidInputError, QmaveError
 from .fit import QmaveConfig, estimation_error, qmave_fit
 from .localfit import Dataset
@@ -83,8 +82,7 @@ def _design_covariance() -> np.ndarray:
 
 def gen_design(n: int, seed) -> np.ndarray:
     """n i.i.d. draws of a 5-dim Gaussian with covariance 0.5^|i-j|."""
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
+    _check_count("n", n)
     rng = _rng("design", seed)
     L = np.linalg.cholesky(_design_covariance())
     return rng.standard_normal((n, DESIGN_DIM)) @ L.T
@@ -233,9 +231,8 @@ def run_benchmark(
     counted in ``excluded``.  ``replications`` and ``workers`` must be
     integers >= 1.
     """
-    for name, count in (("replications", replications), ("workers", workers)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise InvalidInputError(f"{name} must be an integer >= 1, got {count!r}")
+    _check_count("replications", replications)
+    _check_count("workers", workers)
     ns = [int(n) for n in ns]
     laws = list(laws)
     methods = tuple(methods)

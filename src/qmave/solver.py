@@ -11,8 +11,9 @@ that vertex optimal in closed form.  Blocks hold a fixed number of design
 cells, so a small call pays the per-call costs once.  Problems the
 certificate rejects (tied or degenerate data) go to a vertex polish over
 exact-fit candidates through the rows with the smallest residuals.  The
-test for rows in general position scales each row to unit length first,
-so the certificate works at any design scale.
+test for rows in general position scales each row to unit length; the
+certificate, like the interior point's Gram, holds for row norms from
+about 1e-154 to 1e+154, where their squares neither under- nor overflow.
 
 Weighted least squares solves the normal equations without a ridge, and
 gives NaN coefficients where the Gram is not finite or its eigenvalue
@@ -29,13 +30,12 @@ All solvers are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .core import LossSpec, check_loss
+from .core import LossSpec, _check_count, check_loss
 from .errors import (
     ConvergenceError,
     DegenerateProblemError,
@@ -81,9 +81,7 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        its = self.max_iterations
-        if isinstance(its, bool) or not isinstance(its, numbers.Integral) or its < 1:
-            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {its!r}")
+        _check_count("max_iterations", self.max_iterations)
 
 
 @dataclass
@@ -139,8 +137,7 @@ def weighted_quantile(values, weights, tau: float) -> float:
     ``tau`` times the total weight (the lower weighted quantile); any such
     value attains the minimum objective.
     """
-    if not (0.0 < tau < 1.0):
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
+    tau = LossSpec.quantile(tau).tau
     values = np.asarray(values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     if values.size == 0 or values.shape != weights.shape:
@@ -158,7 +155,8 @@ def weighted_quantile(values, weights, tau: float) -> float:
 
 def _batch_solve(A, rhs):
     """Solve stacked p x p systems with (B, p) right-hand sides, falling
-    back row-by-row on failure."""
+    back row-by-row, by least squares on a singular system: the interior
+    point's Grams on collinear design columns, whose optimum is uncertified."""
     try:
         return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -181,7 +179,8 @@ def _batch_objective(Z, y, w, beta, tau):
 def _in_general_position(Zs):
     """Per stacked p x p system, whether its rows are in general position:
     whether the determinant of the rows scaled to unit length (a zero row
-    stays zero) exceeds ``_GENERAL_POSITION_RTOL``, at any scale of rows."""
+    stays zero) exceeds ``_GENERAL_POSITION_RTOL``, so a system that passes
+    is nonsingular.  Rows with norms beyond about 1e-154 or 1e+154 fail."""
     norm = np.linalg.norm(Zs, axis=2, keepdims=True)
     return np.abs(np.linalg.det(Zs / np.where(norm > 0, norm, 1.0))) > _GENERAL_POSITION_RTOL
 
@@ -484,9 +483,9 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
 
     The returned vertex is certified optimal in closed form by the
     Koenker-Bassett subgradient condition, at any problem size; problems
-    the certificate rejects (tied or degenerate data) are finished by the
-    vertex polish instead, without a certificate.  Coefficients
-    themselves may be non-unique.  Deterministic for fixed inputs.
+    the certificate rejects (tied or degenerate data, collinear columns)
+    are finished by the vertex polish instead, without a certificate.
+    Coefficients may be non-unique.  Deterministic for fixed inputs.
 
     Raises
     ------
@@ -541,10 +540,10 @@ def solve_weighted_ls(problem: WeightedRegressionProblem):
 def qr_oracle(problem: WeightedRegressionProblem):
     """Exhaustive-enumeration optimum for small quantile problems.
 
-    Solves every nonsingular p x p interpolation system through rows with
-    positive weight, scores each candidate on the full objective and
-    returns the best.  A test oracle: sized for n <= 15, p <= 4, accepted
-    whenever the subset enumeration stays small.
+    Solves the p x p interpolation system through each set of positively
+    weighted rows in general position (`_in_general_position`), scores
+    each on the full objective and returns the best.  A test oracle:
+    sized for n <= 15, p <= 4, accepted while the enumeration stays small.
     """
     if not problem.loss.is_quantile:
         raise InvalidInputError("qr_oracle requires a quantile loss")
@@ -562,13 +561,9 @@ def qr_oracle(problem: WeightedRegressionProblem):
     best_obj = np.inf
     for subset in combinations(active.tolist(), p):
         Zs = problem.Z[list(subset)]
-        hadamard = float(np.prod(np.linalg.norm(Zs, axis=1)))
-        if abs(np.linalg.det(Zs)) <= _GENERAL_POSITION_RTOL * max(hadamard, 1e-300):
+        if not _in_general_position(Zs[None])[0]:
             continue
-        try:
-            cand = np.linalg.solve(Zs, problem.y[list(subset)])
-        except np.linalg.LinAlgError:
-            continue
+        cand = np.linalg.solve(Zs, problem.y[list(subset)])
         obj = problem.objective(cand)
         if np.isfinite(obj) and obj < best_obj:
             best_obj = obj

@@ -111,6 +111,7 @@ class TestCliSimulateAndFit:
         "flag, value, message",
         [
             ("--tau", "0", "quantile level must lie strictly in (0, 1), got 0.0"),
+            ("--tau", "abc", "quantile level must lie strictly in (0, 1), got 'abc'"),
             ("--trim", "0.5", "alpha must lie in [0, 0.5), got 0.5"),
         ],
     )

@@ -1,6 +1,7 @@
 """Losses, kernels and bandwidth rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from qmave import (
     InvalidInputError,
     KernelSpec,
     LossSpec,
+    NoiseLaw,
+    QmaveConfig,
+    SolverOptions,
     check_loss,
     check_subgradient,
     default_bandwidth,
+    gen_design,
     kernel_eval,
+    run_benchmark,
+    weighted_quantile,
 )
 from qmave.core import _in_support
 
@@ -243,3 +250,42 @@ class TestBandwidth:
             BandwidthRule.index(c_h=c_h)
         with pytest.raises(InvalidInputError, match="c_h must be finite and positive"):
             BandwidthRule.full_dim(3, c_h=c_h)
+
+
+class TestDomainRules:
+    """Each domain rule has one definition in ``core`` and names bad input,
+    non-numeric input too, with an ``InvalidInputError``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: LossSpec.quantile(None),
+            lambda: LossSpec.quantile("abc"),
+            lambda: weighted_quantile([1.0, 2.0], [1.0, 1.0], None),
+            lambda: check_subgradient(1.0, "abc"),
+            lambda: QmaveConfig(h="x"),
+            lambda: BandwidthRule.index(c_h=None),
+        ],
+        ids=["tau-None", "tau-text", "weighted_quantile", "check_subgradient", "h", "c_h"],
+    )
+    def test_non_numeric_input_is_invalid(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
+    COUNT_SITES = {
+        "max_iterations": lambda v: SolverOptions(max_iterations=v),
+        "max_iter": lambda v: QmaveConfig(max_iter=v),
+        "replications": lambda v: run_benchmark(
+            [80], [NoiseLaw.SCALED_NORMAL], methods=("MAVE",), replications=v
+        ),
+        "n": lambda v: gen_design(v, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COUNT_SITES))
+    def test_counts_share_one_rule(self, name):
+        site = self.COUNT_SITES[name]
+        for bad in (0, -3, True, 2.5, "10"):
+            message = re.escape(f"{name} must be an integer >= 1, got {bad!r}")
+            with pytest.raises(InvalidInputError, match=message):
+                site(bad)
+        site(np.int64(3))

@@ -301,7 +301,7 @@ class TestQmaveFit:
             qmave_fit(data, median_cfg(init=unit([1.0, 0.0]), h=2.0))
 
     def test_max_iter_must_be_integer(self):
-        with pytest.raises(InvalidInputError, match="max_iter must be an integer, got 2.5"):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer >= 1, got 2.5"):
             QmaveConfig(max_iter=2.5)
 
     def test_config_validation(self):

@@ -1,6 +1,7 @@
 """Weighted quantile regression solver, least squares, and the oracle."""
 
 import tracemalloc
+import warnings
 from itertools import chain, combinations
 
 import numpy as np
@@ -309,6 +310,30 @@ class TestSolveWeightedLs:
         np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
 
 
+class TestCollinearDesign:
+    def test_interior_point_start_takes_the_lstsq_fallback(self, monkeypatch):
+        # columns [1, x, 2x]: the interior point's Grams are singular, so
+        # _batch_solve solves them by least squares, and the optimum, which
+        # no certificate covers, matches the oracle's on [1, x]
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=20)
+        y, w, loss = x + rng.standard_t(3, size=20), np.ones(20), LossSpec.quantile(0.5)
+        wide = WeightedRegressionProblem(np.column_stack([np.ones(20), x, 2 * x]), y, w, loss)
+        narrow = WeightedRegressionProblem(np.column_stack([np.ones(20), x]), y, w, loss)
+        got = wide.objective(solve_weighted_qr(wide))
+        assert calls
+        best = narrow.objective(qr_oracle(narrow))
+        assert abs(got - best) <= 1e-9 * best
+
+
 class TestQrOracle:
     def test_median_candidates(self):
         prob = WeightedRegressionProblem(
@@ -347,6 +372,22 @@ class TestQrOracle:
         prob = WeightedRegressionProblem(Z, [1, 2, 3], np.ones(3), LossSpec.quantile(0.5))
         with pytest.raises(DegenerateProblemError):
             qr_oracle(prob)
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e140])
+    def test_far_from_unit_scale(self, scale):
+        # the oracle's general-position test is the certificate's: it holds
+        # while row norms stay within about 1e+-154, with no overflow
+        rng = np.random.default_rng(17)
+        Z = rng.normal(size=(10, 3))
+        Z[:, 0] = 1.0
+        prob = WeightedRegressionProblem(
+            Z * scale, rng.normal(size=10), rng.uniform(0.5, 2.0, size=10), LossSpec.quantile(0.3)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            o_oracle = prob.objective(qr_oracle(prob))
+        o_solver = prob.objective(solve_weighted_qr(prob))
+        assert o_oracle == pytest.approx(o_solver, rel=1e-12)
 
     def test_size_guard(self):
         rng = np.random.default_rng(16)

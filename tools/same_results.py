@@ -42,7 +42,10 @@ bytes.  The cases:
   responses and weights in both memory orders;
 - four ``_solve_qr_batch`` calls shaped like the n=200 grid's: 126
   index problems of 78 rows with p=2 and 133 full-dimensional problems
-  of 107 rows with p=6, zero-weight padding, tau in {0.5, 0.3}.
+  of 107 rows with p=6, zero-weight padding, tau in {0.5, 0.3};
+- ``qr_oracle`` on 30 seeded problems of 3 to 12 rows and 1 to 4
+  columns, with tied and duplicate rows and zero weights, so that its
+  test for rows in general position is checked subset by subset.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
 1 if there is any, else 0.  Two reports help read a difference; the
@@ -336,6 +339,31 @@ def _solver_cases(qm, np, objectives):
     return out
 
 
+def _oracle_cases(qm, np):
+    rng = np.random.default_rng(20261019)
+    out = {}
+    for k in range(30):
+        p = int(rng.integers(1, 5))
+        n = int(rng.integers(p + 2, 13))
+        Z = rng.normal(size=(n, p))
+        Z[:, 0] = 1.0
+        y = rng.standard_t(3, size=n)
+        if k % 3 == 0:
+            Z, y = np.round(Z), np.round(y)  # tied rows and exact fits
+        if k % 5 == 0:
+            Z[n // 2 :], y[n // 2 :] = Z[: n - n // 2], y[: n - n // 2]  # duplicates
+        w = rng.uniform(0.0, 2.0, size=n)
+        w[rng.random(n) < 0.25] = 0.0
+        tau = float(rng.choice([0.1, 0.5, 0.75]))
+        problem = qm.WeightedRegressionProblem(Z, y, w, qm.LossSpec.quantile(tau))
+        try:
+            got = (qm.qr_oracle(problem).tobytes(),)
+        except qm.QmaveError as exc:
+            got = (type(exc).__name__, str(exc))
+        out[f"oracle/{k:02d}"] = _digest(*got)
+    return out
+
+
 def _solver_case(np, out, objectives, name, Z, y, w, tau, opts):
     """Digest one ``_solve_qr_batch`` call; record its objectives."""
     from qmave.solver import _solve_qr_batch
@@ -359,6 +387,7 @@ def _emit(src: str) -> None:
 
     cases, objectives, details = {}, {}, {}
     cases.update(_solver_cases(qm, np, objectives))
+    cases.update(_oracle_cases(qm, np))
     cases.update(_batch_cases(qm, np))
     cases.update(_init_cases(qm, np))
     cases.update(_kernel_cases(qm, np))
