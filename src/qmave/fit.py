@@ -40,7 +40,9 @@ from .localfit import (
     Dataset,
     _as_unit,
     _box_blocks,
-    _index_pairs,
+    _box_offsets,
+    _index_windows,
+    _pair_runs,
     index_fit_batch,
 )
 from .solver import (
@@ -126,9 +128,13 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     order; anchors with too little local data are dropped for this
     iteration.
     """
+    return _index_step(data, theta, cfg, np.flatnonzero(trim_mask(data, cfg.trim)))
+
+
+def _index_step(data: Dataset, theta, cfg: QmaveConfig, anchors):
+    """`inner_step` at the untrimmed ``anchors``, which a fit finds once."""
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
-    anchors = np.flatnonzero(trim_mask(data, cfg.trim))
     idx, a, b, effw = index_fit_batch(data, theta, anchors, h, cfg.loss, cfg.kernel)
     if idx.size < 2:
         raise InsufficientDataError(
@@ -140,19 +146,19 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
 def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
     """``(count, chunks)``: the number of pooled rows of the index update,
     and a generator of their ``(design, response, weight)`` in L2-sized
-    runs of ``_BOX_CELLS // d`` rows; each entry is formed alone, so runs
-    change no byte.  One row per (i, j) pair of `_index_pairs`: response
-    ``Y_i - a_j``, design ``b_j (X_i - X_j)``, weight
-    ``K(theta'(X_i-X_j)/h)``, with (a, b) from the ``inner_step`` fits."""
+    runs of ``_BOX_CELLS // d`` rows, each formed from the windows when it
+    is needed; each entry is formed alone, so runs change no byte.  One
+    row per (i, j) pair of `_pair_runs`: response ``Y_i - a_j``, design
+    ``b_j (X_i - X_j)``, weight ``K(theta'(X_i-X_j)/h)``, with (a, b) from
+    the ``inner_step`` fits."""
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    t, ii, cc = _index_pairs(data, theta, j, h)
+    t, _, lo, hi = windows = _index_windows(data, theta, j, h)
     step = max(1, _BOX_CELLS // data.d)
 
     def chunks():
-        for lo in range(0, ii.size, step):
-            i, c = ii[lo : lo + step], cc[lo : lo + step]
+        for i, c in _pair_runs(windows, step):
             jj = np.take(j, c)
             W = kernel_eval(cfg.kernel, (np.take(t, i) - np.take(t, jj)) / h)
             design = np.take(data.X, i, axis=0)
@@ -160,7 +166,7 @@ def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
             design *= np.take(b, c)[:, None]
             yield design, np.take(data.Y, i) - np.take(a, c), W
 
-    return ii.size, chunks()
+    return int(np.sum(hi - lo)), chunks()
 
 
 def outer_problem(
@@ -242,11 +248,12 @@ def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:
     offset is below h0 (`localfit._box_offsets`), so one block of those
     offsets serves every bandwidth.
     """
-    counts = [
-        [np.count_nonzero(R < h0, axis=1) for h0 in h0s]
-        for _, R in _box_blocks(data.X, anchors)
-    ]
-    return np.median(np.concatenate(counts, axis=1), axis=1)
+
+    def counts(block):
+        R = _box_offsets(data.X, data.X[block])
+        return [np.count_nonzero(R < h0, axis=1) for h0 in h0s]
+
+    return np.median(np.concatenate([counts(b) for b in _box_blocks(anchors)], axis=1), axis=1)
 
 
 def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
@@ -320,6 +327,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     else:
         theta = _auto_init(data, cfg)
     run = replace(cfg, h=resolve_bandwidth(data, theta, cfg), init=None)
+    anchors = np.flatnonzero(trim_mask(data, run.trim))
 
     # each iterate is recorded normalised as the returned index is, so that
     # the index returned is one of the recorded entries bit for bit
@@ -329,7 +337,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     iterations = 0
     for k in range(1, run.max_iter + 1):
         try:
-            objective, new = _outer(data, theta, inner_step(data, theta, run), run)
+            objective, new = _outer(data, theta, _index_step(data, theta, run, anchors), run)
         except (InsufficientDataError, DegenerateUpdateError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         objective_trace.append(objective)
@@ -344,7 +352,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     best = len(theta_trace) - 1
     if not converged:
         try:
-            fits = inner_step(data, theta, run)
+            fits = _index_step(data, theta, run, anchors)
             objective_trace.append(eq_objective(data, theta, fits, run))
         except QmaveError:
             pass

@@ -1,36 +1,46 @@
 """Local-linear fits: along a candidate index and in full dimension.
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
-an anchor point.  Every kind of fit ends in one core, `_local_core`, which
-solves it in bandwidth units, on ``[1, (X - x0)/h]``, returns its slopes in
-the units of X, and holds the one rule for which fits are usable: the
-least-squares solve of that weighted design is the rank screen (it is NaN
-where the design fails the solver's rank rule), and the fit is finite.
-`index_fit_batch` and `full_fit_batch` run it on a batch of anchors and
+an anchor point.  Every kind of fit ends in one core: `_local_core`
+solves it in bandwidth units, on ``[1, (X - x0)/h]``, and `_settle` joins
+the parts of one batch, polishes together the quantile problems that
+their certificates rejected, and returns the slopes in the units of X.
+The two hold the one rule for which fits are usable: the least-squares
+solve of that weighted design is the rank screen (it is NaN where the
+design fails the solver's rank rule), and the fit is finite.
+`index_fit_batch` and `full_fit_batch` run them on a batch of anchors and
 return the kept ones as arrays; `local_linear_index_fit` and
-`local_linear_full_fit` run it on one point.  No fit builds a dense (n, m)
-or (n, m, d) array.
+`local_linear_full_fit` run them on one point.  No fit builds a dense (n,
+m) or (n, m, d) array.
 
 Both kernels are positive exactly where ``|u| < 1`` (`_in_support`), so
 no neighbourhood is found by evaluating a kernel.  Along an index the
 rows of an anchor's window are one run of the rows sorted by ``t = X
 theta`` (`_index_windows`); the index fits read each window in that
-order, and the outer problem takes its (row, anchor) pairs from the same
-runs (`_index_pairs`).  The index fits run in blocks of anchors, the
-interior point's own block of p = 2 problems, each padded to the longest
-window of all anchors: pad rows enter the interior point's gap and the
-sums, so one pad length keeps the bytes of a single stack.  In full
-dimension the product kernel is positive on a box, so the full fits and
-the ladder probe work on blocks of anchors with one (block, n) matrix R
-of largest coordinate offsets each (`_box_blocks`).  A row lies in the
-box where ``R < h0``.  For h0 > 0 that is ``_in_support(R / h0)``
-exactly: IEEE division is correctly rounded and monotone, so ``R >= h0``
-gives ``R / h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``,
-which rounds below 1.  Both kinds of fit pad their stacked problems by
-one rule (`_slots`): the slots past a problem's rows repeat its last row
-at weight 0.  Rows are gathered by ``np.take(A, rows, axis=0)``, the
-bytes of ``A[rows]`` by a faster path, then offset and scaled in place:
-no full-size temporary lives beside a design or the outer problem.
+order, and the outer problem forms its (row, anchor) pairs from the same
+runs, one chunk at a time (`_pair_runs`).  In full dimension the product
+kernel is positive on a box: the full fits and the ladder probe take
+their anchors in groups of ``_FULL_BLOCK`` (`_box_blocks`), each with one
+(group, n) matrix R of largest coordinate offsets, built inside the call
+that reads it, so one R is alive at a time.  A row lies in the box where
+``R < h0``.  For h0 > 0 that is ``_in_support(R / h0)`` exactly: IEEE
+division is correctly rounded and monotone, so ``R >= h0`` gives ``R /
+h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``, which rounds
+below 1.
+
+Both kinds of fit follow one block rule: their stacked problems of k
+offsets run in blocks of ``_BLOCK_CELLS // L(k + 1)`` anchors, the
+interior point's own block, all padded to one width L, the longest
+window of all anchors along an index and of the group in full dimension.
+Pad rows enter the interior point's gap and the sums, so one pad width
+keeps the bytes of a single stack.  The full fits polish the rejects of
+a group's blocks together (`_settle`), so their blocks change no byte;
+the index fits polish each block alone.  Both pad by one rule
+(`_slots`): the slots past a problem's rows repeat its last row at
+weight 0.  Rows are gathered by ``np.take(A, rows,
+axis=0)``, the bytes of ``A[rows]`` by a faster path, then offset and
+scaled in place: no full-size temporary lives beside a design or the
+outer problem.
 """
 
 from __future__ import annotations
@@ -45,7 +55,13 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import _BLOCK_CELLS, SolverOptions, _solve_ls_batch, _solve_qr_batch
+from .solver import (
+    _BLOCK_CELLS,
+    SolverOptions,
+    _polish_batch,
+    _solve_ls_batch,
+    _solve_qr_batch,
+)
 
 __all__ = [
     "Dataset",
@@ -165,9 +181,9 @@ def local_linear_index_fit(
     T = (data.X - np.asarray(x0, dtype=float).ravel()) @ theta
     rows = np.flatnonzero(_in_support(T / h))
     T = T[None, rows]
-    kept, a, B, effw, complete = _local_core(
-        T[:, :, None], kernel_eval(kernel, T / h), data.Y[None, rows], h, loss, opts
-    )
+    W = kernel_eval(kernel, T / h)
+    part = _local_core(T[:, :, None], W, data.Y[None, rows], h, loss, opts)
+    kept, a, B, effw, complete = _settle([(0, part)], h, loss)
     reason = "no usable local fit: needs weighted index values in general position"
     return _single_fit((kept, a, B[:, 0], effw, complete), opts, reason)
 
@@ -191,7 +207,7 @@ def local_linear_full_fit(
     if x0.shape != (data.d,):
         raise InvalidInputError(f"anchor must have length {data.d}")
     return _single_fit(
-        _full_core(data, x0[None], _box_offsets(data.X, x0[None]), h0, loss, kernel, opts),
+        _full_core(data, x0[None], h0, loss, kernel, opts),
         opts,
         f"no usable local fit: needs {data.d + 1} positively-weighted rows "
         "in general position and a finite solution",
@@ -225,37 +241,56 @@ _FULL_BLOCK = 256
 _BOX_CELLS = 4 * 8192
 
 
-def _box_blocks(X, anchors):
-    """``(block, R)`` for consecutive blocks of at most ``_FULL_BLOCK``
-    anchors, with R the block's `_box_offsets`."""
-    for start in range(0, anchors.size, _FULL_BLOCK):
-        block = anchors[start : start + _FULL_BLOCK]
-        yield block, _box_offsets(X, X[block])
+def _box_blocks(anchors):
+    """Consecutive blocks of at most ``_FULL_BLOCK`` anchors: the anchors of
+    one block of `_box_offsets`.  Callers build each block's R inside the
+    call that reads it, so R is freed when that call returns and the next
+    block's R is never built beside it."""
+    return (anchors[lo : lo + _FULL_BLOCK] for lo in range(0, anchors.size, _FULL_BLOCK))
 
 
 def _local_core(D, Wg, Yg, h, loss, opts):
     """Fits of ``Yg`` on the offsets ``D`` with weights ``Wg``, one problem
     per row of these (B, L[, k]) arrays, solved in bandwidth units on the
-    design ``[1, D/h]``: the one rule for which local fits are usable.  The
-    least-squares solve is the rank screen: `_solve_ls_batch` gives NaN
-    coefficients where that design fails the solver's rank rule, and a
-    problem is kept when its coefficients are finite.  The squared loss
-    returns them; the quantile loss solves the kept problems again under
-    its loss.  Returns ``(kept, a, B, effective_weight, complete)``: the
-    kept positions and their (kept, k) slopes in the units of ``D``;
-    ``complete`` is False when the iteration budget truncated the solve.
+    design ``[1, D/h]``.  The least-squares solve is the rank screen:
+    `_solve_ls_batch` gives NaN coefficients where that design fails the
+    solver's rank rule, and a problem passes when its coefficients are
+    finite.  The squared loss returns them; the quantile loss solves the
+    passing problems again under its loss, and leaves those its
+    certificate rejects to the polish of `_settle`.  Returns one part for
+    `_settle`: ``(passed, beta, effective_weight, complete, rejects)``,
+    ``beta`` in bandwidth units; ``complete`` is False when the iteration
+    budget truncated the solve.
     """
     Z = np.empty(D.shape[:2] + (D.shape[2] + 1,))
     Z[:, :, 0] = 1.0
     np.divide(D, h, out=Z[:, :, 1:])
-    beta, complete = _solve_ls_batch(Z, Yg, Wg), True
+    beta, complete, rejects = _solve_ls_batch(Z, Yg, Wg), True, []
     sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
         beta, Z, Yg, Wg = beta[sub], Z[sub], Yg[sub], Wg[sub]
     if loss.is_quantile:
-        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
+        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts, rejects)
+    return sub, beta, np.sum(Wg, axis=1), complete, rejects
+
+
+def _settle(parts, h, loss):
+    """The fits of one batch of problems solved in `_local_core` parts
+    ``(start, part)``: ``(kept, a, B, effective_weight, complete)``, kept
+    positions offset by their part's start, slopes in the units of D.  The
+    problems that the certificates of all parts rejected go to one
+    `_polish_batch`, as in one `_solve_qr_batch` call on the whole batch.
+    A fit is kept when its coefficients are finite."""
+    passed, beta, effw, done, rejects = zip(*(part for _, part in parts))
+    beta = np.concatenate(beta)
+    rejects = [found for part in rejects for found in part]  # one per quantile part
+    if rejects:
+        rej, Z, y, w, obj = (np.concatenate(v) for v in zip(*rejects))
+        if np.any(rej):
+            beta[rej] = _polish_batch(Z, y, w, loss.tau, beta[rej], obj)[0]
+    passed = np.concatenate([start + p for (start, _), p in zip(parts, passed)])
     ok = np.all(np.isfinite(beta), axis=1)
-    return sub[ok], beta[ok, 0], beta[ok, 1:] / h, np.sum(Wg, axis=1)[ok], complete
+    return passed[ok], beta[ok, 0], beta[ok, 1:] / h, np.concatenate(effw)[ok], all(done)
 
 
 def _slots(start, count, width):
@@ -268,26 +303,39 @@ def _slots(start, count, width):
     return start[:, None] + np.minimum(slot, count - 1), slot < count
 
 
-def _full_core(data, x0, R, h0, loss, kernel, opts):
+def _full_core(data, x0, h0, loss, kernel, opts):
     """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
-    ``x0`` (B, d) with `_box_offsets` R, through `_local_core`.  A problem
-    holds its anchor's box rows ``R < h0`` of positive product weight, in
-    row order, taken with their weights from the (anchor, row) pairs of
-    the box; its slots past them (`_slots`) repeat its last row at weight
-    0."""
-    X = data.X
-    c, r = np.divmod(np.flatnonzero(R < h0), R.shape[1])
-    U = np.take(X, r, axis=0) - np.take(x0, c, axis=0)
-    w = np.prod(kernel_eval(kernel, np.divide(U, h0, out=U)), axis=1)
+    ``x0`` (B, d), through `_local_core`.  A problem holds its anchor's
+    box rows ``R < h0`` (`_box_offsets`) of positive product weight, in
+    row order, taken from the (anchor, row) pairs of the boxes, which are
+    formed once R is freed; its slots past them (`_slots`), up to L, the
+    most rows of any of the B problems, repeat its last row at weight 0.
+    The problems run in blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors, the
+    interior point's own block, each padded to L: the block rule of
+    `index_fit_batch`.  Stacked solves work problem by problem and
+    `_settle` polishes the rejects of all blocks together, so blocks
+    change no byte.  Returns the fits of `_settle` at the B anchors."""
+    X, (B, d) = data.X, x0.shape
+    c, r = np.divmod(np.flatnonzero(_box_offsets(X, x0) < h0), X.shape[0])
+    w, step = np.empty(r.size), max(1, _BOX_CELLS // d)
+    for lo in range(0, r.size, step):  # each weight is formed alone
+        U = np.take(X, r[lo : lo + step], axis=0)
+        U -= np.take(x0, c[lo : lo + step], axis=0)
+        w[lo : lo + step] = np.prod(kernel_eval(kernel, np.divide(U, h0, out=U)), axis=1)
     keep = w > 0
-    c, r, w = c[keep], r[keep], w[keep]
-    count = np.bincount(c, minlength=R.shape[0])
-    pos, inside = _slots(np.cumsum(count) - count, count, count.max(initial=0))
-    gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
-    del U, keep, c, r, w, pos  # pair arrays must not live on through the local fits
-    D = np.take(X, gather, axis=0)
-    D -= x0[:, None, :]
-    return _local_core(D, Wg, data.Y[gather], h0, loss, opts)
+    if not np.all(keep):  # copy only where a product underflowed to 0
+        c, r, w = c[keep], r[keep], w[keep]
+    count = np.bincount(c, minlength=B)
+    start, width = np.cumsum(count) - count, count.max(initial=0)
+    step = max(1, _BLOCK_CELLS // max(width * (d + 1), 1))
+    parts = []
+    for lo in range(0, B, step):
+        pos, inside = _slots(start[lo : lo + step], count[lo : lo + step], width)
+        gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
+        D = np.take(X, gather, axis=0)
+        D -= x0[lo : lo + step, None, :]
+        parts.append((lo, _local_core(D, Wg, data.Y[gather], h0, loss, opts)))
+    return _settle(parts, h0, loss)
 
 
 def _index_windows(data, theta, anchors, h):
@@ -324,15 +372,31 @@ def _index_windows(data, theta, anchors, h):
         hi[cut_hi] = np.searchsorted(ts, ts[hi[cut_hi] - 1], side="left")
 
 
+def _pair_runs(windows, step):
+    """The (row, anchor) pairs of the `_index_windows` ``windows``, window
+    by window, as ``(rows, cols)`` runs of at most ``step`` pairs, with
+    ``cols`` positions in the anchors.  Pair k lies in the window c whose
+    cumulative count first exceeds k, at row ``order[lo[c] + k -
+    start[c]]``; each pair is formed alone, so runs change no byte."""
+    _, order, lo, hi = windows
+    end = np.cumsum(hi - lo)
+    shift = lo - end + (hi - lo)  # lo[c] - start[c]
+    total = int(end[-1]) if end.size else 0
+    for k0 in range(0, total, step):
+        k = np.arange(k0, min(k0 + step, total))
+        cols = np.searchsorted(end, k, side="right")
+        k += np.take(shift, cols)
+        yield np.take(order, k), cols
+
+
 def _index_pairs(data, theta, anchors, h):
     """(row, anchor) pairs with positive index-kernel weight, window by
-    window.  Returns ``(t, rows, cols)`` with ``t = X theta`` and ``cols``
-    positions in ``anchors``."""
-    t, order, lo, hi = _index_windows(data, theta, anchors, h)
-    count = hi - lo
-    cols = np.repeat(np.arange(anchors.size), count)
-    pos = np.arange(cols.size) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return t, order[pos], cols
+    window, in one run of `_pair_runs`.  Returns ``(t, rows, cols)`` with
+    ``t = X theta`` and ``cols`` positions in ``anchors``."""
+    windows = _index_windows(data, theta, anchors, h)
+    empty = np.empty(0, dtype=int)
+    rows, cols = next(_pair_runs(windows, max(data.n * len(windows[2]), 1)), (empty, empty))
+    return windows[0], rows, cols
 
 
 def _index_problems(windows, anchors, block, width):
@@ -357,7 +421,8 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
     Anchors run in L2-sized blocks of ``_BLOCK_CELLS // 2L``, the interior
     point's block of p = 2 problems, each padded to L, the longest window
     of all anchors: pad rows enter the interior point's gap and the sums,
-    so a pad length per block would change bits.
+    so a pad length per block would change bits.  Each block is its own
+    batch of `_settle`.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
@@ -369,7 +434,8 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
     for block in (slice(lo, lo + step) for lo in range(0, anchors.size, step)):
         gather, Tg, inside = _index_problems(windows, anchors, block, width)
         Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
-        kept, a, B, effw, _ = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+        part = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+        kept, a, B, effw, _ = _settle([(0, part)], h, loss)
         parts.append((anchors[block][kept], a, B[:, 0], effw))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -386,8 +452,8 @@ def full_fit_batch(data, anchors, h0, loss, kernel):
     opts = SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]
-    for block, R in _box_blocks(data.X, anchors):
-        kept, a, B, effw, _ = _full_core(data, data.X[block], R, h0, loss, kernel, opts)
+    for block in _box_blocks(anchors):
+        kept, a, B, effw, _ = _full_core(data, data.X[block], h0, loss, kernel, opts)
         parts.append((block[kept], a, B, effw))
     idx, a, B, effw = zip(*parts)
     return np.concatenate(idx), np.concatenate(a), np.vstack(B), np.concatenate(effw)

@@ -397,7 +397,7 @@ def _snap_and_certify(Z, y, w, tau, beta):
     return vertex, obj, certified
 
 
-def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
+def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
     """Certified solve of stacked weighted quantile regressions.
 
     Z is (B, n, p); y and w are (B, n).  Blocks of at most
@@ -405,7 +405,12 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     interior point on the rows ``w_i z_i, w_i y_i``, then the snap and
     certificate; both work per problem, so blocks change no result.  Only
     problems the certificate rejects go to the vertex polish, the whole
-    arrays without a copy when every problem is rejected.  Returns
+    arrays without a copy when every problem is rejected.  The polish
+    runs its rounds while any problem it holds improves, so the problems
+    polished together are part of the result: a caller that solves one
+    batch in several calls passes a list ``rejects``, and each call
+    appends ``(rejected, Z, y, w, obj)`` of its rejected problems,
+    unpolished, for one `_polish_batch` over all of them.  Returns
     ``(beta, obj, complete)``, ``complete`` False when
     ``opts.max_iterations`` ran out before a gap met its tolerance.
     """
@@ -425,7 +430,10 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
         )
         complete &= bool(np.all(converged))
         beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
-    if not np.all(certified):
+    if rejects is not None:
+        rej = ~certified
+        rejects.append((rej, Z[rej], y[rej], w[rej], obj[rej]))
+    elif not np.all(certified):
         rej = ~certified if np.any(certified) else slice(None)
         beta[rej], obj[rej] = _polish_batch(Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej])
     return beta, obj, complete

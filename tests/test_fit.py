@@ -222,6 +222,22 @@ class TestOuterStep:
         assert pairs > 100_000
         assert peak < pairs * data.d * np.dtype(float).itemsize
 
+    @pytest.mark.parametrize("step", [outer_step, eq_objective])
+    def test_squared_step_forms_pairs_per_chunk(self, step):
+        # each chunk forms its (row, anchor) pairs from the windows: no
+        # index array of all ~150k pairs (2.4 MB) lives beside the chunks
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
+        run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
+        fits = inner_step(data, cfg.init, run)
+        tracemalloc.start()
+        try:
+            step(data, cfg.init, fits, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 def _raw_solution(prob):
     from qmave import solve_weighted_qr
@@ -525,3 +541,19 @@ class TestInitLadder:
         ]
         assert len(set(direct)) > 1
         np.testing.assert_array_equal(_median_window_count(data, anchors, h0s), direct)
+
+    def test_probe_peak_memory_at_n1000(self):
+        # one (256, n) block of box offsets is 2 MB; the probe must not
+        # build the next block beside it
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        anchors = np.flatnonzero(trim_mask(data, TrimSpec()))
+        base = default_bandwidth(
+            BandwidthRule.full_dim(data.d), data.n, coordinate_dispersion(data.X)
+        )
+        tracemalloc.start()
+        try:
+            _median_window_count(data, anchors, [base * mult for mult in _INIT_LADDER])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6

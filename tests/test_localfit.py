@@ -22,7 +22,13 @@ from qmave import (
 )
 from qmave import fit as fit_module
 from qmave import localfit
-from qmave.core import check_loss, kernel_eval
+from qmave.core import (
+    BandwidthRule,
+    check_loss,
+    coordinate_dispersion,
+    default_bandwidth,
+    kernel_eval,
+)
 from qmave.fit import (
     QmaveConfig,
     _auto_init,
@@ -33,6 +39,7 @@ from qmave.fit import (
     outer_step,
     resolve_bandwidth,
 )
+from qmave.initial import TrimSpec
 from qmave.localfit import (
     _FULL_BLOCK,
     _index_pairs,
@@ -702,10 +709,16 @@ class TestBoxFullFits:
         monkeypatch.setattr(localfit, "_local_core", spy)
         have = full_fit_batch(data, anchors, h0, loss, kernel)
         problems = list(dense_full_problems(data, anchors, h0, kernel))
-        assert len(stacked) == len(problems)
-        for got, (block, *want) in zip(stacked, problems):
+        # a block of anchors runs in solver-sized calls: join one block's calls
+        calls = iter(stacked)
+        for block, *want in problems:
+            parts = []
+            while sum(part[0].shape[0] for part in parts) < block.size:
+                parts.append(next(calls))
+            got = [np.concatenate(arrays) for arrays in zip(*parts)]
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+        assert next(calls, None) is None
         want = dense_full_fits(data, anchors, h0, loss, kernel)
         for w, h in zip(want, have):
             assert h.tobytes() == w.tobytes()
@@ -729,3 +742,84 @@ class TestBoxFullFits:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+def box_data(kind):
+    """n=120, d=3 data for the full fits: plain, on a half grid so that
+    box edges fall on rows, or with the first 16 rows on one far point,
+    whose 8 anchors fill the first block of 7 and fail the rank screen."""
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(120, 3))
+    if kind == "ties":
+        X = np.round(X * 2) / 2
+    elif kind == "isolated":
+        X[:16] = X[0] + 50.0
+    return Dataset(X, np.round(X @ [1.0, -1.0, 0.5] + rng.standard_t(3, size=120), 1))
+
+
+class TestFullBlocks:
+    """`full_fit_batch` solves each group of ``_FULL_BLOCK`` anchors in
+    blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors, each padded to L, the
+    group's longest window, and polishes the rejects of all blocks
+    together: blocks of any size give the bytes of one block."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    @pytest.mark.parametrize("kind", ["plain", "ties", "isolated"])
+    def test_blocks_change_no_byte(self, monkeypatch, kind, loss, kernel):
+        data = box_data(kind)
+        anchors = np.arange(1, 120, 2)
+        calls = []
+
+        def spy(D, *rest):
+            calls.append(D.shape)
+            return local_core(D, *rest)
+
+        local_core = localfit._local_core
+        monkeypatch.setattr(localfit, "_local_core", spy)
+        fits = {anchors.size: full_fit_batch(data, anchors, 1.5, loss, kernel)}
+        assert len(calls) == 1
+        width = calls[0][1]
+        # anchors per block: 1, and 7 with a short last block
+        for size in (1, 7):
+            monkeypatch.setattr(localfit, "_BLOCK_CELLS", size * width * (data.d + 1))
+            calls.clear()
+            fits[size] = full_fit_batch(data, anchors, 1.5, loss, kernel)
+            want = [min(size, anchors.size - k) for k in range(0, anchors.size, size)]
+            assert calls == [(b, width, data.d) for b in want]
+        want = fits[anchors.size]
+        assert want[0].size >= 2
+        if kind == "isolated":
+            assert not np.isin(anchors[:8], want[0]).any()
+        for size in (1, 7):
+            for w, g in zip(want, fits[size]):
+                assert g.tobytes() == w.tobytes()
+
+    def test_rejects_are_polished_together(self, monkeypatch):
+        # the vertex polish runs its rounds while any problem it holds
+        # improves; on this group one problem gains 9e-15 relative in its
+        # first round and stops there when polished alone, while the
+        # group's second round moves it by one more ulp
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(data.X))
+        args = (data, np.arange(256, 512), 2.25 * base, MEDIAN, KernelSpec.quartic())
+        blocks = full_fit_batch(*args)
+        monkeypatch.setattr(localfit, "_BLOCK_CELLS", 10**9)
+        one = full_fit_batch(*args)
+        for w, g in zip(one, blocks):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("loss, bound", [(LossSpec.squared(), 3e6), (MEDIAN, 4e6)])
+    def test_peak_memory_at_n1000(self, loss, bound):
+        # at the ladder rung auto-init takes here; a group solved as one
+        # block beside its box offsets peaks at about 7.7 MB
+        data, _ = gen_model8(SimConfig(n=1000, seed=3))
+        base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(data.X))
+        anchors = np.flatnonzero(trim_mask(data, TrimSpec()))
+        tracemalloc.start()
+        try:
+            full_fit_batch(data, anchors, 1.5 * base, loss, EPA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

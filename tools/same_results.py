@@ -22,7 +22,9 @@ bytes.  The cases:
   n=1000 (several anchor blocks, both kernels and both losses)
   ``full_fit_batch`` at every anchor and ``index_fit_batch`` at every
   trimmed anchor, at the default bandwidth and at a wide one whose
-  windows hold nearly every row;
+  windows hold nearly every row; ``full_fit_batch`` at every anchor also
+  at the second and third rungs of ``_INIT_LADDER`` on two n=1000
+  datasets, for tau in {0.5, 0.25} and the squared loss, both kernels;
 - ``local_linear_full_fit`` for both losses at two bandwidths and four
   anchors: two rows, the data mean and a point whose box is empty;
 - the init ladder probe ``_median_window_count`` at every rung of
@@ -32,7 +34,7 @@ bytes.  The cases:
 - ``kernel_eval`` of both kernels on edge values (0, +-0.5, the doubles
   next to and at +-1, +-1.2, inf, NaN) and a sweep over [-1.5, 1.5];
 - ``index_fit_batch``, ``outer_problem`` (design, response and weight
-  bytes) and ``eq_objective`` on adversarial n=200 data (index ties,
+  bytes), ``eq_objective`` and ``outer_step`` on adversarial n=200 data (index ties,
   index values and bandwidths on one grid so that kernel edges fall on
   rows, duplicate rows, ``X*1e-3 + 1e6``) with bandwidths from 0.02 to 3
   index standard deviations, both kernels and both losses, and directly
@@ -62,7 +64,7 @@ verdict and the exit code rest on the bytes alone:
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
-A full pass takes about 10 seconds per tree, 20 to 22 for the pair, on a
+A full pass takes about 18 seconds per tree, 36 to 37 for the pair, on a
 2-core machine.
 """
 
@@ -172,6 +174,24 @@ def _batch_cases(qm, np):
         for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
             res = full_fit_batch(data, np.arange(1000), 0.7, loss, kernel)
             out[f"batch/full/n1000/{lname}/{kname}"] = _digest(*(v.tobytes() for v in res))
+    # the ladder rungs that auto-init reaches at n=1000, on two datasets:
+    # every anchor, so four 256-anchor groups of many solver-sized blocks
+    from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth
+
+    losses = (
+        ("q0.5", qm.LossSpec.quantile(0.5)),
+        ("q0.25", qm.LossSpec.quantile(0.25)),
+        ("ls", qm.LossSpec.squared()),
+    )
+    for seed in (3, 11):
+        ladder, _ = qm.gen_model8(qm.SimConfig(n=1000, seed=seed))
+        base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(ladder.X))
+        for mult in (1.5, 2.25):
+            for lname, loss in losses:
+                for kname, kernel in (("epa", qm.KernelSpec.epanechnikov()), ("quartic", qm.KernelSpec.quartic())):
+                    res = full_fit_batch(ladder, np.arange(1000), base * mult, loss, kernel)
+                    name = f"batch/full/n1000/seed{seed}/h0x{mult}/{lname}/{kname}"
+                    out[name] = _digest(*(v.tobytes() for v in res))
     # every trimmed anchor at n=1000, in several anchor blocks: at the
     # default bandwidth, and at a wide one whose windows hold nearly every
     # row, so that a block holds few anchors
@@ -226,7 +246,7 @@ def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None
     """Digests of the index fits, the outer problem built on them and the
     pooled objective, all at bandwidth ``h``; with the outer problem's
     normalised solution (None when it is degenerate) and the objective."""
-    from qmave.fit import eq_objective, outer_problem
+    from qmave.fit import eq_objective, outer_problem, outer_step
     from qmave.localfit import index_fit_batch
 
     cfg = qm.QmaveConfig(loss=loss, kernel=kernel, h=h)
@@ -239,6 +259,10 @@ def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None
     objective = float(eq_objective(data, theta, fits, cfg))
     out["outer"] = _digest(problem.Z.tobytes(), problem.y.tobytes(), problem.w.tobytes())
     out["objective"] = _digest(objective.hex())
+    try:
+        out["step"] = _digest(outer_step(data, theta, fits, cfg).tobytes())
+    except qm.QmaveError as exc:
+        out["step"] = _digest(type(exc).__name__, str(exc))
     solve = qm.solve_weighted_qr if loss.is_quantile else qm.solve_weighted_ls
     try:
         beta = solve(problem)
