@@ -1,16 +1,23 @@
 """Weighted linear quantile regression and weighted least squares.
 
-The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)``.  A
-batched Frisch-Newton interior point (Portnoy & Koenker 1997) solves the
-linear program on the rows ``w_i z_i, w_i y_i``.  Its Mehrotra steps
-update the iterate in place, in a few row buffers, and take the gap the
-predictor would reach in closed form from two dot products.  Its fit is
-snapped to the exact fit through the ``p`` usable rows of smallest
-residual, and the Koenker-Bassett (1978) subgradient condition certifies
-that vertex optimal in closed form.  Blocks hold a fixed number of design
-cells, so a small call pays the per-call costs once.  Problems the
-certificate rejects (tied or degenerate data) go to a vertex polish over
-exact-fit candidates through the rows with the smallest residuals.  The
+The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)``.
+Two-column problems (the local index fits) first take an exact vertex
+descent: all problems at once, each moving to the minimum along an edge
+of its objective, found as a weighted quantile of the edge's
+breakpoints, until its vertex is the minimum along both its edges.  What
+it leaves, and every problem of more columns, goes to a batched
+Frisch-Newton interior point (Portnoy & Koenker 1997) on the rows ``w_i
+z_i, w_i y_i``.  Its Mehrotra steps update the iterate in place, in a
+few row buffers, and take the gap the predictor would reach in closed
+form from two dot products.  Either fit is snapped to the exact fit
+through the ``p`` usable rows of smallest residual, solved in row order
+so that a vertex depends on its basis set alone, and the Koenker-Bassett
+(1978) subgradient condition certifies that vertex optimal in closed
+form; a descent vertex it rejects goes to the interior point.  Blocks
+hold a fixed number of design cells, so a small call pays the per-call
+costs once.  Problems the certificate rejects after the interior point
+(tied or degenerate data) go to a vertex polish over exact-fit
+candidates through the rows with the smallest residuals.  The
 test for rows in general position scales each row to unit length; the
 certificate, like the interior point's Gram, holds for row norms from
 about 1e-154 to 1e+154, where their squares neither under- nor overflow.
@@ -75,7 +82,9 @@ class SolverOptions:
     Its interior point stops at a duality gap of ``_GAP_RTOL`` times the
     objective at its least-squares start, or after ``max_iterations`` (an
     integer >= 1) steps on a block of problems, which marks the solve
-    incomplete.
+    incomplete.  The vertex descent of two-column problems makes at most
+    ``max_iterations`` rounds; a problem still moving after them goes to
+    the interior point.
     """
 
     max_iterations: int = 200
@@ -373,6 +382,7 @@ def _snap_and_certify(Z, y, w, tau, beta):
         key[rows, pick] = np.inf
     key = np.where(usable[rest], w[rest] * np.abs(y[rest] - _mv(Z[rest], beta[rest])), np.inf)
     basis[rest] = np.argsort(key, axis=1, kind="stable")[:, :p]
+    basis.sort(axis=1)  # the vertex and duals depend on the basis set alone
     Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
     wb = np.take_along_axis(w, basis, axis=1)
     ok = _in_general_position(Zb) & np.all(np.take_along_axis(usable, basis, axis=1), axis=1)
@@ -397,30 +407,120 @@ def _snap_and_certify(Z, y, w, tau, beta):
     return vertex, obj, certified
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _descend(Z, y, w, tau, opts: SolverOptions):
+    """Exact vertex descent for stacked two-column problems (Barrodale &
+    Roberts 1973; Koenker & d'Orey 1987).  Each problem walks from vertex
+    to vertex of its objective along the lines ``z_k' beta = y_k`` of its
+    usable rows (positive weight, nonzero design), all live problems in
+    one round:
+
+    - The pivot row k fixes the point ``beta_k``, ``y_k / z_kj`` on its
+      larger-magnitude column j, and the edge direction ``n_k = (-z_k2,
+      z_k1)``.  Along it row i has slope ``dx_i = z_i' n_k``, breakpoint
+      ``q_i = (y_i - z_i' beta_k) / dx_i`` and weight ``c_i = w_i |dx_i|``;
+      rows with ``c_i = 0`` are constant along the edge.
+    - The minimum along the edge is at the smallest ``q`` whose
+      cumulative ``c`` in ascending order reaches ``sum_i c_i tau_i``,
+      with ``tau_i`` equal to tau where ``dx_i > 0`` and to ``1 - tau``
+      where ``dx_i < 0``: ``(sum_i c_i + (2 tau - 1) (Z'w)' n_k) / 2``.
+      Of the rows tied at that ``q`` the lowest index is the next pivot,
+      so the walk does not depend on the sort.
+    - A problem stops once the next pivot of its new pivot is its
+      previous one: that vertex is the minimum along both its edges.
+
+    Every move minimises along an edge through the current vertex, so
+    the objective never rises.  The walk starts at the usable row of
+    smallest residual at the weighted least-squares fit, or at the first
+    usable row where that fit is not finite.  Returns ``(stopped,
+    vertex)``: the problems that stopped within ``opts.max_iterations``
+    rounds, in increasing order, and their finite vertices, which the
+    caller certifies.  A problem without a usable row, whose edge has no
+    row of positive weight or whose vertex is not finite is left out,
+    as is one still walking when the budget runs out, so an overflow
+    only hands a problem to the caller's fallback."""
+    B, n, _ = Z.shape
+    Zt = np.ascontiguousarray(Z.transpose(0, 2, 1))
+    usable = (w > 0) & ((Zt[:, 0] != 0) | (Zt[:, 1] != 0))
+    g = _mv(Zt, w)
+    key = np.where(usable, np.abs(y - _mv(Z, _batch_solve(*_gram_batch(Z, y, w)))), np.inf)
+    rows = np.arange(B)
+    cur = np.argmin(key, axis=1)
+    nonfinite = ~np.isfinite(key[rows, cur])
+    cur[nonfinite] = np.argmax(usable[nonfinite], axis=1)
+    live = np.flatnonzero(usable[rows, cur])
+    Zt, y, w, g, cur = Zt[live], y[live], w[live], g[live], cur[live]
+    prev = np.full(live.size, -1)
+    stopped, vertex = np.zeros(B, dtype=bool), np.empty((B, 2))
+    for _ in range(opts.max_iterations):
+        if live.size == 0:
+            break
+        rows = np.arange(live.size)
+        z1, z2, yk = Zt[rows, 0, cur], Zt[rows, 1, cur], y[rows, cur]
+        j = np.abs(z2) > np.abs(z1)
+        at = yk / np.where(j, z2, z1)
+        dx = Zt[:, 0] * -z2[:, None]
+        dx += Zt[:, 1] * z1[:, None]
+        c = np.abs(dx)
+        c *= w
+        edge = c > 0
+        q = Zt[rows, j.astype(np.intp)]
+        q *= at[:, None]
+        np.subtract(y, q, out=q)
+        # rows constant along the edge sort last and are never divided by
+        q = np.where(edge, q, np.inf)
+        np.divide(q, np.where(edge, dx, 1.0), out=q)
+        order = np.argsort(q, axis=1)
+        order += (rows * n)[:, None]  # flat indices: np.take is the fast gather
+        cum = np.add.accumulate(np.take(c, order), axis=1)
+        target = 0.5 * (cum[:, -1] + (2.0 * tau - 1.0) * (g[:, 1] * z1 - g[:, 0] * z2))
+        pick = np.minimum(np.sum(cum < target[:, None], axis=1), n - 1)
+        best = np.take(q, order[rows, pick])
+        nxt = np.argmax(q == best[:, None], axis=1)
+        beta = np.stack([np.where(j, 0.0, at) - best * z2, np.where(j, at, 0.0) + best * z1], 1)
+        ok = np.isfinite(best) & np.all(np.isfinite(beta), axis=1)
+        stop = ok & (nxt == prev)
+        stopped[live[stop]], vertex[live[stop]] = True, beta[stop]
+        keep = ok & ~stop
+        prev, cur = cur[keep], nxt[keep]
+        live, Zt, y, w, g = live[keep], Zt[keep], y[keep], w[keep], g[keep]
+    return np.flatnonzero(stopped), vertex[stopped]
+
+
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
     """Certified solve of stacked weighted quantile regressions.
 
-    Z is (B, n, p); y and w are (B, n).  Blocks of at most
-    ``_BLOCK_CELLS`` cells ``B_k n p`` (at least one problem) run the
-    interior point on the rows ``w_i z_i, w_i y_i``, then the snap and
-    certificate; both work per problem, so blocks change no result.  Only
-    problems the certificate rejects go to the vertex polish, the whole
-    arrays without a copy when every problem is rejected.  The polish
-    runs its rounds while any problem it holds improves, so the problems
-    polished together are part of the result: a caller that solves one
-    batch in several calls passes a list ``rejects``, and each call
-    appends ``(rejected, Z, y, w, obj)`` of its rejected problems,
-    unpolished, for one `_polish_batch` over all of them.  Returns
-    ``(beta, obj, complete)``, ``complete`` False when
-    ``opts.max_iterations`` ran out before a gap met its tolerance.
+    Z is (B, n, p); y and w are (B, n).  Two-column problems first take
+    the vertex descent (`_descend`), whose stopped vertices go to the
+    snap and certificate.  The rest, and every problem of more columns,
+    run the interior point on the rows ``w_i z_i, w_i y_i`` in blocks of
+    at most ``_BLOCK_CELLS`` cells ``B_k n p`` (at least one problem),
+    then the snap and certificate; all of these work per problem, so
+    blocks change no result.  Only problems the certificate rejects go to
+    the vertex polish, the whole arrays without a copy when every problem
+    is rejected.  The polish runs its rounds while any problem it holds
+    improves, so the problems polished together are part of the result:
+    a caller that solves one batch in several calls passes a list
+    ``rejects``, and each call appends ``(rejected, Z, y, w, obj)`` of its
+    rejected problems, unpolished, for one `_polish_batch` over all of
+    them.  Returns ``(beta, obj, complete)``, ``complete`` False when
+    ``opts.max_iterations`` ran out before an interior point's gap met
+    its tolerance.
     """
     Z = np.ascontiguousarray(Z, dtype=float)
     y, w = (np.asarray(v, dtype=float) for v in (y, w))
     B, n, p = Z.shape
-    beta, obj, certified = np.empty((B, p)), np.empty(B), np.empty(B, dtype=bool)
+    beta, obj, certified = np.empty((B, p)), np.empty(B), np.zeros(B, dtype=bool)
+    rest = range(B)
+    if p == 2 and n:
+        stopped, vertex = _descend(Z, y, w, tau, opts)
+        if stopped.size:
+            k = _as_run(stopped)
+            beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, vertex)
+            rest = np.flatnonzero(~certified)
     complete = True
     step = max(1, _BLOCK_CELLS // max(n * p, 1))
-    for k in (slice(lo, lo + step) for lo in range(0, B, step)):
+    for k in (_as_run(rest[lo : lo + step]) for lo in range(0, len(rest), step)):
         # the interior point reads the weighted design by columns
         inner, converged = _frisch_newton(
             np.multiply(Z[k].transpose(0, 2, 1), w[k, None, :], order="C").transpose(0, 2, 1),
@@ -437,6 +537,12 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
         rej = ~certified if np.any(certified) else slice(None)
         beta[rej], obj[rej] = _polish_batch(Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej])
     return beta, obj, complete
+
+
+def _as_run(k):
+    """Increasing problem indices ``k`` (a range or an array) as a slice
+    when they form one run, so that indexing by them takes views."""
+    return slice(int(k[0]), int(k[-1]) + 1) if k[-1] - k[0] + 1 == len(k) else k
 
 
 def _gram_batch(Z, y, w):

@@ -6,6 +6,8 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmave import (
     ConvergenceError,
@@ -523,6 +525,25 @@ def continuous_batches():
             yield Z, y, w, tau
 
 
+def certified_solve(Z, y, w, tau, opts=SolverOptions()):
+    """``(beta, obj, certified)`` of ``solver._solve_qr_batch`` before its
+    polish, from its parts: for p = 2 the vertex descent's stopped
+    problems, snapped and certified, then the interior point on the rest
+    (blocks change no result), snapped and certified."""
+    B, _, p = Z.shape
+    beta, obj, certified = np.empty((B, p)), np.empty(B), np.zeros(B, dtype=bool)
+    if p == 2:
+        s, vertex = solver._descend(Z, y, w, tau, opts)
+        if s.size:
+            beta[s], obj[s], certified[s] = solver._snap_and_certify(Z[s], y[s], w[s], tau, vertex)
+    rest = ~certified
+    if np.any(rest):
+        Zr, yr, wr = Z[rest], y[rest], w[rest]
+        inner = solver._frisch_newton(weighted_design(Zr, wr), yr * wr, tau, opts)[0]
+        beta[rest], obj[rest], certified[rest] = solver._snap_and_certify(Zr, yr, wr, tau, inner)
+    return beta, obj, certified
+
+
 class TestCertifiedSolve:
     def test_objectives_match_highs(self):
         for Z, y, w, tau in continuous_batches():
@@ -554,8 +575,7 @@ class TestCertifiedSolve:
         assert calls == []
         subsets = 0
         for Z, y, w, tau in padded_tied_batches():
-            inner = solver._frisch_newton(weighted_design(Z, w), y * w, tau, SolverOptions())[0]
-            beta, obj, certified = solver._snap_and_certify(Z, y, w, tau, inner)
+            beta, obj, certified = certified_solve(Z, y, w, tau)
             rej = ~certified
             calls.clear()
             solver._solve_qr_batch(Z, y, w, tau, SolverOptions())
@@ -777,13 +797,13 @@ class TestInteriorPoint:
 
 
 def reference_snap_and_certify(Z, y, w, tau, beta):
-    """The snap that chose its basis by a stable argsort of the keys and
-    scored the vertex by a second objective pass: the reference for the
-    bytes of ``solver._snap_and_certify``."""
+    """The snap that chose its basis by a stable argsort of the keys, in
+    row order, and scored the vertex by a second objective pass: the
+    reference for the bytes of ``solver._snap_and_certify``."""
     mv = solver._mv
     usable = (w > 0) & np.any(Z != 0, axis=2)
     key = np.where(usable, w * np.abs(y - mv(Z, beta)), np.inf)
-    basis = np.argsort(key, axis=1, kind="stable")[:, : Z.shape[2]]
+    basis = np.sort(np.argsort(key, axis=1, kind="stable")[:, : Z.shape[2]], axis=1)
     Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
     wb = np.take_along_axis(w, basis, axis=1)
     ok = solver._in_general_position(Zb) & np.all(
@@ -883,8 +903,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("shape, calls", [((126, 78, 2), 1), ((133, 107, 6), 2)])
     def test_interior_point_calls_per_batch(self, monkeypatch, shape, calls):
-        # index fits (p = 2) of the n=200 grid run as one block; the
-        # full-dimensional fits (p = 6) keep blocks of 76 problems
+        # index fits (p = 2) of the n=200 grid run as one block, and the
+        # interior point sees only the problems the vertex descent leaves
+        # (none of these); the full-dimensional fits (p = 6) keep blocks
+        # of 76 problems
         seen, frisch_newton = [], solver._frisch_newton
 
         def spy(X, *args):
@@ -899,5 +921,73 @@ class TestBlocks:
         y = np.matmul(Z, rng.normal(size=p)) + rng.standard_t(3, size=(B, n))
         w = rng.uniform(0.1, 1.0, size=(B, n))
         w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
+        left = B
+        if p == 2:
+            s, vertex = solver._descend(Z, y, w, 0.5, SolverOptions())
+            left -= np.count_nonzero(solver._snap_and_certify(Z[s], y[s], w[s], 0.5, vertex)[2])
+            assert left == 0
         solver._solve_qr_batch(Z, y, w, 0.5, SolverOptions())
-        assert len(seen) == calls and sum(seen) == B
+        assert len(seen) == (calls if left else 0) and sum(seen) == left
+
+
+@st.composite
+def two_column_batches(draw):
+    """Stacked p = 2 problems of at most 12 rows on small integers, so
+    that rows tie and repeat: each problem's rows of weight in {0, 0.5, 1,
+    2} are followed by pad rows, copies of its last row at weight 0; the
+    first column is an intercept or a general column."""
+    B = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 12))
+    intercept = draw(st.booleans())
+    small = st.integers(-3, 3).map(float)
+    Z = np.array(draw(st.lists(small, min_size=2 * B * n, max_size=2 * B * n))).reshape(B, n, 2)
+    if intercept:
+        Z[:, :, 0] = 1.0
+    y = np.array(draw(st.lists(st.integers(-5, 5).map(float), min_size=B * n, max_size=B * n)))
+    y = y.reshape(B, n)
+    weights = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    w = np.array(draw(st.lists(weights, min_size=B * n, max_size=B * n))).reshape(B, n)
+    for b, rows in enumerate(draw(st.lists(st.integers(2, n), min_size=B, max_size=B))):
+        Z[b, rows:], y[b, rows:], w[b, rows:] = Z[b, rows - 1], y[b, rows - 1], 0.0
+    return Z, y, w, draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+
+
+class TestVertexDescent:
+    def test_certified_vertices_are_the_interior_points_bytes(self):
+        # the snap solves a basis in row order, so a certified vertex
+        # depends on its basis set alone, not on the path that found it
+        opts, both = SolverOptions(), 0
+        for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
+            if Z.shape[2] != 2:
+                continue
+            s, vertex = solver._descend(Z, y, w, tau, opts)
+            got = solver._snap_and_certify(Z[s], y[s], w[s], tau, vertex)
+            inner = solver._frisch_newton(weighted_design(Z, w), y * w, tau, opts)[0]
+            want = [v[s] for v in solver._snap_and_certify(Z, y, w, tau, inner)]
+            same = got[2] & want[2]
+            for g, r in zip(got[:2], want[:2]):
+                assert g[same].tobytes() == r[same].tobytes(), (Z.shape, tau)
+            both += np.count_nonzero(same)
+        assert both > 0
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(two_column_batches())
+    def test_objectives_attain_the_oracle(self, batch):
+        Z, y, w, tau = batch
+        problems = [
+            WeightedRegressionProblem(Z[b], y[b], w[b], LossSpec.quantile(tau))
+            for b in range(Z.shape[0])
+        ]
+        best = []
+        for prob in problems:
+            try:
+                best.append(prob.objective(qr_oracle(prob)))
+            except DegenerateProblemError:
+                assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, obj, complete = solver._solve_qr_batch(Z, y, w, tau, SolverOptions())
+        assert complete
+        for b, prob in enumerate(problems):
+            slack = 1e-12 * best[b] + 4 * np.spacing(np.sum(w[b] * np.abs(y[b])))
+            assert abs(prob.objective(beta[b]) - best[b]) <= slack, (b, tau)

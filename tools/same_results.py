@@ -44,7 +44,8 @@ bytes.  The cases:
   responses and weights in both memory orders;
 - four ``_solve_qr_batch`` calls shaped like the n=200 grid's: 126
   index problems of 78 rows with p=2 and 133 full-dimensional problems
-  of 107 rows with p=6, zero-weight padding, tau in {0.5, 0.3};
+  of 107 rows with p=6, zero-weight padding, tau in {0.5, 0.3}; and
+  three more index calls at tau in {0.1, 0.25, 0.9};
 - ``qr_oracle`` on 30 seeded problems of 3 to 12 rows and 1 to 4
   columns, with tied and duplicate rows and zero weights, so that its
   test for rows in general position is checked subset by subset.
@@ -360,6 +361,17 @@ def _solver_cases(qm, np, objectives):
             w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
             name = f"solver/grid/{kind}/tau{tau}"
             _solver_case(np, out, objectives, name, Z, y, w, tau, qm.SolverOptions())
+    # the index fits' shape at the quantile levels the grid does not run
+    rng = np.random.default_rng(20261021)
+    B, n = 126, 78
+    for tau in (0.1, 0.25, 0.9):
+        Z = rng.normal(size=(B, n, 2))
+        Z[:, :, 0] = 1.0
+        y = np.matmul(Z, rng.normal(size=2)) + rng.standard_t(3, size=(B, n))
+        w = rng.uniform(0.1, 1.0, size=(B, n))
+        w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
+        name = f"solver/grid/index/tau{tau}"
+        _solver_case(np, out, objectives, name, Z, y, w, tau, qm.SolverOptions())
     return out
 
 
