@@ -150,28 +150,30 @@ def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
     is needed; each entry is formed alone, so runs change no byte.  One
     row per (i, j) pair of `_pair_runs`: response ``Y_i - a_j``, design
     ``b_j (X_i - X_j)``, weight ``K(theta'(X_i-X_j)/h)``, with (a, b) from
-    the ``inner_step`` fits."""
+    the ``inner_step`` fits, read by sorted position and by anchor repeat."""
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
     j, a, b, _ = fits
-    t, _, lo, hi = windows = _index_windows(data, theta, j, h)
+    t, order, lo, hi = windows = _index_windows(data, theta, j, h)
+    ts, Xs, Ys = t[order], np.take(data.X, order, axis=0), data.Y[order]
+    tj, Xj = t[j], np.take(data.X, j, axis=0)
     step = max(1, _BOX_CELLS // data.d)
 
     def chunks():
-        for i, c in _pair_runs(windows, step):
-            jj = np.take(j, c)
-            W = kernel_eval(cfg.kernel, (np.take(t, i) - np.take(t, jj)) / h)
-            design = np.take(data.X, i, axis=0)
-            design -= np.take(data.X, jj, axis=0)
-            design *= np.take(b, c)[:, None]
-            yield design, np.take(data.Y, i) - np.take(a, c), W
+        for pos, span, count in _pair_runs(windows, step):
+            def rep(v):  # the anchor value of each pair
+                return np.repeat(v[span], count, axis=0)
+
+            W = kernel_eval(cfg.kernel, (np.take(ts, pos) - rep(tj)) / h)
+            design = np.take(Xs, pos, axis=0)
+            design -= rep(Xj)
+            design *= rep(b)[:, None]
+            yield design, np.take(Ys, pos) - rep(a), W
 
     return int(np.sum(hi - lo)), chunks()
 
 
-def outer_problem(
-    data: Dataset, theta, fits, cfg: QmaveConfig
-) -> WeightedRegressionProblem:
+def outer_problem(data: Dataset, theta, fits, cfg: QmaveConfig) -> WeightedRegressionProblem:
     """Pooled regression of the index update: `_pooled_rows` as one problem."""
     count, chunks = _pooled_rows(data, theta, fits, cfg)
     design, response, weight = np.empty((count, data.d)), np.empty(count), np.empty(count)
@@ -186,14 +188,22 @@ def outer_problem(
 def _squared_sums(data: Dataset, theta, fits, cfg: QmaveConfig, normal: bool):
     """The squared-loss pooled objective at ``theta`` and, if ``normal``,
     the (1, d, d) Gram and (1, d) right-hand side of the index update,
-    summed over the chunks of `_pooled_rows`, each a checked problem."""
+    summed over the chunks of `_pooled_rows`.  Rows that are not finite
+    make their chunk's objective so, and raise ``DegenerateProblemError``."""
+    theta = np.asarray(theta, dtype=float).ravel()
     objective, gram, rhs = 0.0, np.zeros((1, data.d, data.d)), np.zeros((1, data.d))
-    for rows in _pooled_rows(data, theta, fits, cfg)[1]:
-        chunk = WeightedRegressionProblem(*rows, cfg.loss)
-        objective += chunk.objective(theta)
-        if normal:
-            g, r = _gram_batch(chunk.Z[None], chunk.y[None], chunk.w[None])
-            gram, rhs = gram + g, rhs + r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Z, y, w in _pooled_rows(data, theta, fits, cfg)[1]:
+            r = y - Z @ theta
+            part = float(np.sum(w * (r * r)))
+            if not np.isfinite(part) and not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
+                raise DegenerateProblemError(
+                    "pooled rows are not finite: Y_i - a_j or b_j (X_i - X_j) overflows"
+                )
+            objective += part
+            if normal:
+                g, r = _gram_batch(Z[None], y[None], w[None])
+                gram, rhs = gram + g, rhs + r
     return objective, gram, rhs
 
 

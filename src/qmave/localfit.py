@@ -1,26 +1,28 @@
 """Local-linear fits: along a candidate index and in full dimension.
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
-an anchor point.  Every kind of fit ends in one core: `_local_core`
-solves it in bandwidth units, on ``[1, (X - x0)/h]``, and `_settle` joins
-the parts of one batch, polishes together the quantile problems that
-their certificates rejected, and returns the slopes in the units of X.
-The two hold the one rule for which fits are usable: the least-squares
-solve of that weighted design is the rank screen (it is NaN where the
-design fails the solver's rank rule), and the fit is finite.
-`index_fit_batch` and `full_fit_batch` run them on a batch of anchors and
-return the kept ones as arrays; `local_linear_index_fit` and
-`local_linear_full_fit` run them on one point.  No fit builds a dense (n,
-m) or (n, m, d) array.
+an anchor point.  The caller builds each problem's design ``[1, D/h]``
+from its offsets D, and one core, `_local_core`, solves every kind of fit
+on it in bandwidth units; `_settle` joins the parts of one batch,
+polishes together the quantile problems that their certificates
+rejected, and returns the slopes in the units of X.  The two hold the one
+rule for which fits are usable: the least-squares solve of the weighted
+design is the rank screen (NaN where the design fails the solver's rank
+rule), and the fit is finite.  `index_fit_batch` and `full_fit_batch`
+run them on a batch of anchors and return the kept ones as arrays;
+`local_linear_index_fit` and `local_linear_full_fit` run them on one
+point.  No fit builds a dense (n, m) or (n, m, d) array.
 
 Both kernels are positive exactly where ``|u| < 1`` (`_in_support`), so
 no neighbourhood is found by evaluating a kernel.  Along an index the
 rows of an anchor's window are one run of the rows sorted by ``t = X
-theta`` (`_index_windows`); the index fits read each window in that
-order, and the outer problem forms its (row, anchor) pairs from the same
-runs, one chunk at a time (`_pair_runs`).  In full dimension the product
-kernel is positive on a box: the full fits and the ladder probe take
-their anchors in groups of ``_FULL_BLOCK`` (`_box_blocks`), each with one
+theta`` (`_index_windows`).  The index fits sort the index values and
+responses once per call and read each window by sorted position; the
+pooled rows of the index update take their (row, anchor) pairs from the
+same runs, a chunk at a time, with each anchor's values repeated over
+its window's pairs (`_pair_runs`).  In full dimension the product kernel
+is positive on a box: the full fits and the ladder probe take their
+anchors in groups of ``_FULL_BLOCK`` (`_box_blocks`), each with one
 (group, n) matrix R of largest coordinate offsets, built inside the call
 that reads it, so one R is alive at a time.  A row lies in the box where
 ``R < h0``.  For h0 > 0 that is ``_in_support(R / h0)`` exactly: IEEE
@@ -37,10 +39,9 @@ keeps the bytes of a single stack.  The full fits polish the rejects of
 a group's blocks together (`_settle`), so their blocks change no byte;
 the index fits polish each block alone.  Both pad by one rule
 (`_slots`): the slots past a problem's rows repeat its last row at
-weight 0.  Rows are gathered by ``np.take(A, rows,
-axis=0)``, the bytes of ``A[rows]`` by a faster path, then offset and
-scaled in place: no full-size temporary lives beside a design or the
-outer problem.
+weight 0.  Rows are gathered by ``np.take`` (the bytes of ``A[rows]`` by
+a faster path), and the offsets die as the design is built, so no
+full-size temporary lives beside a design in its solve.
 """
 
 from __future__ import annotations
@@ -180,9 +181,8 @@ def local_linear_index_fit(
     opts = opts or SolverOptions()
     T = (data.X - np.asarray(x0, dtype=float).ravel()) @ theta
     rows = np.flatnonzero(_in_support(T / h))
-    T = T[None, rows]
-    W = kernel_eval(kernel, T / h)
-    part = _local_core(T[:, :, None], W, data.Y[None, rows], h, loss, opts)
+    Z = _design(T[None, rows, None], h)
+    part = _local_core(Z, kernel_eval(kernel, Z[:, :, 1]), data.Y[None, rows], loss, opts)
     kept, a, B, effw, complete = _settle([(0, part)], h, loss)
     reason = "no usable local fit: needs weighted index values in general position"
     return _single_fit((kept, a, B[:, 0], effw, complete), opts, reason)
@@ -249,22 +249,24 @@ def _box_blocks(anchors):
     return (anchors[lo : lo + _FULL_BLOCK] for lo in range(0, anchors.size, _FULL_BLOCK))
 
 
-def _local_core(D, Wg, Yg, h, loss, opts):
-    """Fits of ``Yg`` on the offsets ``D`` with weights ``Wg``, one problem
-    per row of these (B, L[, k]) arrays, solved in bandwidth units on the
-    design ``[1, D/h]``.  The least-squares solve is the rank screen:
-    `_solve_ls_batch` gives NaN coefficients where that design fails the
-    solver's rank rule, and a problem passes when its coefficients are
-    finite.  The squared loss returns them; the quantile loss solves the
-    passing problems again under its loss, and leaves those its
-    certificate rejects to the polish of `_settle`.  Returns one part for
-    `_settle`: ``(passed, beta, effective_weight, complete, rejects)``,
-    ``beta`` in bandwidth units; ``complete`` is False when the iteration
-    budget truncated the solve.
-    """
+def _design(D, h):
+    """The local design ``[1, D/h]`` of the offsets ``D`` (B, L, k)."""
     Z = np.empty(D.shape[:2] + (D.shape[2] + 1,))
     Z[:, :, 0] = 1.0
     np.divide(D, h, out=Z[:, :, 1:])
+    return Z
+
+
+def _local_core(Z, Wg, Yg, loss, opts):
+    """Fits of ``Yg`` with weights ``Wg`` on the designs ``Z = [1, D/h]``
+    that the caller built, one problem per row of these (B, L[, k + 1])
+    arrays.  A problem passes the rank screen when its least-squares
+    coefficients (`_solve_ls_batch`) are finite; the squared loss returns
+    them, the quantile loss solves the passing problems again and leaves
+    those its certificate rejects to the polish of `_settle`.  Returns one
+    part for `_settle`: ``(passed, beta, effective_weight, complete,
+    rejects)``, ``beta`` in bandwidth units; ``complete`` is False when the
+    iteration budget truncated the solve."""
     beta, complete, rejects = _solve_ls_batch(Z, Yg, Wg), True, []
     sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
@@ -310,11 +312,9 @@ def _full_core(data, x0, h0, loss, kernel, opts):
     row order, taken from the (anchor, row) pairs of the boxes, which are
     formed once R is freed; its slots past them (`_slots`), up to L, the
     most rows of any of the B problems, repeat its last row at weight 0.
-    The problems run in blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors, the
-    interior point's own block, each padded to L: the block rule of
-    `index_fit_batch`.  Stacked solves work problem by problem and
-    `_settle` polishes the rejects of all blocks together, so blocks
-    change no byte.  Returns the fits of `_settle` at the B anchors."""
+    The problems run in blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors
+    padded to L (the module's block rule), each block's offsets freed once
+    its design is built.  Returns the fits of `_settle` at the B anchors."""
     X, (B, d) = data.X, x0.shape
     c, r = np.divmod(np.flatnonzero(_box_offsets(X, x0) < h0), X.shape[0])
     w, step = np.empty(r.size), max(1, _BOX_CELLS // d)
@@ -332,9 +332,8 @@ def _full_core(data, x0, h0, loss, kernel, opts):
     for lo in range(0, B, step):
         pos, inside = _slots(start[lo : lo + step], count[lo : lo + step], width)
         gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
-        D = np.take(X, gather, axis=0)
-        D -= x0[lo : lo + step, None, :]
-        parts.append((lo, _local_core(D, Wg, data.Y[gather], h0, loss, opts)))
+        Z = _design(np.take(X, gather, axis=0) - x0[lo : lo + step, None, :], h0)
+        parts.append((lo, _local_core(Z, Wg, data.Y[gather], loss, opts)))
     return _settle(parts, h0, loss)
 
 
@@ -374,42 +373,34 @@ def _index_windows(data, theta, anchors, h):
 
 def _pair_runs(windows, step):
     """The (row, anchor) pairs of the `_index_windows` ``windows``, window
-    by window, as ``(rows, cols)`` runs of at most ``step`` pairs, with
-    ``cols`` positions in the anchors.  Pair k lies in the window c whose
-    cumulative count first exceeds k, at row ``order[lo[c] + k -
-    start[c]]``; each pair is formed alone, so runs change no byte."""
-    _, order, lo, hi = windows
-    end = np.cumsum(hi - lo)
-    shift = lo - end + (hi - lo)  # lo[c] - start[c]
+    by window, as runs ``(pos, span, count)`` of at most ``step`` pairs,
+    found by one search per run end: ``np.repeat(v[span], count)`` gives
+    each pair's anchor value, ``order[pos]`` its row.  Each pair is formed
+    alone, so runs change no byte."""
+    lo, size = windows[2], windows[3] - windows[2]
+    end = np.cumsum(size)
+    start = end - size
+    shift = lo - start  # a pair's sorted position less its place k among the pairs
     total = int(end[-1]) if end.size else 0
     for k0 in range(0, total, step):
-        k = np.arange(k0, min(k0 + step, total))
-        cols = np.searchsorted(end, k, side="right")
-        k += np.take(shift, cols)
-        yield np.take(order, k), cols
+        k1 = min(k0 + step, total)
+        first, last = np.searchsorted(end, (k0, k1 - 1), side="right")
+        span = slice(first, last + 1)
+        count = np.minimum(end[span], k1) - np.maximum(start[span], k0)
+        yield np.arange(k0, k1) + np.repeat(shift[span], count), span, count
 
 
-def _index_pairs(data, theta, anchors, h):
-    """(row, anchor) pairs with positive index-kernel weight, window by
-    window, in one run of `_pair_runs`.  Returns ``(t, rows, cols)`` with
-    ``t = X theta`` and ``cols`` positions in ``anchors``."""
-    windows = _index_windows(data, theta, anchors, h)
-    empty = np.empty(0, dtype=int)
-    rows, cols = next(_pair_runs(windows, max(data.n * len(windows[2]), 1)), (empty, empty))
-    return windows[0], rows, cols
-
-
-def _index_problems(windows, anchors, block, width):
-    """The stacked problems of `index_fit_batch` at the anchors
-    ``anchors[block]``, from their `_index_windows`: ``(gather, Tg,
-    inside)``, one row per anchor (each anchor lies in its own window).
-    Slot k of anchor c is the row ``gather[c, k] = order[lo + k]`` of its
-    window, in index order, at index offset ``Tg[c, k]``; the slots past
-    the window, up to ``width`` (``inside`` False), repeat its last row."""
-    t, order, lo, hi = windows
-    pos, inside = _slots(lo[block], hi[block] - lo[block], width)
-    gather = order[pos]
-    return gather, t[gather] - t[anchors[block], None], inside
+def _index_problems(ts, tc, lo, hi, width, h):
+    """The stacked problems ``(pos, Z, inside)`` of `index_fit_batch` at
+    anchors of index values ``tc`` and windows ``lo:hi`` of the sorted
+    ``ts``: slot k of anchor c is the design row ``[1, (ts[pos] - tc[c]) /
+    h]`` at ``pos = lo[c] + k``, repeating the last row past the window."""
+    pos, inside = _slots(lo, hi - lo, width)
+    Z = np.empty(pos.shape + (2,))
+    Z[:, :, 0] = 1.0
+    np.subtract(np.take(ts, pos), tc[:, None], out=Z[:, :, 1])
+    Z[:, :, 1] /= h
+    return pos, Z, inside
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel):
@@ -418,23 +409,22 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
     Returns ``(kept_anchor_indices, a, b, effective_weight)`` in the order
     of ``anchors``; anchors whose window fails the rank screen of
     `_local_core` (or gives a non-finite solution) are silently omitted.
-    Anchors run in L2-sized blocks of ``_BLOCK_CELLS // 2L``, the interior
-    point's block of p = 2 problems, each padded to L, the longest window
-    of all anchors: pad rows enter the interior point's gap and the sums,
-    so a pad length per block would change bits.  Each block is its own
-    batch of `_settle`.
+    Anchors run in blocks of ``_BLOCK_CELLS // 2L``, each padded to L, the
+    longest window of all anchors (the module's block rule), and each
+    block is its own batch of `_settle`.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
     opts = SolverOptions()
-    windows = _index_windows(data, theta, anchors, h)
-    width = np.max(windows[3] - windows[2], initial=0)
+    t, order, lo, hi = _index_windows(data, theta, anchors, h)
+    ts, Ys, tc = t[order], data.Y[order], t[anchors]
+    width = np.max(hi - lo, initial=0)
     step = max(1, _BLOCK_CELLS // max(2 * width, 1))
     parts = [(anchors[:0], np.empty(0), np.empty(0), np.empty(0))]
-    for block in (slice(lo, lo + step) for lo in range(0, anchors.size, step)):
-        gather, Tg, inside = _index_problems(windows, anchors, block, width)
-        Wg = np.where(inside, kernel_eval(kernel, Tg / h), 0.0)
-        part = _local_core(Tg[:, :, None], Wg, data.Y[gather], h, loss, opts)
+    for block in (slice(k, k + step) for k in range(0, anchors.size, step)):
+        pos, Z, inside = _index_problems(ts, tc[block], lo[block], hi[block], width, h)
+        Wg = np.where(inside, kernel_eval(kernel, Z[:, :, 1]), 0.0)
+        part = _local_core(Z, Wg, np.take(Ys, pos), loss, opts)
         kept, a, B, effw, _ = _settle([(0, part)], h, loss)
         parts.append((anchors[block][kept], a, B[:, 0], effw))
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -443,10 +433,9 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
 def full_fit_batch(data, anchors, h0, loss, kernel):
     """Full-dimensional local fits at ``X[anchors]``, anchors in blocks.
 
-    Returns ``(kept_anchor_indices, a, B, effective_weight)`` where ``B``
-    has one slope row per kept anchor.  Anchors whose window fails the
-    rank screen of `_local_core` or gives a non-finite solution are
-    omitted.
+    Returns ``(kept_anchor_indices, a, B, effective_weight)`` with one
+    slope row of ``B`` per kept anchor; anchors whose window fails the rank
+    screen of `_local_core` or gives a non-finite solution are omitted.
     """
     _check_positive("bandwidth", h0)
     opts = SolverOptions()

@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
 
@@ -248,6 +247,8 @@ def run_benchmark(
                 jobs.append((n, law.value, methods, seed, theta0, tol, max_iter))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a seventh of the import time
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_rep, jobs, chunksize=4))
     else:

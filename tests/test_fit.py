@@ -9,6 +9,7 @@ import pytest
 from qmave import (
     Dataset,
     DegenerateDirectionError,
+    DegenerateProblemError,
     DegenerateUpdateError,
     InsufficientDataError,
     InvalidInputError,
@@ -25,10 +26,11 @@ from qmave import (
     qmave_fit,
     qr_oracle,
 )
+from qmave import fit as fit_module
 from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth, kernel_eval
 from qmave.fit import _INIT_LADDER, _median_window_count, eq_objective, resolve_bandwidth
 from qmave.initial import TrimSpec, trim_mask
-from qmave.localfit import _index_pairs
+from qmave.localfit import _index_windows
 
 EPA = KernelSpec.epanechnikov()
 
@@ -212,7 +214,8 @@ class TestOuterStep:
         cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
         run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
         fits = inner_step(data, cfg.init, run)
-        pairs = _index_pairs(data, cfg.init, fits[0], run.h)[1].size
+        _, _, lo, hi = _index_windows(data, cfg.init, fits[0], run.h)
+        pairs = int(np.sum(hi - lo))
         tracemalloc.start()
         try:
             step(data, cfg.init, fits, run)
@@ -473,6 +476,57 @@ class TestScaleOutOfRange:
                 "the design or response overflows",
             ):
                 qmave_fit(Dataset(data.X, data.Y * scale), cfg)
+
+
+def far_row_data():
+    """n=200 model data plus one row far out along theta0 with Y = 1e308:
+    no window of the fit holds it, but a hand-made fit at it with a =
+    -1e308 makes its pooled response Y_i - a_j overflow."""
+    data, theta0 = gen_model8(SimConfig(n=200, seed=3))
+    X = np.vstack([data.X, data.X.mean(axis=0) + 25.0 * theta0])
+    return Dataset(X, np.append(data.Y, 1e308)), theta0
+
+
+def with_far_fit(data, fits):
+    """``fits`` plus a hand-made fit at the far row whose a is -1e308."""
+    j, a, b, effw = fits
+    return np.append(j, data.n - 1), np.append(a, -1e308), np.append(b, 1.0), np.append(effw, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingPooledRows:
+    """The squared loss sums its pooled rows chunk by chunk without
+    building a checked problem: rows that are not finite raise an error
+    that names the overflow, with no numpy warning, and the unconverged
+    tail of a fit never ranks an iterate by such an objective."""
+
+    def test_objective_and_step_name_the_overflow(self):
+        data, theta0 = far_row_data()
+        cfg = QmaveConfig(loss=LossSpec.squared(), h=0.5)
+        fits = with_far_fit(data, inner_step(data, theta0, cfg))
+        message = "pooled rows are not finite: Y_i - a_j or b_j"
+        with pytest.raises(DegenerateProblemError, match=message):
+            eq_objective(data, theta0, fits, cfg)
+        with pytest.raises(DegenerateUpdateError, match=message):
+            outer_step(data, theta0, fits, cfg)
+
+    def test_unconverged_tail_skips_the_overflowing_objective(self, monkeypatch):
+        data, theta0 = far_row_data()
+        cfg = QmaveConfig(loss=LossSpec.squared(), init=theta0, tol=1e-15, max_iter=3)
+        index_step, calls = fit_module._index_step, []
+
+        def tail_overflows(*args):
+            calls.append(len(calls))
+            fits = index_step(*args)
+            return with_far_fit(data, fits) if len(calls) > cfg.max_iter else fits
+
+        monkeypatch.setattr(fit_module, "_index_step", tail_overflows)
+        fit = qmave_fit(data, cfg)
+        assert len(calls) == cfg.max_iter + 1 and not fit.converged
+        assert len(fit.objective_trace) == cfg.max_iter
+        assert np.all(np.isfinite(fit.objective_trace))
+        best = int(np.argmin(fit.objective_trace))
+        assert fit.theta.tobytes() == fit.theta_trace[best].tobytes()
 
 
 class TestResponseAffineMap:

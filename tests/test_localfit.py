@@ -42,9 +42,9 @@ from qmave.fit import (
 from qmave.initial import TrimSpec
 from qmave.localfit import (
     _FULL_BLOCK,
-    _index_pairs,
     _index_problems,
     _index_windows,
+    _pair_runs,
     full_fit_batch,
     index_fit_batch,
 )
@@ -464,15 +464,16 @@ class TestSortedWindowsAreExact:
                 assert fits[0].size >= 2
                 assert got[0].tobytes() == fits[0].tobytes()
                 # window contents: each anchor's (row, T, Y) set
-                runs = _index_windows(data, theta, anchors, h)
-                L = np.max(runs[3] - runs[2])
-                gather, Tg, inside = _index_problems(runs, anchors, slice(None), L)
+                t, order, lo, hi = _index_windows(data, theta, anchors, h)
+                pos, Z, inside = _index_problems(t[order], t[anchors], lo, hi, np.max(hi - lo), h)
+                gather = order[pos]
                 assert len(windows) == anchors.size
+                assert np.all(Z[:, :, 0] == 1.0)
                 for k, (rows, T, _) in enumerate(windows):
                     by_row = np.argsort(gather[k, inside[k]], kind="stable")
                     slots = gather[k, inside[k]][by_row]
                     assert slots.tobytes() == rows.tobytes()
-                    assert Tg[k, inside[k]][by_row].tobytes() == T.tobytes()
+                    assert Z[k, inside[k], 1][by_row].tobytes() == (T / h).tobytes()
                     assert data.Y[slots].tobytes() == data.Y[rows].tobytes()
                 # each anchor's local optimum, both evaluated on the dense
                 # window; the slack of 8 ulps of the anchor's sum w|y| covers
@@ -493,7 +494,7 @@ class TestSortedWindowsAreExact:
                 cfg = QmaveConfig(loss=loss, kernel=kernel, h=h)
                 (ii, cc), outer, objective = dense_pooled(data, theta, got, h, loss, kernel)
                 problem = outer_problem(data, theta, got, cfg)
-                _, rows_p, cols_p = _index_pairs(data, theta, got[0], h)
+                rows_p, cols_p = index_pairs(data, theta, got[0], h)
                 perm = np.lexsort((cols_p, rows_p))
                 assert rows_p[perm].tobytes() == ii.tobytes()
                 assert cols_p[perm].tobytes() == cc.tobytes()
@@ -501,6 +502,55 @@ class TestSortedWindowsAreExact:
                     assert have[perm].tobytes() == want.tobytes()
                 have = eq_objective(data, theta, got, cfg)
                 assert have == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def per_pair_runs(windows, step):
+    """The (rows, cols) runs of the pairs of ``windows``, one searchsorted
+    per pair: pair k lies in the window whose cumulative count first
+    exceeds k, at its sorted position ``lo + k - start`` of that window.
+    The reference for the run-length `_pair_runs`."""
+    _, order, lo, hi = windows
+    end = np.cumsum(hi - lo)
+    total = int(end[-1]) if end.size else 0
+    for k0 in range(0, total, step):
+        k = np.arange(k0, min(k0 + step, total))
+        cols = np.searchsorted(end, k, side="right")
+        yield order[k + (lo - end + hi - lo)[cols]], cols
+
+
+def index_pairs(data, theta, anchors, h):
+    """Every (row, anchor) pair of the index windows of ``anchors``, as
+    ``(rows, cols)`` in the order of the pooled rows."""
+    windows = _index_windows(data, theta, anchors, h)
+    return next(per_pair_runs(windows, data.n * len(anchors)))
+
+
+class TestPairRuns:
+    """`_pair_runs` forms each run's anchors by repeating them over the
+    windows the run spans: the same (rows, cols) as one search per pair,
+    for runs that start and end anywhere in a window."""
+
+    @pytest.mark.parametrize("kind", ["plain", "ties", "duplicates"])
+    def test_matches_per_pair_reference(self, kind):
+        data, theta = window_data(kind)
+        h = 0.75 if kind == "ties" else 0.1 * np.std(data.X @ theta, ddof=1)
+        windows = _index_windows(data, theta, np.arange(1, 120, 2), h)
+        size = windows[3] - windows[2]
+        assert size[1] > 1  # so that a run can end inside it
+        # steps of 1 and 7, one whose first boundary cuts the second
+        # window in half, and every pair in one run
+        for step in (1, 7, int(size[0] + size[1] // 2), int(size.sum())):
+            have = list(_pair_runs(windows, step))
+            want = list(per_pair_runs(windows, step))
+            assert len(have) == len(want) == -(-int(size.sum()) // step)
+            for (pos, span, count), (rows, cols) in zip(have, want):
+                assert windows[1][pos].tobytes() == rows.tobytes()
+                assert np.repeat(np.arange(span.start, span.stop), count).tobytes() == cols.tobytes()
+
+    def test_no_anchors_no_run(self):
+        data, theta = window_data("plain")
+        windows = _index_windows(data, theta, np.empty(0, dtype=int), 0.5)
+        assert list(_pair_runs(windows, 7)) == []
 
 
 class TestIndexBlocks:
@@ -522,11 +572,21 @@ class TestIndexBlocks:
         h = 0.75 if kind == "ties" else 0.1 * np.std(data.X @ theta, ddof=1)
         anchors = np.arange(1, 120, 2)
         _, _, lo, hi = _index_windows(data, theta, anchors, h)
+        _, windows = dense_index_fits(data, theta, anchors, h, loss, kernel)
         calls = []
 
-        def spy(*args):
-            calls.append(args[0].shape[0])
-            return local_core(*args)
+        def spy(Z, Wg, Yg, *rest):
+            # each block's design is [1, T/h] on its anchors' windows
+            first = sum(calls)
+            for k in range(Z.shape[0]):
+                _, T, W = windows[first + k]
+                inside = Wg[k] > 0
+                assert np.all(Z[k, :, 0] == 1.0) and np.all(Wg[k, inside.sum() :] == 0)
+                by_index = np.argsort(T, kind="stable")
+                assert Z[k, inside, 1].tobytes() == (T[by_index] / h).tobytes()
+                assert Wg[k, inside].tobytes() == W[by_index].tobytes()
+            calls.append(Z.shape[0])
+            return local_core(Z, Wg, Yg, *rest)
 
         local_core = localfit._local_core
         monkeypatch.setattr(localfit, "_local_core", spy)
@@ -572,7 +632,7 @@ def exact_pooled(data, theta, fits, h, loss, w):
     arithmetic, over the library's (row, anchor) pairs with their weights
     ``w``: ``sum w loss(Y_i - a_j - b_j (X_i - X_j)'theta)``."""
     j, a, b, _ = fits
-    _, rows, cols = _index_pairs(data, theta, j, h)
+    rows, cols = index_pairs(data, theta, j, h)
     th = [Fraction(v) for v in theta]
     total = Fraction(0)
     for i, c, wk in zip(rows.tolist(), cols.tolist(), w.tolist()):
@@ -701,9 +761,10 @@ class TestBoxFullFits:
         anchors = np.arange(data.n)
         stacked = []
 
-        def spy(D, Wg, Yg, *rest):
-            stacked.append((D.copy(), Wg.copy(), Yg.copy()))
-            return local_core(D, Wg, Yg, *rest)
+        def spy(Z, Wg, Yg, *rest):
+            assert np.all(Z[:, :, 0] == 1.0)
+            stacked.append((Z[:, :, 1:].copy(), Wg.copy(), Yg.copy()))
+            return local_core(Z, Wg, Yg, *rest)
 
         local_core = localfit._local_core
         monkeypatch.setattr(localfit, "_local_core", spy)
@@ -716,6 +777,7 @@ class TestBoxFullFits:
             while sum(part[0].shape[0] for part in parts) < block.size:
                 parts.append(next(calls))
             got = [np.concatenate(arrays) for arrays in zip(*parts)]
+            want[0] = want[0] / h0  # the design holds the offsets in bandwidth units
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
         assert next(calls, None) is None
@@ -771,9 +833,9 @@ class TestFullBlocks:
         anchors = np.arange(1, 120, 2)
         calls = []
 
-        def spy(D, *rest):
-            calls.append(D.shape)
-            return local_core(D, *rest)
+        def spy(Z, *rest):
+            calls.append(Z.shape)
+            return local_core(Z, *rest)
 
         local_core = localfit._local_core
         monkeypatch.setattr(localfit, "_local_core", spy)
@@ -786,7 +848,7 @@ class TestFullBlocks:
             calls.clear()
             fits[size] = full_fit_batch(data, anchors, 1.5, loss, kernel)
             want = [min(size, anchors.size - k) for k in range(0, anchors.size, size)]
-            assert calls == [(b, width, data.d) for b in want]
+            assert calls == [(b, width, data.d + 1) for b in want]
         want = fits[anchors.size]
         assert want[0].size >= 2
         if kind == "isolated":
