@@ -173,15 +173,24 @@ def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
     return int(np.sum(hi - lo)), chunks()
 
 
+# Pooled rows can overflow where the inputs do not: a far response minus
+# a far local level, or a large slope times a far offset.
+_POOLED_OVERFLOW = "pooled rows are not finite: Y_i - a_j or b_j (X_i - X_j) overflows"
+
+
 def outer_problem(data: Dataset, theta, fits, cfg: QmaveConfig) -> WeightedRegressionProblem:
-    """Pooled regression of the index update: `_pooled_rows` as one problem."""
+    """Pooled regression of the index update: `_pooled_rows` as one problem.
+    Rows that are not finite raise ``DegenerateProblemError``."""
     count, chunks = _pooled_rows(data, theta, fits, cfg)
     design, response, weight = np.empty((count, data.d)), np.empty(count), np.empty(count)
     lo = 0
-    for D, r, w in chunks:
-        hi = lo + r.size
-        design[lo:hi], response[lo:hi], weight[lo:hi] = D, r, w
-        lo = hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for D, r, w in chunks:
+            hi = lo + r.size
+            design[lo:hi], response[lo:hi], weight[lo:hi] = D, r, w
+            lo = hi
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
+        raise DegenerateProblemError(_POOLED_OVERFLOW)
     return WeightedRegressionProblem(design, response, weight, cfg.loss)
 
 
@@ -197,9 +206,7 @@ def _squared_sums(data: Dataset, theta, fits, cfg: QmaveConfig, normal: bool):
             r = y - Z @ theta
             part = float(np.sum(w * (r * r)))
             if not np.isfinite(part) and not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
-                raise DegenerateProblemError(
-                    "pooled rows are not finite: Y_i - a_j or b_j (X_i - X_j) overflows"
-                )
+                raise DegenerateProblemError(_POOLED_OVERFLOW)
             objective += part
             if normal:
                 g, r = _gram_batch(Z[None], y[None], w[None])

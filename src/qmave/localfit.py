@@ -3,9 +3,8 @@
 Each fit minimises a kernel-weighted loss of local-linear residuals around
 an anchor point.  The caller builds each problem's design ``[1, D/h]``
 from its offsets D, and one core, `_local_core`, solves every kind of fit
-on it in bandwidth units; `_settle` joins the parts of one batch,
-polishes together the quantile problems that their certificates
-rejected, and returns the slopes in the units of X.  The two hold the one
+on it in bandwidth units; `_settle` joins the parts of one batch and
+returns the slopes in the units of X.  The two hold the one
 rule for which fits are usable: the least-squares solve of the weighted
 design is the rank screen (NaN where the design fails the solver's rank
 rule), and the fit is finite.  `index_fit_batch` and `full_fit_batch`
@@ -35,13 +34,12 @@ offsets run in blocks of ``_BLOCK_CELLS // L(k + 1)`` anchors, the
 interior point's own block, all padded to one width L, the longest
 window of all anchors along an index and of the group in full dimension.
 Pad rows enter the interior point's gap and the sums, so one pad width
-keeps the bytes of a single stack.  The full fits polish the rejects of
-a group's blocks together (`_settle`), so their blocks change no byte;
-the index fits polish each block alone.  Both pad by one rule
-(`_slots`): the slots past a problem's rows repeat its last row at
-weight 0.  Rows are gathered by ``np.take`` (the bytes of ``A[rows]`` by
-a faster path), and the offsets die as the design is built, so no
-full-size temporary lives beside a design in its solve.
+keeps the bytes of a single stack; the solver finishes each problem on
+its own, so blocks change no byte.  Both pad by one rule (`_slots`): the
+slots past a problem's rows repeat its last row at weight 0.  Rows are
+gathered by ``np.take`` (the bytes of ``A[rows]`` by a faster path), and
+the offsets die as the design is built, so no full-size temporary lives
+beside a design in its solve.
 """
 
 from __future__ import annotations
@@ -56,13 +54,7 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import (
-    _BLOCK_CELLS,
-    SolverOptions,
-    _polish_batch,
-    _solve_ls_batch,
-    _solve_qr_batch,
-)
+from .solver import _BLOCK_CELLS, SolverOptions, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -183,7 +175,7 @@ def local_linear_index_fit(
     rows = np.flatnonzero(_in_support(T / h))
     Z = _design(T[None, rows, None], h)
     part = _local_core(Z, kernel_eval(kernel, Z[:, :, 1]), data.Y[None, rows], loss, opts)
-    kept, a, B, effw, complete = _settle([(0, part)], h, loss)
+    kept, a, B, effw, complete = _settle([(0, part)], h)
     reason = "no usable local fit: needs weighted index values in general position"
     return _single_fit((kept, a, B[:, 0], effw, complete), opts, reason)
 
@@ -262,34 +254,27 @@ def _local_core(Z, Wg, Yg, loss, opts):
     that the caller built, one problem per row of these (B, L[, k + 1])
     arrays.  A problem passes the rank screen when its least-squares
     coefficients (`_solve_ls_batch`) are finite; the squared loss returns
-    them, the quantile loss solves the passing problems again and leaves
-    those its certificate rejects to the polish of `_settle`.  Returns one
-    part for `_settle`: ``(passed, beta, effective_weight, complete,
-    rejects)``, ``beta`` in bandwidth units; ``complete`` is False when the
-    iteration budget truncated the solve."""
-    beta, complete, rejects = _solve_ls_batch(Z, Yg, Wg), True, []
+    them, the quantile loss solves the passing problems again
+    (`_solve_qr_batch`, which finishes each problem on its own).  Returns
+    one part for `_settle`: ``(passed, beta, effective_weight,
+    complete)``, ``beta`` in bandwidth units; ``complete`` is False when
+    the iteration budget truncated the solve."""
+    beta, complete = _solve_ls_batch(Z, Yg, Wg), True
     sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
     if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
         beta, Z, Yg, Wg = beta[sub], Z[sub], Yg[sub], Wg[sub]
     if loss.is_quantile:
-        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts, rejects)
-    return sub, beta, np.sum(Wg, axis=1), complete, rejects
+        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
+    return sub, beta, np.sum(Wg, axis=1), complete
 
 
-def _settle(parts, h, loss):
+def _settle(parts, h):
     """The fits of one batch of problems solved in `_local_core` parts
     ``(start, part)``: ``(kept, a, B, effective_weight, complete)``, kept
-    positions offset by their part's start, slopes in the units of D.  The
-    problems that the certificates of all parts rejected go to one
-    `_polish_batch`, as in one `_solve_qr_batch` call on the whole batch.
+    positions offset by their part's start, slopes in the units of D.
     A fit is kept when its coefficients are finite."""
-    passed, beta, effw, done, rejects = zip(*(part for _, part in parts))
+    passed, beta, effw, done = zip(*(part for _, part in parts))
     beta = np.concatenate(beta)
-    rejects = [found for part in rejects for found in part]  # one per quantile part
-    if rejects:
-        rej, Z, y, w, obj = (np.concatenate(v) for v in zip(*rejects))
-        if np.any(rej):
-            beta[rej] = _polish_batch(Z, y, w, loss.tau, beta[rej], obj)[0]
     passed = np.concatenate([start + p for (start, _), p in zip(parts, passed)])
     ok = np.all(np.isfinite(beta), axis=1)
     return passed[ok], beta[ok, 0], beta[ok, 1:] / h, np.concatenate(effw)[ok], all(done)
@@ -334,7 +319,7 @@ def _full_core(data, x0, h0, loss, kernel, opts):
         gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
         Z = _design(np.take(X, gather, axis=0) - x0[lo : lo + step, None, :], h0)
         parts.append((lo, _local_core(Z, Wg, data.Y[gather], loss, opts)))
-    return _settle(parts, h0, loss)
+    return _settle(parts, h0)
 
 
 def _index_windows(data, theta, anchors, h):
@@ -425,7 +410,7 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
         pos, Z, inside = _index_problems(ts, tc[block], lo[block], hi[block], width, h)
         Wg = np.where(inside, kernel_eval(kernel, Z[:, :, 1]), 0.0)
         part = _local_core(Z, Wg, np.take(Ys, pos), loss, opts)
-        kept, a, B, effw, _ = _settle([(0, part)], h, loss)
+        kept, a, B, effw, _ = _settle([(0, part)], h)
         parts.append((anchors[block][kept], a, B[:, 0], effw))
     return tuple(np.concatenate(part) for part in zip(*parts))
 

@@ -228,13 +228,16 @@ def run_benchmark(
     identical for any ``workers`` value and any scheduling order.
     Replications whose fit raises are excluded from the aggregates and
     counted in ``excluded``.  ``replications`` and ``workers`` must be
-    integers >= 1.
+    integers >= 1, and ``ns``, ``laws`` and ``methods`` nonempty.
     """
     _check_count("replications", replications)
     _check_count("workers", workers)
     ns = [int(n) for n in ns]
     laws = list(laws)
     methods = tuple(methods)
+    for name, values in (("ns", ns), ("laws", laws), ("methods", methods)):
+        if not values:
+            raise InvalidInputError(f"{name} is empty: the benchmark grid needs at least one")
     for m in methods:
         _fit_config(m, tol, max_iter)  # validate names eagerly
     theta0 = DEFAULT_THETA0.copy() if theta0 is None else np.asarray(theta0, float)

@@ -16,8 +16,9 @@ so that a vertex depends on its basis set alone, and the Koenker-Bassett
 form; a descent vertex it rejects goes to the interior point.  Blocks
 hold a fixed number of design cells, so a small call pays the per-call
 costs once.  Problems the certificate rejects after the interior point
-(tied or degenerate data) go to a vertex polish over exact-fit
-candidates through the rows with the smallest residuals.  The
+(tied or degenerate data) go to a vertex polish, each problem on its
+own, over exact-fit candidates through the rows with the smallest
+residuals.  The
 test for rows in general position scales each row to unit length; the
 certificate, like the interior point's Gram, holds for row norms from
 about 1e-154 to 1e+154, where their squares neither under- nor overflow.
@@ -220,14 +221,21 @@ def _polish_round(Z, y, w, tau, beta, obj):
 
 
 def _polish_batch(Z, y, w, tau, beta, obj):
-    """Iterated vertex search: re-rank residuals at each improved vertex
-    and sweep every problem again, until none improves."""
+    """Iterated vertex search, each problem on its own: re-rank a problem's
+    residuals at its improved vertex and sweep it again while its own last
+    sweep lowered its objective by more than 1e-14 relative, at most
+    ``_MAX_POLISH_ROUNDS`` sweeps.  Sweeps work per problem, so a
+    problem's result does not depend on the problems it is polished with."""
+    beta, obj = beta.copy(), obj.copy()
+    live = np.arange(beta.shape[0])
     for _ in range(_MAX_POLISH_ROUNDS):
-        new_beta, new_obj = _polish_round(Z, y, w, tau, beta, obj)
-        improved = np.any(new_obj < obj * (1.0 - 1e-14) - 1e-300)
-        beta, obj = new_beta, new_obj
-        if not improved:
+        if live.size == 0:
             break
+        k = _as_run(live)
+        new_beta, new_obj = _polish_round(Z[k], y[k], w[k], tau, beta[k], obj[k])
+        improved = new_obj < obj[k] * (1.0 - 1e-14) - 1e-300
+        beta[k], obj[k] = new_beta, new_obj
+        live = live[improved]
     return beta, obj
 
 
@@ -487,7 +495,7 @@ def _descend(Z, y, w, tau, opts: SolverOptions):
     return np.flatnonzero(stopped), vertex[stopped]
 
 
-def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
+def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     """Certified solve of stacked weighted quantile regressions.
 
     Z is (B, n, p); y and w are (B, n).  Two-column problems first take
@@ -495,15 +503,11 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
     snap and certificate.  The rest, and every problem of more columns,
     run the interior point on the rows ``w_i z_i, w_i y_i`` in blocks of
     at most ``_BLOCK_CELLS`` cells ``B_k n p`` (at least one problem),
-    then the snap and certificate; all of these work per problem, so
-    blocks change no result.  Only problems the certificate rejects go to
-    the vertex polish, the whole arrays without a copy when every problem
-    is rejected.  The polish runs its rounds while any problem it holds
-    improves, so the problems polished together are part of the result:
-    a caller that solves one batch in several calls passes a list
-    ``rejects``, and each call appends ``(rejected, Z, y, w, obj)`` of its
-    rejected problems, unpolished, for one `_polish_batch` over all of
-    them.  Returns ``(beta, obj, complete)``, ``complete`` False when
+    then the snap and certificate.  Problems the certificate rejects go
+    to the vertex polish (`_polish_batch`), the whole arrays without a
+    copy when every problem is rejected.  All of these work per problem,
+    so neither blocks nor the other problems of a call change a result.
+    Returns ``(beta, obj, complete)``, ``complete`` False when
     ``opts.max_iterations`` ran out before an interior point's gap met
     its tolerance.
     """
@@ -530,10 +534,7 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions, rejects=None):
         )
         complete &= bool(np.all(converged))
         beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
-    if rejects is not None:
-        rej = ~certified
-        rejects.append((rej, Z[rej], y[rej], w[rej], obj[rej]))
-    elif not np.all(certified):
+    if not np.all(certified):
         rej = ~certified if np.any(certified) else slice(None)
         beta[rej], obj[rej] = _polish_batch(Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej])
     return beta, obj, complete

@@ -195,6 +195,17 @@ class TestCliBenchmark:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "workers" in err
 
+    @pytest.mark.parametrize("flag, name", [("--ns", "ns"), ("--noises", "laws")])
+    def test_empty_grid_is_single_line_error(self, tmp_path, capsys, flag, name):
+        argv = {"--ns": "50", "--noises": "normal", flag: ""}
+        out = tmp_path / "b.csv"
+        code = main(["benchmark", *(v for kv in argv.items() for v in kv), "--reps", "1",
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"{name} is empty" in err
+
     def test_bad_noise_is_single_line_error(self, tmp_path, capsys):
         code = main(
             ["benchmark", "--ns", "50", "--noises", "cauchy", "--reps", "1",

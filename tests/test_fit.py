@@ -494,25 +494,31 @@ def with_far_fit(data, fits):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "loss", [LossSpec.squared(), LossSpec.quantile(0.5)], ids=["squared", "quantile"]
+)
 class TestOverflowingPooledRows:
-    """The squared loss sums its pooled rows chunk by chunk without
-    building a checked problem: rows that are not finite raise an error
-    that names the overflow, with no numpy warning, and the unconverged
-    tail of a fit never ranks an iterate by such an objective."""
+    """Pooled rows that are not finite, whether the squared loss sums them
+    chunk by chunk or the quantile loss builds its pooled problem, raise
+    an error that names the overflow, with no numpy warning, and the
+    unconverged tail of a fit never ranks an iterate by such an
+    objective."""
 
-    def test_objective_and_step_name_the_overflow(self):
+    def test_objective_and_step_name_the_overflow(self, loss):
         data, theta0 = far_row_data()
-        cfg = QmaveConfig(loss=LossSpec.squared(), h=0.5)
+        cfg = QmaveConfig(loss=loss, h=0.5)
         fits = with_far_fit(data, inner_step(data, theta0, cfg))
         message = "pooled rows are not finite: Y_i - a_j or b_j"
+        with pytest.raises(DegenerateProblemError, match=message):
+            outer_problem(data, theta0, fits, cfg)
         with pytest.raises(DegenerateProblemError, match=message):
             eq_objective(data, theta0, fits, cfg)
         with pytest.raises(DegenerateUpdateError, match=message):
             outer_step(data, theta0, fits, cfg)
 
-    def test_unconverged_tail_skips_the_overflowing_objective(self, monkeypatch):
+    def test_unconverged_tail_skips_the_overflowing_objective(self, monkeypatch, loss):
         data, theta0 = far_row_data()
-        cfg = QmaveConfig(loss=LossSpec.squared(), init=theta0, tol=1e-15, max_iter=3)
+        cfg = QmaveConfig(loss=loss, init=theta0, tol=1e-15, max_iter=3)
         index_step, calls = fit_module._index_step, []
 
         def tail_overflows(*args):

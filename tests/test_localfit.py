@@ -822,8 +822,8 @@ def box_data(kind):
 class TestFullBlocks:
     """`full_fit_batch` solves each group of ``_FULL_BLOCK`` anchors in
     blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors, each padded to L, the
-    group's longest window, and polishes the rejects of all blocks
-    together: blocks of any size give the bytes of one block."""
+    group's longest window; the solver finishes each problem on its own,
+    so blocks of any size give the bytes of one block."""
 
     @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
     @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
@@ -857,11 +857,11 @@ class TestFullBlocks:
             for w, g in zip(want, fits[size]):
                 assert g.tobytes() == w.tobytes()
 
-    def test_rejects_are_polished_together(self, monkeypatch):
-        # the vertex polish runs its rounds while any problem it holds
-        # improves; on this group one problem gains 9e-15 relative in its
-        # first round and stops there when polished alone, while the
-        # group's second round moves it by one more ulp
+    def test_rejects_are_polished_alone(self, monkeypatch):
+        # the vertex polish sweeps a problem again only while its own last
+        # sweep improved; on this group one problem gains 9e-15 relative
+        # in its first sweep and stops there, whether its block or the
+        # whole group is polished with it
         data, _ = gen_model8(SimConfig(n=1000, seed=3))
         base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(data.X))
         args = (data, np.arange(256, 512), 2.25 * base, MEDIAN, KernelSpec.quartic())

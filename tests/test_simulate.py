@@ -161,6 +161,12 @@ class TestRunBenchmark:
             (80, "normal", "qMAVE"),
         ]
 
+    @pytest.mark.parametrize("name", ["ns", "laws", "methods"])
+    def test_empty_grid_axis_is_rejected(self, name):
+        kw = {"ns": [80], "laws": [NoiseLaw.SCALED_T5], name: []}
+        with pytest.raises(InvalidInputError, match=f"{name} is empty"):
+            run_benchmark(replications=1, **kw)
+
     def test_bad_method_rejected(self):
         with pytest.raises(InvalidInputError):
             run_benchmark([80], [NoiseLaw.SCALED_T5], methods=("SIR",), replications=1)

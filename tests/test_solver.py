@@ -423,27 +423,6 @@ def polish_batches():
                 yield Z, y, w, tau, beta, obj
 
 
-def reference_polish_batch(Z, y, w, tau, beta, obj, todo):
-    """The polish that swept again only the problems the previous round
-    moved, over the problems ``todo`` of the whole batch.  Returns
-    ``(beta, obj, swept)`` with ``swept`` the number of problems each
-    round swept."""
-    beta, obj, swept = beta.copy(), obj.copy(), []
-    for _ in range(solver._MAX_POLISH_ROUNDS):
-        if todo.size == 0:
-            break
-        swept.append(todo.size)
-        sub = slice(None) if todo.size == beta.shape[0] else todo
-        old_beta, old_obj = beta[sub], obj[sub]
-        new_beta, new_obj = solver._polish_round(Z[sub], y[sub], w[sub], tau, old_beta, old_obj)
-        improved = np.any(new_obj < old_obj * (1.0 - 1e-14) - 1e-300)
-        todo = todo[np.any(new_beta != old_beta, axis=1)]
-        beta[sub], obj[sub] = new_beta, new_obj
-        if not improved:
-            break
-    return beta, obj, swept
-
-
 class TestVertexPolish:
     def test_sweeps_are_independent_per_problem(self):
         for Z, y, w, tau, beta, obj in polish_batches():
@@ -471,23 +450,33 @@ class TestVertexPolish:
             settled += still.size
         assert settled > 0
 
-    def test_skipping_settled_problems_is_exact(self):
-        # polishing only a subset, every problem of it in every round, gives
-        # the bits of the reference, which skips settled problems
+    def test_each_problem_is_polished_alone(self):
+        # a problem sweeps again only while its own last sweep improved, so
+        # polishing a batch, or any subset of it, gives the bytes of one
+        # polish per problem, also for the problems whose last sweep moved
+        # them by less than the improvement threshold
         rng = np.random.default_rng(22)
-        partial_rounds = 0
+        below = 0
         for Z, y, w, tau, beta, obj in polish_batches():
             B = Z.shape[0]
+            alone = [
+                solver._polish_batch(
+                    Z[b : b + 1], y[b : b + 1], w[b : b + 1], tau, beta[b : b + 1], obj[b : b + 1]
+                )
+                for b in range(B)
+            ]
+            want_beta, want_obj = (np.concatenate(v) for v in zip(*alone))
             for rej in (np.arange(B), np.flatnonzero(rng.random(B) < 0.5)):
-                want_beta, want_obj, swept = reference_polish_batch(Z, y, w, tau, beta, obj, rej)
-                got_beta, got_obj = beta.copy(), obj.copy()
-                got_beta[rej], got_obj[rej] = solver._polish_batch(
+                got_beta, got_obj = solver._polish_batch(
                     Z[rej], y[rej], w[rej], tau, beta[rej], obj[rej]
                 )
-                assert got_beta.tobytes() == want_beta.tobytes()
-                assert got_obj.tobytes() == want_obj.tobytes()
-                partial_rounds += sum(0 < k < rej.size for k in swept[1:])
-        assert partial_rounds > 0
+                assert got_beta.tobytes() == want_beta[rej].tobytes()
+                assert got_obj.tobytes() == want_obj[rej].tobytes()
+            # problems a further sweep would still move: the old rule swept
+            # them again while another problem of their call improved
+            more_beta, _ = solver._polish_round(Z, y, w, tau, want_beta, want_obj)
+            below += np.count_nonzero(np.any(more_beta != want_beta, axis=1))
+        assert below > 0
 
 
 def highs_beta(Z, y, w, tau):
@@ -891,15 +880,30 @@ class TestSnap:
 
 class TestBlocks:
     def test_blocks_never_change_a_result(self, monkeypatch):
-        opts = SolverOptions()
+        opts, polished, polish = SolverOptions(), [], solver._polish_batch
+
+        def spy(*args):
+            polished.append(args[0].shape[0])
+            return polish(*args)
+
+        monkeypatch.setattr(solver, "_polish_batch", spy)
         for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
             # one block per problem, then the whole batch as one block
             monkeypatch.setattr(solver, "_BLOCK_CELLS", 1)
             alone = solver._solve_qr_batch(Z, y, w, tau, opts)
             monkeypatch.setattr(solver, "_BLOCK_CELLS", Z.size)
             whole = solver._solve_qr_batch(Z, y, w, tau, opts)
-            for a, b in zip(alone, whole):
+            # and each problem in its own call, the polish included
+            calls = [
+                solver._solve_qr_batch(Z[b : b + 1], y[b : b + 1], w[b : b + 1], tau, opts)
+                for b in range(Z.shape[0])
+            ]
+            beta, obj, complete = zip(*calls)
+            single = np.concatenate(beta), np.concatenate(obj), all(complete)
+            for a, b, c in zip(alone, whole, single):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (Z.shape, tau)
+                assert np.asarray(c).tobytes() == np.asarray(b).tobytes(), (Z.shape, tau)
+        assert sum(polished) > 0  # the tied batches reach the polish
 
     @pytest.mark.parametrize("shape, calls", [((126, 78, 2), 1), ((133, 107, 6), 2)])
     def test_interior_point_calls_per_batch(self, monkeypatch, shape, calls):
