@@ -194,6 +194,7 @@ def default_bandwidth(rule: BandwidthRule, n: int, scale: float) -> float:
     estimate of the variable being smoothed (see ``index_dispersion`` and
     ``coordinate_dispersion``).
     """
+    _check_count("n", n)
     if n < 2:
         raise InvalidInputError(f"need n >= 2 to form a bandwidth, got n={n}")
     _check_positive("scale", scale)

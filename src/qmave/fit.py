@@ -87,6 +87,10 @@ class QmaveConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, kind in (("loss", LossSpec), ("kernel", KernelSpec), ("trim", TrimSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
         _check_positive("tol", self.tol)
         _check_count("max_iter", self.max_iter)
         if self.h is not None:

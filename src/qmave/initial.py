@@ -10,6 +10,7 @@ products (OPG), which recovers the index direction up to sign.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class TrimSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < 0.5):
-            raise InvalidInputError(f"alpha must lie in [0, 0.5), got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha < 0.5):
+            raise InvalidInputError(f"alpha must lie in [0, 0.5), got {self.alpha!r}")
 
 
 @dataclass

@@ -1,16 +1,16 @@
 """Local-linear fits: along a candidate index and in full dimension.
 
 Each fit minimises a kernel-weighted loss of local-linear residuals around
-an anchor point.  The caller builds each problem's design ``[1, D/h]``
-from its offsets D, and one core, `_local_core`, solves every kind of fit
-on it in bandwidth units; `_settle` joins the parts of one batch and
-returns the slopes in the units of X.  The two hold the one
-rule for which fits are usable: the least-squares solve of the weighted
-design is the rank screen (NaN where the design fails the solver's rank
-rule), and the fit is finite.  `index_fit_batch` and `full_fit_batch`
-run them on a batch of anchors and return the kept ones as arrays;
-`local_linear_index_fit` and `local_linear_full_fit` run them on one
-point.  No fit builds a dense (n, m) or (n, m, d) array.
+an anchor point.  Every fit runs through one loop, `_local_fits`: it cuts
+the stacked problems into blocks, takes each block's design ``[1, D/h]``
+from the caller's builder, solves it in bandwidth units and returns the
+slopes in the units of X.  It holds the one rule for which fits are
+usable: the least-squares solve of the weighted design is the rank
+screen (NaN where the design fails the solver's rank rule), and the fit
+is finite.  `index_fit_batch` and `full_fit_batch` run it on a batch of
+anchors and return the kept ones as arrays; `local_linear_index_fit`
+and `local_linear_full_fit` run it on one point.  No fit builds a dense
+(n, m) or (n, m, d) array.
 
 Both kernels are positive exactly where ``|u| < 1`` (`_in_support`), so
 no neighbourhood is found by evaluating a kernel.  Along an index the
@@ -29,22 +29,22 @@ division is correctly rounded and monotone, so ``R >= h0`` gives ``R /
 h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``, which rounds
 below 1.
 
-Both kinds of fit follow one block rule: their stacked problems of k
-offsets run in blocks of ``_BLOCK_CELLS // L(k + 1)`` anchors, the
-interior point's own block, all padded to one width L, the longest
-window of all anchors along an index and of the group in full dimension.
-Pad rows enter the interior point's gap and the sums, so one pad width
-keeps the bytes of a single stack; the solver finishes each problem on
-its own, so blocks change no byte.  Both pad by one rule (`_slots`): the
-slots past a problem's rows repeat its last row at weight 0.  Rows are
+`_local_fits` holds the one block rule: stacked problems of k offsets run
+in blocks of ``_BLOCK_CELLS // L(k + 1)``, all padded to one width L, the
+longest window of all anchors along an index and of the group in full
+dimension, by one rule (`_slots`): the slots past a problem's rows repeat
+its last row at weight 0.  Pad rows enter the interior point's gap and
+the sums, so one pad width keeps the bytes of a single stack; the solver
+finishes each problem on its own, so blocks change no byte.  Rows are
 gathered by ``np.take`` (the bytes of ``A[rows]`` by a faster path), and
-the offsets die as the design is built, so no full-size temporary lives
-beside a design in its solve.
+the row indices and offsets die as the design is built, so no full-size
+temporary lives beside a design in its solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .errors import (
     InsufficientLocalDataError,
     InvalidInputError,
 )
-from .solver import _BLOCK_CELLS, SolverOptions, _solve_ls_batch, _solve_qr_batch
+from .solver import SolverOptions, _solve_ls_batch, _solve_qr_batch
 
 __all__ = [
     "Dataset",
@@ -131,7 +131,7 @@ def _real_array(values, name):
 
 def _as_unit(v, name, size=None):
     """``v`` as a flat unit vector; with ``size`` given, also of that length."""
-    v = np.asarray(v, dtype=float).ravel()
+    v = _real_array(v, name).ravel()
     if size is not None and v.size != size:
         raise InvalidInputError(f"{name} must have length {size}, got length {v.size}")
     nrm = np.linalg.norm(v)
@@ -166,16 +166,16 @@ def local_linear_index_fit(
 
     Minimises ``sum_i K(theta'(X_i-x0)/h) loss(Y_i - a - b theta'(X_i-x0))``
     over (a, b); rows with zero kernel weight are dropped before solving.
-    Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
+    Raises ``InsufficientLocalDataError`` when `_local_fits` drops the fit.
     """
     theta = _as_unit(theta, "index vector", data.d)
     _check_positive("bandwidth", h)
     opts = opts or SolverOptions()
     T = (data.X - np.asarray(x0, dtype=float).ravel()) @ theta
     rows = np.flatnonzero(_in_support(T / h))
-    Z = _design(T[None, rows, None], h)
-    part = _local_core(Z, kernel_eval(kernel, Z[:, :, 1]), data.Y[None, rows], loss, opts)
-    kept, a, B, effw, complete = _settle([(0, part)], h)
+    build = partial(_index_rows, T[rows], data.Y[rows], np.zeros(1), h, kernel)
+    count = np.array([rows.size])
+    kept, a, B, effw, complete = _local_fits(np.zeros_like(count), count, 2, build, loss, opts, h)
     reason = "no usable local fit: needs weighted index values in general position"
     return _single_fit((kept, a, B[:, 0], effw, complete), opts, reason)
 
@@ -191,7 +191,7 @@ def local_linear_full_fit(
     """Local-linear fit of Y on the full offset ``X - x0``.
 
     Weights come from the product kernel ``prod_l K((X_il - x0_l)/h0)``.
-    Raises ``InsufficientLocalDataError`` when `_local_core` drops the fit.
+    Raises ``InsufficientLocalDataError`` when `_local_fits` drops the fit.
     """
     _check_positive("bandwidth", h0)
     opts = opts or SolverOptions()
@@ -249,37 +249,6 @@ def _design(D, h):
     return Z
 
 
-def _local_core(Z, Wg, Yg, loss, opts):
-    """Fits of ``Yg`` with weights ``Wg`` on the designs ``Z = [1, D/h]``
-    that the caller built, one problem per row of these (B, L[, k + 1])
-    arrays.  A problem passes the rank screen when its least-squares
-    coefficients (`_solve_ls_batch`) are finite; the squared loss returns
-    them, the quantile loss solves the passing problems again
-    (`_solve_qr_batch`, which finishes each problem on its own).  Returns
-    one part for `_settle`: ``(passed, beta, effective_weight,
-    complete)``, ``beta`` in bandwidth units; ``complete`` is False when
-    the iteration budget truncated the solve."""
-    beta, complete = _solve_ls_batch(Z, Yg, Wg), True
-    sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
-    if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
-        beta, Z, Yg, Wg = beta[sub], Z[sub], Yg[sub], Wg[sub]
-    if loss.is_quantile:
-        beta, _, complete = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
-    return sub, beta, np.sum(Wg, axis=1), complete
-
-
-def _settle(parts, h):
-    """The fits of one batch of problems solved in `_local_core` parts
-    ``(start, part)``: ``(kept, a, B, effective_weight, complete)``, kept
-    positions offset by their part's start, slopes in the units of D.
-    A fit is kept when its coefficients are finite."""
-    passed, beta, effw, done = zip(*(part for _, part in parts))
-    beta = np.concatenate(beta)
-    passed = np.concatenate([start + p for (start, _), p in zip(parts, passed)])
-    ok = np.all(np.isfinite(beta), axis=1)
-    return passed[ok], beta[ok, 0], beta[ok, 1:] / h, np.concatenate(effw)[ok], all(done)
-
-
 def _slots(start, count, width):
     """The pad rule of stacked local problems: ``(pos, inside)`` of shape
     (B, width), width at least the longest run.  Slot k of run c is the
@@ -290,16 +259,45 @@ def _slots(start, count, width):
     return start[:, None] + np.minimum(slot, count - 1), slot < count
 
 
+# Design cells (problems x rows x columns) of one block of stacked local
+# fits: a block's arrays stay in a core's L2 cache, and a small batch runs
+# as one block, so it pays the solver's per-call costs once.
+_BLOCK_CELLS = 6 * 8192
+
+
+def _local_fits(start, count, p, build, loss, opts, h):
+    """The fits of stacked local problems of ``p`` columns, problem c on
+    the run of ``count[c]`` positions from ``start[c]``, in blocks of the
+    module's block rule.  The caller's ``build(block, pos, inside)`` gives
+    a block's ``(Z, Wg, Yg)`` on its `_slots`; the rank screen, then the
+    quantile solve, follow.  Returns ``(kept, a, B, effective_weight,
+    complete)``: kept problem positions, slopes in the units of X, and
+    ``complete`` False when the iteration budget truncated a solve."""
+    width = count.max(initial=0)
+    step = max(1, _BLOCK_CELLS // max(width * p, 1))
+    parts, complete = [(np.empty(0, dtype=np.intp), np.empty((0, p)), np.empty(0))], True
+    for lo in range(0, count.size, step):
+        block = slice(lo, lo + step)
+        Z, Wg, Yg = build(block, *_slots(start[block], count[block], width))
+        beta = _solve_ls_batch(Z, Yg, Wg)
+        sub = np.flatnonzero(np.all(np.isfinite(beta), axis=1))
+        if sub.size < Z.shape[0]:  # copy only when the screen dropped a problem
+            beta, Z, Yg, Wg = beta[sub], Z[sub], Yg[sub], Wg[sub]
+        if loss.is_quantile:
+            beta, _, done = _solve_qr_batch(Z, Yg, Wg, loss.tau, opts)
+            complete &= done
+        parts.append((lo + sub, beta, np.sum(Wg, axis=1)))
+    passed, beta, effw = (np.concatenate(v) for v in zip(*parts))
+    ok = np.all(np.isfinite(beta), axis=1)
+    return passed[ok], beta[ok, 0], beta[ok, 1:] / h, effw[ok], complete
+
+
 def _full_core(data, x0, h0, loss, kernel, opts):
     """Product-kernel fits of Y on ``X - x0[c]`` at the anchor points
-    ``x0`` (B, d), through `_local_core`.  A problem holds its anchor's
-    box rows ``R < h0`` (`_box_offsets`) of positive product weight, in
-    row order, taken from the (anchor, row) pairs of the boxes, which are
-    formed once R is freed; its slots past them (`_slots`), up to L, the
-    most rows of any of the B problems, repeat its last row at weight 0.
-    The problems run in blocks of ``_BLOCK_CELLS // L(d + 1)`` anchors
-    padded to L (the module's block rule), each block's offsets freed once
-    its design is built.  Returns the fits of `_settle` at the B anchors."""
+    ``x0`` (B, d): the fits of `_local_fits` at the B anchors.  A problem
+    holds its anchor's box rows ``R < h0`` (`_box_offsets`) of positive
+    product weight, in row order, taken from the (anchor, row) pairs of
+    the boxes, which are formed once R is freed."""
     X, (B, d) = data.X, x0.shape
     c, r = np.divmod(np.flatnonzero(_box_offsets(X, x0) < h0), X.shape[0])
     w, step = np.empty(r.size), max(1, _BOX_CELLS // d)
@@ -311,15 +309,17 @@ def _full_core(data, x0, h0, loss, kernel, opts):
     if not np.all(keep):  # copy only where a product underflowed to 0
         c, r, w = c[keep], r[keep], w[keep]
     count = np.bincount(c, minlength=B)
-    start, width = np.cumsum(count) - count, count.max(initial=0)
-    step = max(1, _BLOCK_CELLS // max(width * (d + 1), 1))
-    parts = []
-    for lo in range(0, B, step):
-        pos, inside = _slots(start[lo : lo + step], count[lo : lo + step], width)
-        gather, Wg = r[pos], np.where(inside, w[pos], 0.0)
-        Z = _design(np.take(X, gather, axis=0) - x0[lo : lo + step, None, :], h0)
-        parts.append((lo, _local_core(Z, Wg, data.Y[gather], loss, opts)))
-    return _settle(parts, h0)
+    build = partial(_box_rows, X, data.Y, x0, r, w, h0)
+    return _local_fits(np.cumsum(count) - count, count, d + 1, build, loss, opts, h0)
+
+
+def _box_rows(X, Y, x0, r, w, h0, block, pos, inside):
+    """The `_local_fits` builder of full fits, its data bound by `partial`
+    (a closure's cells would live through `_box_offsets`): slot k of problem
+    c is box pair ``pos = start[c] + k``, of row ``r[pos]``, weight ``w[pos]``."""
+    gather = r[pos]
+    Z = _design(np.take(X, gather, axis=0) - x0[block, None, :], h0)
+    return Z, np.where(inside, w[pos], 0.0), Y[gather]
 
 
 def _index_windows(data, theta, anchors, h):
@@ -375,44 +375,27 @@ def _pair_runs(windows, step):
         yield np.arange(k0, k1) + np.repeat(shift[span], count), span, count
 
 
-def _index_problems(ts, tc, lo, hi, width, h):
-    """The stacked problems ``(pos, Z, inside)`` of `index_fit_batch` at
-    anchors of index values ``tc`` and windows ``lo:hi`` of the sorted
-    ``ts``: slot k of anchor c is the design row ``[1, (ts[pos] - tc[c]) /
-    h]`` at ``pos = lo[c] + k``, repeating the last row past the window."""
-    pos, inside = _slots(lo, hi - lo, width)
-    Z = np.empty(pos.shape + (2,))
-    Z[:, :, 0] = 1.0
-    np.subtract(np.take(ts, pos), tc[:, None], out=Z[:, :, 1])
-    Z[:, :, 1] /= h
-    return pos, Z, inside
+def _index_rows(ts, Ys, tc, h, kernel, block, pos, inside):
+    """The `_local_fits` builder of fits along an index, its data bound by
+    `partial`: slot k of problem c is the design row ``[1, (ts[pos] -
+    tc[c]) / h]``, with response ``Ys[pos]``, at ``pos = start[c] + k``."""
+    Z = _design((np.take(ts, pos) - tc[block, None])[:, :, None], h)
+    return Z, np.where(inside, kernel_eval(kernel, Z[:, :, 1]), 0.0), np.take(Ys, pos)
 
 
 def index_fit_batch(data, theta, anchors, h, loss, kernel):
-    """Local-linear index fits at ``X[anchors]``, in blocks of anchors.
+    """Local-linear index fits at ``X[anchors]``, through `_local_fits`.
 
     Returns ``(kept_anchor_indices, a, b, effective_weight)`` in the order
-    of ``anchors``; anchors whose window fails the rank screen of
-    `_local_core` (or gives a non-finite solution) are silently omitted.
-    Anchors run in blocks of ``_BLOCK_CELLS // 2L``, each padded to L, the
-    longest window of all anchors (the module's block rule), and each
-    block is its own batch of `_settle`.
+    of ``anchors``; anchors whose window (`_index_windows`) fails the rank
+    screen or gives a non-finite solution are silently omitted.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     anchors = np.asarray(anchors, dtype=int)
-    opts = SolverOptions()
     t, order, lo, hi = _index_windows(data, theta, anchors, h)
-    ts, Ys, tc = t[order], data.Y[order], t[anchors]
-    width = np.max(hi - lo, initial=0)
-    step = max(1, _BLOCK_CELLS // max(2 * width, 1))
-    parts = [(anchors[:0], np.empty(0), np.empty(0), np.empty(0))]
-    for block in (slice(k, k + step) for k in range(0, anchors.size, step)):
-        pos, Z, inside = _index_problems(ts, tc[block], lo[block], hi[block], width, h)
-        Wg = np.where(inside, kernel_eval(kernel, Z[:, :, 1]), 0.0)
-        part = _local_core(Z, Wg, np.take(Ys, pos), loss, opts)
-        kept, a, B, effw, _ = _settle([(0, part)], h)
-        parts.append((anchors[block][kept], a, B[:, 0], effw))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    build = partial(_index_rows, t[order], data.Y[order], t[anchors], h, kernel)
+    kept, a, B, effw, _ = _local_fits(lo, hi - lo, 2, build, loss, SolverOptions(), h)
+    return anchors[kept], a, B[:, 0], effw
 
 
 def full_fit_batch(data, anchors, h0, loss, kernel):
@@ -420,7 +403,7 @@ def full_fit_batch(data, anchors, h0, loss, kernel):
 
     Returns ``(kept_anchor_indices, a, B, effective_weight)`` with one
     slope row of ``B`` per kept anchor; anchors whose window fails the rank
-    screen of `_local_core` or gives a non-finite solution are omitted.
+    screen of `_local_fits` or gives a non-finite solution are omitted.
     """
     _check_positive("bandwidth", h0)
     opts = SolverOptions()

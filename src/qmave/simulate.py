@@ -63,6 +63,12 @@ class NoiseLaw(Enum):
     SCALED_NORMAL = "normal"
 
 
+def _check_law(name, value):
+    """Raise unless ``value`` is a `NoiseLaw` member."""
+    if not isinstance(value, NoiseLaw):
+        raise InvalidInputError(f"{name} must be a NoiseLaw, got {value!r}")
+
+
 def derive_key(*parts) -> int:
     """128-bit Philox key from a canonical hash of the given parts."""
     text = "\x1f".join(str(p) for p in parts)
@@ -93,6 +99,8 @@ def gen_noise(law: NoiseLaw, n: int, seed) -> np.ndarray:
     t-variates are sampled as normal / sqrt(chi2/df) with the chi-square
     built from summed squared normals drawn in the same block.
     """
+    _check_law("law", law)
+    _check_count("n", n)
     rng = _rng("noise", law.value, seed)
     if law is NoiseLaw.SCALED_T1:
         block = rng.standard_normal((n, 2))
@@ -118,8 +126,10 @@ class SimConfig:
     theta0: np.ndarray = field(default_factory=lambda: DEFAULT_THETA0.copy())
 
     def __post_init__(self):
+        _check_count("n", self.n)
         if self.n < 2:
             raise InvalidInputError(f"need n >= 2, got {self.n}")
+        _check_law("noise", self.noise)
         self.theta0 = np.asarray(self.theta0, dtype=float).ravel()
         if self.theta0.shape != (DESIGN_DIM,):
             raise InvalidInputError(f"theta0 must have length {DESIGN_DIM}")
@@ -227,14 +237,18 @@ def run_benchmark(
     seeds are derived from ``(base_seed, n, law, rep)``, so the report is
     identical for any ``workers`` value and any scheduling order.
     Replications whose fit raises are excluded from the aggregates and
-    counted in ``excluded``.  ``replications`` and ``workers`` must be
-    integers >= 1, and ``ns``, ``laws`` and ``methods`` nonempty.
+    counted in ``excluded``.  ``replications``, ``workers`` and each of
+    ``ns`` must be integers >= 1, each of ``laws`` a `NoiseLaw`, and
+    ``ns``, ``laws`` and ``methods`` nonempty.
     """
     _check_count("replications", replications)
     _check_count("workers", workers)
-    ns = [int(n) for n in ns]
-    laws = list(laws)
-    methods = tuple(methods)
+    ns, laws = list(ns), list(laws)
+    for k, n in enumerate(ns):
+        _check_count(f"ns[{k}]", n)
+    for k, law in enumerate(laws):
+        _check_law(f"laws[{k}]", law)
+    ns, methods = [int(n) for n in ns], tuple(methods)
     for name, values in (("ns", ns), ("laws", laws), ("methods", methods)):
         if not values:
             raise InvalidInputError(f"{name} is empty: the benchmark grid needs at least one")

@@ -13,13 +13,11 @@ form from two dot products.  Either fit is snapped to the exact fit
 through the ``p`` usable rows of smallest residual, solved in row order
 so that a vertex depends on its basis set alone, and the Koenker-Bassett
 (1978) subgradient condition certifies that vertex optimal in closed
-form; a descent vertex it rejects goes to the interior point.  Blocks
-hold a fixed number of design cells, so a small call pays the per-call
-costs once.  Problems the certificate rejects after the interior point
-(tied or degenerate data) go to a vertex polish, each problem on its
-own, over exact-fit candidates through the rows with the smallest
-residuals.  The
-test for rows in general position scales each row to unit length; the
+form; a descent vertex it rejects goes to the interior point.  Problems
+the certificate rejects after the interior point (tied or degenerate
+data) go to a vertex polish, each problem on its own, over exact-fit
+candidates through the rows with the smallest residuals.  The test for
+rows in general position scales each row to unit length; the
 certificate, like the interior point's Gram, holds for row norms from
 about 1e-154 to 1e+154, where their squares neither under- nor overflow.
 
@@ -60,11 +58,9 @@ __all__ = [
 ]
 
 # Interior point: fraction of the way to the boundary a step may go
-# (Koenker's rqfnb), design cells (problems x rows x columns) solved
-# together in one block, and the duality gap, relative to the objective at
-# the start, at which a problem stops.
+# (Koenker's rqfnb), and the duality gap, relative to the objective at the
+# start, at which a problem stops.
 _STEP = 0.99995
-_BLOCK_CELLS = 6 * 8192
 _GAP_RTOL = 1e-9
 _MAX_POLISH_ROUNDS = 12
 
@@ -501,12 +497,11 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     Z is (B, n, p); y and w are (B, n).  Two-column problems first take
     the vertex descent (`_descend`), whose stopped vertices go to the
     snap and certificate.  The rest, and every problem of more columns,
-    run the interior point on the rows ``w_i z_i, w_i y_i`` in blocks of
-    at most ``_BLOCK_CELLS`` cells ``B_k n p`` (at least one problem),
-    then the snap and certificate.  Problems the certificate rejects go
-    to the vertex polish (`_polish_batch`), the whole arrays without a
-    copy when every problem is rejected.  All of these work per problem,
-    so neither blocks nor the other problems of a call change a result.
+    run the interior point once, on the rows ``w_i z_i, w_i y_i``, then
+    the snap and certificate.  Problems the certificate rejects go to the
+    vertex polish (`_polish_batch`), the whole arrays without a copy when
+    every problem is rejected.  All of these work per problem, so the
+    other problems of a call change no result; callers size the stack.
     Returns ``(beta, obj, complete)``, ``complete`` False when
     ``opts.max_iterations`` ran out before an interior point's gap met
     its tolerance.
@@ -523,8 +518,8 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
             beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, vertex)
             rest = np.flatnonzero(~certified)
     complete = True
-    step = max(1, _BLOCK_CELLS // max(n * p, 1))
-    for k in (_as_run(rest[lo : lo + step]) for lo in range(0, len(rest), step)):
+    if len(rest):
+        k = _as_run(rest)
         # the interior point reads the weighted design by columns
         inner, converged = _frisch_newton(
             np.multiply(Z[k].transpose(0, 2, 1), w[k, None, :], order="C").transpose(0, 2, 1),
@@ -532,7 +527,7 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
             tau,
             opts,
         )
-        complete &= bool(np.all(converged))
+        complete = bool(np.all(converged))
         beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, inner)
     if not np.all(certified):
         rej = ~certified if np.any(certified) else slice(None)

@@ -239,6 +239,9 @@ class TestBandwidth:
             default_bandwidth(BandwidthRule.index(), 1, 1.0)
         with pytest.raises(InvalidInputError):
             default_bandwidth(BandwidthRule.index(), 10, 0.0)
+        for n in ("10", 2.5):
+            with pytest.raises(InvalidInputError, match="n must be an integer"):
+                default_bandwidth(BandwidthRule.index(), n, 1.0)
         with pytest.raises(InvalidInputError):
             BandwidthRule.index(c_h=0.0)
         with pytest.raises(InvalidInputError):

@@ -263,6 +263,8 @@ class TestQmaveFit:
         data, _ = gen_model8(SimConfig(n=60, seed=3))
         with pytest.raises(InvalidInputError, match="init must have length 5, got length 2"):
             qmave_fit(data, median_cfg(init=[1.0, 0.0]))
+        with pytest.raises(InvalidInputError, match="init must be numeric"):
+            qmave_fit(data, median_cfg(init="abc"))
 
     def test_too_small_sample(self):
         X = np.ones((3, 5)) + np.arange(15).reshape(3, 5)
@@ -331,6 +333,10 @@ class TestQmaveFit:
         for h in (-1.0, np.inf):
             with pytest.raises(InvalidInputError):
                 QmaveConfig(h=h)
+        # each spec field takes its spec type, not its name or value
+        for name, bad in (("loss", "quantile"), ("kernel", "quartic"), ("trim", 0.1)):
+            with pytest.raises(InvalidInputError, match=f"{name} must be a"):
+                QmaveConfig(**{name: bad})
 
 
 class TestObjectiveTrace:

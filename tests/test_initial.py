@@ -31,8 +31,8 @@ class TestTrimSpec:
     def test_alpha_range(self):
         TrimSpec(0.0)
         TrimSpec(0.49)
-        for bad in (-0.01, 0.5, 0.9):
-            with pytest.raises(InvalidInputError):
+        for bad in (-0.01, 0.5, 0.9, "0.1", None):
+            with pytest.raises(InvalidInputError, match="alpha must lie in"):
                 TrimSpec(bad)
 
 

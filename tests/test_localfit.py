@@ -42,9 +42,10 @@ from qmave.fit import (
 from qmave.initial import TrimSpec
 from qmave.localfit import (
     _FULL_BLOCK,
-    _index_problems,
+    _design,
     _index_windows,
     _pair_runs,
+    _slots,
     full_fit_batch,
     index_fit_batch,
 )
@@ -465,7 +466,8 @@ class TestSortedWindowsAreExact:
                 assert got[0].tobytes() == fits[0].tobytes()
                 # window contents: each anchor's (row, T, Y) set
                 t, order, lo, hi = _index_windows(data, theta, anchors, h)
-                pos, Z, inside = _index_problems(t[order], t[anchors], lo, hi, np.max(hi - lo), h)
+                pos, inside = _slots(lo, hi - lo, np.max(hi - lo))
+                Z = _design((t[order][pos] - t[anchors][:, None])[:, :, None], h)
                 gather = order[pos]
                 assert len(windows) == anchors.size
                 assert np.all(Z[:, :, 0] == 1.0)
@@ -575,7 +577,7 @@ class TestIndexBlocks:
         _, windows = dense_index_fits(data, theta, anchors, h, loss, kernel)
         calls = []
 
-        def spy(Z, Wg, Yg, *rest):
+        def spy(Z, Yg, Wg):
             # each block's design is [1, T/h] on its anchors' windows
             first = sum(calls)
             for k in range(Z.shape[0]):
@@ -586,10 +588,10 @@ class TestIndexBlocks:
                 assert Z[k, inside, 1].tobytes() == (T[by_index] / h).tobytes()
                 assert Wg[k, inside].tobytes() == W[by_index].tobytes()
             calls.append(Z.shape[0])
-            return local_core(Z, Wg, Yg, *rest)
+            return solve_ls(Z, Yg, Wg)
 
-        local_core = localfit._local_core
-        monkeypatch.setattr(localfit, "_local_core", spy)
+        solve_ls = localfit._solve_ls_batch
+        monkeypatch.setattr(localfit, "_solve_ls_batch", spy)
         fits = {}
         # anchors per block: all 60 at once, 1, and 7 with a short last block
         for size in (anchors.size, 1, 7):
@@ -761,16 +763,16 @@ class TestBoxFullFits:
         anchors = np.arange(data.n)
         stacked = []
 
-        def spy(Z, Wg, Yg, *rest):
+        def spy(Z, Yg, Wg):
             assert np.all(Z[:, :, 0] == 1.0)
             stacked.append((Z[:, :, 1:].copy(), Wg.copy(), Yg.copy()))
-            return local_core(Z, Wg, Yg, *rest)
+            return solve_ls(Z, Yg, Wg)
 
-        local_core = localfit._local_core
-        monkeypatch.setattr(localfit, "_local_core", spy)
+        solve_ls = localfit._solve_ls_batch
+        monkeypatch.setattr(localfit, "_solve_ls_batch", spy)
         have = full_fit_batch(data, anchors, h0, loss, kernel)
         problems = list(dense_full_problems(data, anchors, h0, kernel))
-        # a block of anchors runs in solver-sized calls: join one block's calls
+        # a group of anchors runs in blocks of `_local_fits`: join one group's blocks
         calls = iter(stacked)
         for block, *want in problems:
             parts = []
@@ -835,10 +837,10 @@ class TestFullBlocks:
 
         def spy(Z, *rest):
             calls.append(Z.shape)
-            return local_core(Z, *rest)
+            return solve_ls(Z, *rest)
 
-        local_core = localfit._local_core
-        monkeypatch.setattr(localfit, "_local_core", spy)
+        solve_ls = localfit._solve_ls_batch
+        monkeypatch.setattr(localfit, "_solve_ls_batch", spy)
         fits = {anchors.size: full_fit_batch(data, anchors, 1.5, loss, kernel)}
         assert len(calls) == 1
         width = calls[0][1]

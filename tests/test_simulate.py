@@ -64,6 +64,13 @@ class TestGenNoise:
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
 
+    def test_bad_size_or_law_rejected(self):
+        for n in (-1, 0, 2.5, "3", True):
+            with pytest.raises(InvalidInputError, match="n must be an integer"):
+                gen_noise(NoiseLaw.SCALED_T1, n, seed=7)
+        with pytest.raises(InvalidInputError, match="law must be a NoiseLaw"):
+            gen_noise("t1", 10, seed=7)
+
 
 class TestGenModel8:
     def test_noiseless_range(self):
@@ -88,15 +95,27 @@ class TestGenModel8:
         with pytest.raises(InvalidInputError):
             SimConfig(n=10, theta0=np.ones(5))
 
+    def test_size_and_noise_validated(self):
+        for n in ("5", 2.5, None):
+            with pytest.raises(InvalidInputError, match="n must be an integer"):
+                SimConfig(n=n)
+        with pytest.raises(InvalidInputError, match="need n >= 2"):
+            SimConfig(n=1)
+        with pytest.raises(InvalidInputError, match="noise must be a NoiseLaw"):
+            SimConfig(n=200, noise="t1")
+
 
 class TestRunBenchmark:
     def test_single_replication_sd_zero(self):
+        # a numpy size is accepted and reported as a plain int
         report = run_benchmark(
-            [80], [NoiseLaw.SCALED_NORMAL], replications=1, base_seed=1
+            [np.int64(80)], [NoiseLaw.SCALED_NORMAL], replications=1, base_seed=1
         )
         for row in report.rows:
             assert row.sd_error == 0.0
             assert row.replications == 1
+            assert type(row.n) is int
+        report.to_json()
 
     @pytest.mark.parametrize("bad", [0, -3, True, 1.5])
     @pytest.mark.parametrize("name", ["replications", "workers"])
@@ -166,6 +185,17 @@ class TestRunBenchmark:
         kw = {"ns": [80], "laws": [NoiseLaw.SCALED_T5], name: []}
         with pytest.raises(InvalidInputError, match=f"{name} is empty"):
             run_benchmark(replications=1, **kw)
+
+    @pytest.mark.parametrize("bad", [12.9, 2.7, "x", 0, True])
+    def test_bad_size_rejected(self, bad):
+        # a size is never truncated: 12.9 would otherwise report an n=12 row
+        with pytest.raises(InvalidInputError, match=r"ns\[1\] must be an integer >= 1"):
+            run_benchmark([80, bad], [NoiseLaw.SCALED_T5], replications=1)
+
+    @pytest.mark.parametrize("bad", ["t1", None])
+    def test_bad_law_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=r"laws\[1\] must be a NoiseLaw"):
+            run_benchmark([80], [NoiseLaw.SCALED_T5, bad], replications=1)
 
     def test_bad_method_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -888,29 +888,24 @@ class TestBlocks:
 
         monkeypatch.setattr(solver, "_polish_batch", spy)
         for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
-            # one block per problem, then the whole batch as one block
-            monkeypatch.setattr(solver, "_BLOCK_CELLS", 1)
-            alone = solver._solve_qr_batch(Z, y, w, tau, opts)
-            monkeypatch.setattr(solver, "_BLOCK_CELLS", Z.size)
+            # the whole batch in one call, then each problem in its own
+            # call, the polish included
             whole = solver._solve_qr_batch(Z, y, w, tau, opts)
-            # and each problem in its own call, the polish included
             calls = [
                 solver._solve_qr_batch(Z[b : b + 1], y[b : b + 1], w[b : b + 1], tau, opts)
                 for b in range(Z.shape[0])
             ]
             beta, obj, complete = zip(*calls)
             single = np.concatenate(beta), np.concatenate(obj), all(complete)
-            for a, b, c in zip(alone, whole, single):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (Z.shape, tau)
+            for b, c in zip(whole, single):
                 assert np.asarray(c).tobytes() == np.asarray(b).tobytes(), (Z.shape, tau)
         assert sum(polished) > 0  # the tied batches reach the polish
 
-    @pytest.mark.parametrize("shape, calls", [((126, 78, 2), 1), ((133, 107, 6), 2)])
-    def test_interior_point_calls_per_batch(self, monkeypatch, shape, calls):
-        # index fits (p = 2) of the n=200 grid run as one block, and the
-        # interior point sees only the problems the vertex descent leaves
-        # (none of these); the full-dimensional fits (p = 6) keep blocks
-        # of 76 problems
+    @pytest.mark.parametrize("shape", [(126, 78, 2), (133, 107, 6)])
+    def test_interior_point_calls_per_batch(self, monkeypatch, shape):
+        # the interior point runs once per call, on the problems the
+        # vertex descent leaves: none of the index fits (p = 2) of the
+        # n=200 grid, all of its full-dimensional fits (p = 6)
         seen, frisch_newton = [], solver._frisch_newton
 
         def spy(X, *args):
@@ -931,7 +926,7 @@ class TestBlocks:
             left -= np.count_nonzero(solver._snap_and_certify(Z[s], y[s], w[s], 0.5, vertex)[2])
             assert left == 0
         solver._solve_qr_batch(Z, y, w, 0.5, SolverOptions())
-        assert len(seen) == (calls if left else 0) and sum(seen) == left
+        assert len(seen) == (1 if left else 0) and sum(seen) == left
 
 
 @st.composite

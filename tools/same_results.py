@@ -25,8 +25,9 @@ bytes.  The cases:
   windows hold nearly every row; ``full_fit_batch`` at every anchor also
   at the second and third rungs of ``_INIT_LADDER`` on two n=1000
   datasets, for tau in {0.5, 0.25} and the squared loss, both kernels;
-- ``local_linear_full_fit`` for both losses at two bandwidths and four
-  anchors: two rows, the data mean and a point whose box is empty;
+- ``local_linear_full_fit`` and ``local_linear_index_fit`` (along the
+  true index) for both losses at two bandwidths and four anchors: two
+  rows, the data mean and a far point whose window is empty;
 - the init ladder probe ``_median_window_count`` at every rung of
   ``_INIT_LADDER``, one digest per rung, at n=200 and n=1000, and the
   ``_auto_init`` theta at n=1000 for seeds 100-103 and both losses, so
@@ -65,7 +66,7 @@ verdict and the exit code rest on the bytes alone:
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
-A full pass takes about 18 seconds per tree, 36 to 37 for the pair, on a
+A full pass takes about 19 seconds per tree, 39 for the pair, on a
 2-core machine.
 """
 
@@ -155,19 +156,28 @@ def _batch_cases(qm, np):
             out[f"batch/index/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
             res = full_fit_batch(data, anchors, 2.0, loss, kernel)
             out[f"batch/full/{lname}/{kname}"] = _digest(*(np.asarray(v).tobytes() for v in res))
-    # single full fits: at data points, off the data and far outside it
-    # (an empty box)
+    # single fits: at data points, off the data and far outside it (an
+    # empty window)
     points = {"row0": data.X[0], "row50": data.X[50], "mean": data.X.mean(axis=0)}
     points["far"] = data.X[0] + 10.0
-    for lname, loss in (("q0.3", qm.LossSpec.quantile(0.3)), ("ls", qm.LossSpec.squared())):
-        for pname, x0 in points.items():
-            for h0 in (1.0, 2.0):
-                try:
-                    fit = qm.local_linear_full_fit(data, x0, h0, loss, qm.KernelSpec.quartic())
-                    got = (float(fit.a).hex(), fit.b.tobytes(), float(fit.effective_weight).hex())
-                except qm.QmaveError as exc:
-                    got = (type(exc).__name__, str(exc))
-                out[f"single/full/{lname}/{pname}/h{h0}"] = _digest(*got)
+    single = {
+        "full": (qm.local_linear_full_fit, (), (1.0, 2.0)),
+        "index": (qm.local_linear_index_fit, (theta0,), (0.3, 0.6)),
+    }
+    for kind, (fit_at, args, bandwidths) in single.items():
+        for lname, loss in (("q0.3", qm.LossSpec.quantile(0.3)), ("ls", qm.LossSpec.squared())):
+            for pname, x0 in points.items():
+                for h in bandwidths:
+                    try:
+                        fit = fit_at(data, *args, x0, h, loss, qm.KernelSpec.quartic())
+                        got = (
+                            float(fit.a).hex(),
+                            np.asarray(fit.b).tobytes(),
+                            float(fit.effective_weight).hex(),
+                        )
+                    except qm.QmaveError as exc:
+                        got = (type(exc).__name__, str(exc))
+                    out[f"single/{kind}/{lname}/{pname}/h{h}"] = _digest(*got)
     # every anchor at n=1000, in several anchor blocks; at h0 = 0.7 about
     # 7 in 10 windows hold a usable fit
     data, theta0 = qm.gen_model8(qm.SimConfig(n=1000, seed=3))
