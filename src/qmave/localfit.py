@@ -30,7 +30,9 @@ h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``, which rounds
 below 1.
 
 `_local_fits` holds the one block rule: stacked problems of k offsets run
-in blocks of ``_BLOCK_CELLS // L(k + 1)``, all padded to one width L, the
+in blocks of ``_BLOCK_CELLS // L(k + 1)``, sized so that the working set
+of a block's whole solve, about six design-sized arrays in the interior
+point, fits a core's L2 cache.  All blocks are padded to one width L, the
 longest window of all anchors along an index and of the group in full
 dimension, by one rule (`_slots`): the slots past a problem's rows repeat
 its last row at weight 0.  Pad rows enter the interior point's gap and
@@ -260,9 +262,13 @@ def _slots(start, count, width):
 
 
 # Design cells (problems x rows x columns) of one block of stacked local
-# fits: a block's arrays stay in a core's L2 cache, and a small batch runs
-# as one block, so it pays the solver's per-call costs once.
-_BLOCK_CELLS = 6 * 8192
+# fits, sized by the working set of the whole solve, not by the design
+# alone: the interior point holds about six design-sized arrays at once
+# (the design, its weighted copy, the Newton step's scaled copy and its
+# row buffers), so a block's solve stays within about 1.2 MB, inside a
+# 2 MiB L2 cache, and a small batch runs as one block, so it pays the
+# solver's per-call costs once.
+_BLOCK_CELLS = 3 * 8192
 
 
 def _local_fits(start, count, p, build, loss, opts, h):

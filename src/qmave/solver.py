@@ -467,16 +467,20 @@ def _descend(Z, y, w, tau, opts: SolverOptions):
         dx += Zt[:, 1] * z1[:, None]
         c = np.abs(dx)
         c *= w
-        edge = c > 0
+        flat = ~(c > 0)
         q = Zt[rows, j.astype(np.intp)]
         q *= at[:, None]
         np.subtract(y, q, out=q)
         # rows constant along the edge sort last and are never divided by
-        q = np.where(edge, q, np.inf)
-        np.divide(q, np.where(edge, dx, 1.0), out=q)
+        np.copyto(q, np.inf, where=flat)
+        np.copyto(dx, 1.0, where=flat)
+        q /= dx
+        del dx, flat  # each round's buffers die once read
         order = np.argsort(q, axis=1)
         order += (rows * n)[:, None]  # flat indices: np.take is the fast gather
-        cum = np.add.accumulate(np.take(c, order), axis=1)
+        cum = np.take(c, order)
+        del c
+        np.add.accumulate(cum, axis=1, out=cum)
         target = 0.5 * (cum[:, -1] + (2.0 * tau - 1.0) * (g[:, 1] * z1 - g[:, 0] * z2))
         pick = np.minimum(np.sum(cum < target[:, None], axis=1), n - 1)
         best = np.take(q, order[rows, pick])
@@ -567,13 +571,20 @@ def _solve_ls_batch(Z, y, w):
     return _solve_gram_batch(*_gram_batch(Z, y, w))
 
 
-def _solve_normal(gram, rhs):
-    """`_solve_gram_batch` on a batch of one, raising where it gives NaN;
-    a Gram that is not finite is named as an overflow, not a rank loss."""
+def _check_gram(gram):
+    """Raise where a Gram is not finite, naming the overflow: an inf Gram
+    is not a rank loss, and a solve on it only warns its way to a
+    non-finite iterate."""
     if not np.all(np.isfinite(gram)):
         raise DegenerateProblemError(
             "weighted cross-product matrix is not finite: the design or response overflows"
         )
+
+
+def _solve_normal(gram, rhs):
+    """`_solve_gram_batch` on a batch of one, raising where it gives NaN;
+    a Gram that is not finite is named as an overflow (`_check_gram`)."""
+    _check_gram(gram)
     beta = _solve_gram_batch(gram, rhs)[0]
     if not np.all(np.isfinite(beta)):
         raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")
@@ -600,8 +611,9 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
     Raises
     ------
     DegenerateProblemError
-        Fewer than ``p`` rows with positive weight, or a design column
-        that is zero on every one of them.
+        Fewer than ``p`` rows with positive weight, a design column that
+        is zero on every one of them, or a weighted Gram ``Z'WZ`` that
+        overflows (`_check_gram`), named before any solve.
     ConvergenceError
         Iteration budget exhausted; carries the best iterate in ``best``.
     """
@@ -621,6 +633,8 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
         raise DegenerateProblemError(
             f"design column {int(zero[0])} is zero on every positively-weighted row"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_gram(_gram_batch(Za[None], ya[None], wa[None])[0])
     beta, _, complete = _solve_qr_batch(
         Za[None, :, :], ya[None, :], wa[None, :], tau, opts
     )

@@ -469,19 +469,26 @@ class TestScaleOutOfRange:
         assert "automatic initialisation failed" in str(err.value)
         assert "local slopes or their squares are not finite" in str(err.value)
 
-    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e250, 1e300])
-    def test_overflowing_outer_gram_is_a_degenerate_update(self, scale):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "loss, scale",
+        [  # the squared-loss cases keep their plain ids
+            pytest.param(loss, scale, id=f"{prefix}{scale}")
+            for prefix, loss in (("", LossSpec.squared()), ("quantile-", LossSpec.quantile(0.5)))
+            for scale in (1e160, 1e200, 1e250, 1e300)
+        ],
+    )
+    def test_overflowing_outer_gram_is_a_degenerate_update(self, loss, scale):
         # the local fits hold, but the pooled Gram of their slopes
-        # overflows, with numpy's warnings
+        # overflows; it is named before any solve, without numpy's warnings
         data, _ = gen_model8(SimConfig(n=200, seed=3))
-        cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                DegenerateUpdateError,
-                match="iteration 1: weighted cross-product matrix is not finite: "
-                "the design or response overflows",
-            ):
-                qmave_fit(Dataset(data.X, data.Y * scale), cfg)
+        cfg = QmaveConfig(loss=loss, init=np.eye(5)[0])
+        with pytest.raises(
+            DegenerateUpdateError,
+            match="iteration 1: weighted cross-product matrix is not finite: "
+            "the design or response overflows",
+        ):
+            qmave_fit(Dataset(data.X, data.Y * scale), cfg)
 
 
 def far_row_data():
@@ -623,3 +630,19 @@ class TestInitLadder:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+    @pytest.mark.parametrize("noise", [NoiseLaw.SCALED_T1, NoiseLaw.SCALED_NORMAL])
+    def test_auto_init_peak_memory_at_n200(self, noise):
+        # the p = 6 quantile full fits run in blocks sized by the working
+        # set of their interior point, about six design-sized arrays, so
+        # its peak stays near 1.3 MiB
+        data, _ = gen_model8(SimConfig(n=200, noise=noise, seed=3))
+        cfg = QmaveConfig()
+        fit_module._auto_init(data, cfg)  # one-time set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            fit_module._auto_init(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2**20

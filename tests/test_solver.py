@@ -301,6 +301,23 @@ class TestSolveWeightedLs:
             ):
                 solve_weighted_ls(prob)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_raises_before_the_quantile_solve(self):
+        # rows on 1e160 overflow the interior point's Gram: the quantile
+        # solver names that as the least-squares one does, with no warning
+        rng = np.random.default_rng(1)
+        Z = rng.normal(size=(10, 3))
+        Z[:, 0] = 1.0
+        prob = WeightedRegressionProblem(
+            Z * 1e160, rng.normal(size=10), rng.uniform(0.5, 2.0, size=10), LossSpec.quantile(0.3)
+        )
+        with pytest.raises(
+            DegenerateProblemError,
+            match="weighted cross-product matrix is not finite: "
+            "the design or response overflows",
+        ):
+            solve_weighted_qr(prob)
+
     def test_overflowing_gram_spares_the_rest_of_its_batch(self):
         rng = np.random.default_rng(14)
         Z, y, w = rng.normal(size=(3, 50, 3)), rng.normal(size=(3, 50)), np.ones((3, 50))
