@@ -4,22 +4,26 @@ The quantile solver minimises ``sum_i w_i rho_tau(y_i - z_i' beta)``.
 Two-column problems (the local index fits) first take an exact vertex
 descent: all problems at once, each moving to the minimum along an edge
 of its objective, found as a weighted quantile of the edge's
-breakpoints, until its vertex is the minimum along both its edges.  What
-it leaves, and every problem of more columns, goes to a batched
+breakpoints, until its vertex is the minimum along both its edges; a
+problem that does not stop gets a NaN vertex.  What the certificate
+rejects of those, and every problem of more columns, goes to a batched
 Frisch-Newton interior point (Portnoy & Koenker 1997) on the rows ``w_i
 z_i, w_i y_i``.  Its Mehrotra steps update the iterate in place, in a
 few row buffers, and take the gap the predictor would reach in closed
-form from two dot products.  Either fit is snapped to the exact fit
-through the ``p`` usable rows of smallest residual, solved in row order
-so that a vertex depends on its basis set alone, and the Koenker-Bassett
-(1978) subgradient condition certifies that vertex optimal in closed
-form; a descent vertex it rejects goes to the interior point.  Problems
-the certificate rejects after the interior point (tied or degenerate
-data) go to a vertex polish, each problem on its own, over exact-fit
-candidates through the rows with the smallest residuals.  The test for
-rows in general position scales each row to unit length; the
-certificate, like the interior point's Gram, holds for row norms from
-about 1e-154 to 1e+154, where their squares neither under- nor overflow.
+form from two dot products.  Every iterate is snapped by one rule to the
+exact fit through the ``p`` usable rows of smallest residual, picked by
+``argmin`` with NaN read as inf and solved in row order, so that a
+vertex depends on its basis set alone; a NaN descent vertex fails
+there.  The Koenker-Bassett (1978) subgradient condition alone certifies
+the vertex optimal in closed form: its basis duals lie in ``[tau - 1,
+tau]``, and an off-basis row at zero residual takes the subgradient
+``tau``.  Problems the certificate rejects after the interior point
+(tied or degenerate data) go to a vertex polish, each problem on its
+own, over exact-fit candidates through the rows with the smallest
+residuals.  The test for rows in general position scales each row to
+unit length; the certificate, like the interior point's Gram, holds for
+row norms from about 1e-154 to 1e+154, where their squares neither
+under- nor overflow.
 
 Weighted least squares solves the normal equations without a ridge, and
 gives NaN coefficients where the Gram is not finite or its eigenvalue
@@ -368,24 +372,24 @@ def _frisch_newton(X, yv, tau, opts: SolverOptions):
 def _snap_and_certify(Z, y, w, tau, beta):
     """Snap ``beta`` to the exact fit through the ``p`` usable rows
     (positive weight, nonzero design) of smallest weighted residual, and
-    certify it by the Koenker-Bassett condition: the basis duals, solved
-    from their p x p system, lie in ``[tau - 1, tau]`` and no other usable
-    row sits at zero residual.  Returns ``(beta, obj, certified)``; an
-    uncertified problem keeps the lower in objective of ``beta`` and the
-    vertex (if its basis is in general position).  The basis is ``p``
-    passes of ``argmin``, each writing ``inf`` over its pick: the first of
-    tied minima, so the rows a stable argsort puts first while every pick
-    is finite.  A problem with a NaN or inf pick takes that argsort."""
+    certify it by the Koenker-Bassett condition alone: the basis duals,
+    solved from their p x p system, lie in ``[tau - 1, tau]``.  An
+    off-basis row at zero residual takes ``psi = tau``, a valid
+    subgradient, so no such row needs a veto.  Returns ``(beta, obj,
+    certified)``; an uncertified problem keeps the lower in objective of
+    ``beta`` and the vertex (if its basis is in general position).  The
+    basis is ``p`` passes of ``argmin`` over the keys, NaN read as inf,
+    each writing ``inf`` over its pick: the first of tied minima.  Once
+    its finite keys run out, every further pass picks row 0, so a NaN
+    ``beta`` of two or more columns fails the general-position test."""
     B, _, p = Z.shape
     usable = (w > 0) & np.any([Z[:, :, k] != 0 for k in range(p)], axis=0)
     key = np.where(usable, w * np.abs(y - _mv(Z, beta)), np.inf)
-    rows, basis, rest = np.arange(B), np.empty((B, p), dtype=np.intp), np.zeros(B, dtype=bool)
+    key[np.isnan(key)] = np.inf
+    rows, basis = np.arange(B), np.empty((B, p), dtype=np.intp)
     for k in range(p):
         pick = basis[:, k] = np.argmin(key, axis=1)
-        rest |= ~np.isfinite(key[rows, pick])
         key[rows, pick] = np.inf
-    key = np.where(usable[rest], w[rest] * np.abs(y[rest] - _mv(Z[rest], beta[rest])), np.inf)
-    basis[rest] = np.argsort(key, axis=1, kind="stable")[:, :p]
     basis.sort(axis=1)  # the vertex and duals depend on the basis set alone
     Zb = np.take_along_axis(Z, basis[:, :, None], axis=1)
     wb = np.take_along_axis(w, basis, axis=1)
@@ -396,11 +400,9 @@ def _snap_and_certify(Z, y, w, tau, beta):
     obj = np.sum(w * np.where(r > 0, tau * r, (tau - 1.0) * r), axis=1)
     wpsi = w * np.where(r < 0, tau - 1.0, tau)
     np.put_along_axis(wpsi, basis, 0.0, axis=1)
-    np.put_along_axis(r, basis, np.inf, axis=1)
     # the duals d solve (w_b z_b)' d = -sum of w_i z_i psi_i off the basis
     dual = _batch_solve(Zb.transpose(0, 2, 1) * wb[:, None, :], -_mv(Z.transpose(0, 2, 1), wpsi))
     certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
-    certified &= ~np.any(usable & (r == 0), axis=1)
     del r, wpsi
     # a certified problem returns its vertex; only the others weigh beta
     rest = np.flatnonzero(~certified)
@@ -436,13 +438,13 @@ def _descend(Z, y, w, tau, opts: SolverOptions):
     Every move minimises along an edge through the current vertex, so
     the objective never rises.  The walk starts at the usable row of
     smallest residual at the weighted least-squares fit, or at the first
-    usable row where that fit is not finite.  Returns ``(stopped,
-    vertex)``: the problems that stopped within ``opts.max_iterations``
-    rounds, in increasing order, and their finite vertices, which the
-    caller certifies.  A problem without a usable row, whose edge has no
-    row of positive weight or whose vertex is not finite is left out,
-    as is one still walking when the budget runs out, so an overflow
-    only hands a problem to the caller's fallback."""
+    usable row where that fit is not finite.  Returns the (B, 2) vertices
+    at which the problems stopped within ``opts.max_iterations`` rounds,
+    finite, which the caller certifies, and NaN for every other problem:
+    one without a usable row, whose edge has no row of positive weight
+    or whose vertex is not finite, or one still walking when the budget
+    runs out.  A NaN vertex fails the snap's general-position test, so
+    an overflow only hands a problem to the caller's fallback."""
     B, n, _ = Z.shape
     Zt = np.ascontiguousarray(Z.transpose(0, 2, 1))
     usable = (w > 0) & ((Zt[:, 0] != 0) | (Zt[:, 1] != 0))
@@ -454,8 +456,7 @@ def _descend(Z, y, w, tau, opts: SolverOptions):
     cur[nonfinite] = np.argmax(usable[nonfinite], axis=1)
     live = np.flatnonzero(usable[rows, cur])
     Zt, y, w, g, cur = Zt[live], y[live], w[live], g[live], cur[live]
-    prev = np.full(live.size, -1)
-    stopped, vertex = np.zeros(B, dtype=bool), np.empty((B, 2))
+    prev, vertex = np.full(live.size, -1), np.full((B, 2), np.nan)
     for _ in range(opts.max_iterations):
         if live.size == 0:
             break
@@ -488,21 +489,22 @@ def _descend(Z, y, w, tau, opts: SolverOptions):
         beta = np.stack([np.where(j, 0.0, at) - best * z2, np.where(j, at, 0.0) + best * z1], 1)
         ok = np.isfinite(best) & np.all(np.isfinite(beta), axis=1)
         stop = ok & (nxt == prev)
-        stopped[live[stop]], vertex[live[stop]] = True, beta[stop]
+        vertex[live[stop]] = beta[stop]
         keep = ok & ~stop
         prev, cur = cur[keep], nxt[keep]
         live, Zt, y, w, g = live[keep], Zt[keep], y[keep], w[keep], g[keep]
-    return np.flatnonzero(stopped), vertex[stopped]
+    return vertex
 
 
 def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     """Certified solve of stacked weighted quantile regressions.
 
     Z is (B, n, p); y and w are (B, n).  Two-column problems first take
-    the vertex descent (`_descend`), whose stopped vertices go to the
-    snap and certificate.  The rest, and every problem of more columns,
-    run the interior point once, on the rows ``w_i z_i, w_i y_i``, then
-    the snap and certificate.  Problems the certificate rejects go to the
+    the vertex descent (`_descend`), and the whole stack goes to the snap
+    and certificate (`_snap_and_certify`), which a problem the descent
+    left NaN fails.  The rest, and every problem of more columns, run the
+    interior point once, on the rows ``w_i z_i, w_i y_i``, then the same
+    snap and certificate.  Problems the certificate rejects go to the
     vertex polish (`_polish_batch`), the whole arrays without a copy when
     every problem is rejected.  All of these work per problem, so the
     other problems of a call change no result; callers size the stack.
@@ -516,11 +518,8 @@ def _solve_qr_batch(Z, y, w, tau, opts: SolverOptions):
     beta, obj, certified = np.empty((B, p)), np.empty(B), np.zeros(B, dtype=bool)
     rest = range(B)
     if p == 2 and n:
-        stopped, vertex = _descend(Z, y, w, tau, opts)
-        if stopped.size:
-            k = _as_run(stopped)
-            beta[k], obj[k], certified[k] = _snap_and_certify(Z[k], y[k], w[k], tau, vertex)
-            rest = np.flatnonzero(~certified)
+        beta, obj, certified = _snap_and_certify(Z, y, w, tau, _descend(Z, y, w, tau, opts))
+        rest = np.flatnonzero(~certified)
     complete = True
     if len(rest):
         k = _as_run(rest)
@@ -572,18 +571,24 @@ def _solve_ls_batch(Z, y, w):
 
 
 def _check_gram(gram):
-    """Raise where a Gram is not finite, naming the overflow: an inf Gram
-    is not a rank loss, and a solve on it only warns its way to a
-    non-finite iterate."""
+    """Raise where a Gram is not finite, naming the overflow, or has a
+    diagonal entry of exactly 0, naming the underflow (callers reject a
+    design column that is zero first).  Neither is a rank loss: a solve
+    on an inf Gram only warns its way to a non-finite iterate, and one on
+    an underflowed Gram returns a wrong answer without an error."""
     if not np.all(np.isfinite(gram)):
         raise DegenerateProblemError(
             "weighted cross-product matrix is not finite: the design or response overflows"
+        )
+    if np.any(np.diagonal(gram, axis1=-2, axis2=-1) == 0):
+        raise DegenerateProblemError(
+            "weighted cross-product matrix underflows: a diagonal entry is 0"
         )
 
 
 def _solve_normal(gram, rhs):
     """`_solve_gram_batch` on a batch of one, raising where it gives NaN;
-    a Gram that is not finite is named as an overflow (`_check_gram`)."""
+    a Gram that over- or underflows is named so (`_check_gram`)."""
     _check_gram(gram)
     beta = _solve_gram_batch(gram, rhs)[0]
     if not np.all(np.isfinite(beta)):
@@ -593,10 +598,19 @@ def _solve_normal(gram, rhs):
 
 def _active_rows(problem, active):
     """``Z``, ``y`` and ``w`` on the rows where ``active``; the arrays as
-    they are, without a masked copy, when every row is active."""
+    they are, without a masked copy, when every row is active.  Raises
+    where a design column is zero on every active row, which its Gram
+    would otherwise report as an underflow or a rank loss."""
     if active.all():
-        return tuple(np.ascontiguousarray(v) for v in (problem.Z, problem.y, problem.w))
-    return problem.Z[active], problem.y[active], problem.w[active]
+        Za, ya, wa = (np.ascontiguousarray(v) for v in (problem.Z, problem.y, problem.w))
+    else:
+        Za, ya, wa = problem.Z[active], problem.y[active], problem.w[active]
+    zero = np.flatnonzero(np.all(Za == 0, axis=0))
+    if zero.size:
+        raise DegenerateProblemError(
+            f"design column {int(zero[0])} is zero on every positively-weighted row"
+        )
+    return Za, ya, wa
 
 
 def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | None = None):
@@ -612,8 +626,9 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
     ------
     DegenerateProblemError
         Fewer than ``p`` rows with positive weight, a design column that
-        is zero on every one of them, or a weighted Gram ``Z'WZ`` that
-        overflows (`_check_gram`), named before any solve.
+        is zero on every one of them (`_active_rows`), or a weighted Gram
+        ``Z'WZ`` that over- or underflows (`_check_gram`), named before
+        any solve.
     ConvergenceError
         Iteration budget exhausted; carries the best iterate in ``best``.
     """
@@ -628,11 +643,6 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
             f"got {int(np.count_nonzero(active))}"
         )
     Za, ya, wa = _active_rows(problem, active)
-    zero = np.flatnonzero(np.all(Za == 0, axis=0))
-    if zero.size:
-        raise DegenerateProblemError(
-            f"design column {int(zero[0])} is zero on every positively-weighted row"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         _check_gram(_gram_batch(Za[None], ya[None], wa[None])[0])
     beta, _, complete = _solve_qr_batch(
@@ -651,9 +661,10 @@ def solve_weighted_qr(problem: WeightedRegressionProblem, opts: SolverOptions | 
 def solve_weighted_ls(problem: WeightedRegressionProblem):
     """Weighted least squares by the normal equations (`_solve_normal`).
 
-    Raises ``DegenerateProblemError`` when the weighted cross-product
-    matrix fails the rank rule: it is not finite, or its smallest
-    eigenvalue is at most ``_RANK_RTOL`` times its largest.
+    Raises ``DegenerateProblemError`` on a design column that is zero on
+    every positively-weighted row (`_active_rows`), and when the weighted
+    cross-product matrix over- or underflows or fails the rank rule: its
+    smallest eigenvalue is at most ``_RANK_RTOL`` times its largest.
     """
     if problem.loss.is_quantile:
         raise InvalidInputError("solve_weighted_ls requires the squared loss")

@@ -490,6 +490,19 @@ class TestScaleOutOfRange:
         ):
             qmave_fit(Dataset(data.X, data.Y * scale), cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
+    def test_underflowing_outer_gram_is_a_degenerate_update(self, loss):
+        # under Y * 2**-664 the local slopes are so small that the pooled
+        # Gram's diagonal underflows to 0: named at the first outer step,
+        # where the quantile fit used to converge to a wrong direction
+        data, _ = gen_model8(SimConfig(n=200, seed=3))
+        with pytest.raises(
+            DegenerateUpdateError,
+            match="iteration 1: weighted cross-product matrix underflows",
+        ):
+            qmave_fit(Dataset(data.X, data.Y * 2.0**-664), QmaveConfig(loss=loss))
+
 
 def far_row_data():
     """n=200 model data plus one row far out along theta0 with Y = 1e308:

@@ -33,6 +33,26 @@ def normal_equation_problems():
         yield rng.normal(size=(n, p)), rng.normal(size=n), rng.uniform(0.1, 3.0, size=n)
 
 
+def scaled_problem(scale, loss):
+    """A 10 x 3 problem with an intercept column, its design times ``scale``."""
+    rng = np.random.default_rng(17)
+    Z = rng.normal(size=(10, 3))
+    Z[:, 0] = 1.0
+    return WeightedRegressionProblem(
+        Z * scale, rng.normal(size=10), rng.uniform(0.5, 2.0, size=10), loss
+    )
+
+
+def zero_column_problem(p, loss):
+    """A 12 x p problem whose last column is nonzero only on a zero-weight row."""
+    rng = np.random.default_rng(33)
+    Z = rng.normal(size=(12, p))
+    Z[:, p - 1] = 0.0
+    w = rng.uniform(0.5, 2.0, size=12)
+    Z[0, p - 1], w[0] = 1.0, 0.0
+    return WeightedRegressionProblem(Z, rng.normal(size=12), w, loss)
+
+
 def random_problem(rng, n_max=12, p_max=3, taus=(0.25, 0.5, 0.75)):
     n = int(rng.integers(3, n_max + 1))
     p = int(rng.integers(1, p_max + 1))
@@ -138,14 +158,8 @@ class TestSolveWeightedQr:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_column_zero_on_every_weighted_row_raises(self, p):
-        rng = np.random.default_rng(33)
-        Z = rng.normal(size=(12, p))
-        Z[:, p - 1] = 0.0
-        w = rng.uniform(0.5, 2.0, size=12)
-        Z[0, p - 1], w[0] = 1.0, 0.0  # nonzero only on a zero-weight row
-        prob = WeightedRegressionProblem(Z, rng.normal(size=12), w, LossSpec.quantile(0.5))
         with pytest.raises(DegenerateProblemError, match=f"column {p - 1} is zero"):
-            solve_weighted_qr(prob)
+            solve_weighted_qr(zero_column_problem(p, LossSpec.quantile(0.5)))
 
     def test_requires_quantile_loss(self):
         prob = WeightedRegressionProblem(np.ones((2, 1)), [1, 2], [1, 1], LossSpec.squared())
@@ -280,6 +294,11 @@ class TestSolveWeightedLs:
         with pytest.raises(DegenerateProblemError):
             solve_weighted_ls(prob)
 
+    def test_column_zero_on_every_weighted_row_is_named(self):
+        # as the quantile solver names it, not as a rank loss or underflow
+        with pytest.raises(DegenerateProblemError, match="column 2 is zero"):
+            solve_weighted_ls(zero_column_problem(3, LossSpec.squared()))
+
     def test_requires_squared_loss(self):
         prob = WeightedRegressionProblem(
             np.ones((2, 1)), [1, 2], [1, 1], LossSpec.quantile(0.5)
@@ -317,6 +336,31 @@ class TestSolveWeightedLs:
             "the design or response overflows",
         ):
             solve_weighted_qr(prob)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "solve, loss",
+        [(solve_weighted_qr, LossSpec.quantile(0.3)), (solve_weighted_ls, LossSpec.squared())],
+        ids=["qr", "ls"],
+    )
+    def test_underflowing_gram_is_named(self, solve, loss):
+        # on 1e-200 the intercept column's weighted squares sum to 0 on the
+        # Gram's diagonal: named before any solve, not solved to a wrong
+        # answer or blamed on the rank
+        with pytest.raises(
+            DegenerateProblemError,
+            match="weighted cross-product matrix underflows: a diagonal entry is 0",
+        ):
+            solve(scaled_problem(1e-200, loss))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_gram_still_solves_to_the_optimum(self):
+        # on 1e-160 the Gram's diagonal is subnormal, not 0: the quantile
+        # solve still reaches the unscaled problem's optimum
+        unscaled = scaled_problem(1.0, LossSpec.quantile(0.3))
+        best = unscaled.objective(qr_oracle(unscaled))
+        prob = scaled_problem(1e-160, LossSpec.quantile(0.3))
+        assert prob.objective(solve_weighted_qr(prob)) == pytest.approx(best, rel=1e-12)
 
     def test_overflowing_gram_spares_the_rest_of_its_batch(self):
         rng = np.random.default_rng(14)
@@ -396,12 +440,7 @@ class TestQrOracle:
     def test_far_from_unit_scale(self, scale):
         # the oracle's general-position test is the certificate's: it holds
         # while row norms stay within about 1e+-154, with no overflow
-        rng = np.random.default_rng(17)
-        Z = rng.normal(size=(10, 3))
-        Z[:, 0] = 1.0
-        prob = WeightedRegressionProblem(
-            Z * scale, rng.normal(size=10), rng.uniform(0.5, 2.0, size=10), LossSpec.quantile(0.3)
-        )
+        prob = scaled_problem(scale, LossSpec.quantile(0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             o_oracle = prob.objective(qr_oracle(prob))
@@ -533,15 +572,15 @@ def continuous_batches():
 
 def certified_solve(Z, y, w, tau, opts=SolverOptions()):
     """``(beta, obj, certified)`` of ``solver._solve_qr_batch`` before its
-    polish, from its parts: for p = 2 the vertex descent's stopped
-    problems, snapped and certified, then the interior point on the rest
-    (blocks change no result), snapped and certified."""
+    polish, from its parts: for p = 2 the vertex descent's vertices, NaN
+    where a problem did not stop, snapped and certified, then the
+    interior point on the rest (other problems change no result),
+    snapped and certified."""
     B, _, p = Z.shape
     beta, obj, certified = np.empty((B, p)), np.empty(B), np.zeros(B, dtype=bool)
     if p == 2:
-        s, vertex = solver._descend(Z, y, w, tau, opts)
-        if s.size:
-            beta[s], obj[s], certified[s] = solver._snap_and_certify(Z[s], y[s], w[s], tau, vertex)
+        vertex = solver._descend(Z, y, w, tau, opts)
+        beta, obj, certified = solver._snap_and_certify(Z, y, w, tau, vertex)
     rest = ~certified
     if np.any(rest):
         Zr, yr, wr = Z[rest], y[rest], w[rest]
@@ -820,11 +859,9 @@ def reference_snap_and_certify(Z, y, w, tau, beta):
     r = y - mv(Z, vertex)
     wpsi = w * np.where(r < 0, tau - 1.0, tau)
     np.put_along_axis(wpsi, basis, 0.0, axis=1)
-    np.put_along_axis(r, basis, np.inf, axis=1)
     Zt = Z.transpose(0, 2, 1)
     dual = solver._batch_solve(Zb.transpose(0, 2, 1) * wb[:, None, :], -mv(Zt, wpsi))
     certified = ok & np.all((dual >= tau - 1.0) & (dual <= tau), axis=1)
-    certified &= ~np.any(usable & (r == 0), axis=1)
     obj = solver._batch_objective(Z, y, w, vertex, tau)
     rest = np.flatnonzero(~certified)
     if rest.size:
@@ -895,8 +932,57 @@ class TestSnap:
             assert vertex.tolist() == [[0.0, 1.0]]
 
 
-class TestBlocks:
-    def test_blocks_never_change_a_result(self, monkeypatch):
+def tied_problem_vertices(count=600):
+    """``(problem, vertices)`` for ``count`` seeded small tied problems: n
+    from 4 to 10, p from 1 to 3, integer designs (half of them with an
+    intercept) and responses, weights in {0, 0.5, 1, 2}.  ``vertices``
+    holds the (K, p) exact fits through every set of p positively
+    weighted rows in general position; a problem without one is left out."""
+    rng = np.random.default_rng(28)
+    for _ in range(count):
+        n, p = int(rng.integers(4, 11)), int(rng.integers(1, 4))
+        Z = rng.integers(-2, 3, size=(n, p)).astype(float)
+        if rng.random() < 0.5:
+            Z[:, 0] = 1.0
+        y = rng.integers(-3, 4, size=n).astype(float)
+        w = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+        tau = float(rng.choice([0.25, 0.5, 0.75]))
+        subsets = np.array(list(combinations(np.flatnonzero(w > 0), p)), dtype=np.intp)
+        subsets = subsets.reshape(-1, p)
+        ok = solver._in_general_position(Z[subsets])
+        if np.any(ok):
+            vertices = np.linalg.solve(Z[subsets[ok]], y[subsets[ok]][:, :, None])[:, :, 0]
+            yield WeightedRegressionProblem(Z, y, w, LossSpec.quantile(tau)), vertices
+
+
+class TestCertificateOnTiedData:
+    def test_certified_vertices_attain_the_oracle(self):
+        # every vertex of each problem, snapped where it stands: the
+        # certificate alone decides, and any vertex it passes is optimal
+        certified = 0
+        for prob, vertices in tied_problem_vertices():
+            K = vertices.shape[0]
+            Z, y, w = (np.repeat(v[None], K, axis=0) for v in (prob.Z, prob.y, prob.w))
+            _, obj, passed = solver._snap_and_certify(Z, y, w, prob.loss.tau, vertices)
+            best = prob.objective(qr_oracle(prob))
+            slack = 1e-12 * best + 4 * np.spacing(np.sum(prob.w * np.abs(prob.y)))
+            assert np.all(np.abs(obj[passed] - best) <= slack), (prob.Z, prob.y, prob.w)
+            certified += np.count_nonzero(passed)
+        assert certified > 0
+
+    def test_a_zero_residual_off_the_basis_is_no_veto(self):
+        # at beta = 0 the basis is row 0; row 1 also sits at zero residual
+        # and takes psi = tau, so the dual is 0.5 + 0.5 - 0.5 - 0.5 = 0,
+        # within [tau - 1, tau], and the vertex is the oracle's optimum
+        Z, y, w = np.ones((1, 5, 1)), np.array([[0.0, 0.0, 1.0, -1.0, -1.0]]), np.ones((1, 5))
+        beta, obj, certified = solver._snap_and_certify(Z, y, w, 0.5, np.zeros((1, 1)))
+        prob = WeightedRegressionProblem(Z[0], y[0], w[0], LossSpec.quantile(0.5))
+        assert certified[0] and beta.tolist() == [[0.0]]
+        assert obj[0] == 1.5 == prob.objective(qr_oracle(prob))
+
+
+class TestStackIndependence:
+    def test_other_problems_never_change_a_result(self, monkeypatch):
         opts, polished, polish = SolverOptions(), [], solver._polish_batch
 
         def spy(*args):
@@ -939,8 +1025,8 @@ class TestBlocks:
         w[np.arange(n) >= rng.integers(n // 3, n + 1, size=(B, 1))] = 0.0
         left = B
         if p == 2:
-            s, vertex = solver._descend(Z, y, w, 0.5, SolverOptions())
-            left -= np.count_nonzero(solver._snap_and_certify(Z[s], y[s], w[s], 0.5, vertex)[2])
+            vertex = solver._descend(Z, y, w, 0.5, SolverOptions())
+            left -= np.count_nonzero(solver._snap_and_certify(Z, y, w, 0.5, vertex)[2])
             assert left == 0
         solver._solve_qr_batch(Z, y, w, 0.5, SolverOptions())
         assert len(seen) == (1 if left else 0) and sum(seen) == left
@@ -976,15 +1062,32 @@ class TestVertexDescent:
         for Z, y, w, tau in chain(continuous_batches(), padded_tied_batches()):
             if Z.shape[2] != 2:
                 continue
-            s, vertex = solver._descend(Z, y, w, tau, opts)
-            got = solver._snap_and_certify(Z[s], y[s], w[s], tau, vertex)
+            got = solver._snap_and_certify(Z, y, w, tau, solver._descend(Z, y, w, tau, opts))
             inner = solver._frisch_newton(weighted_design(Z, w), y * w, tau, opts)[0]
-            want = [v[s] for v in solver._snap_and_certify(Z, y, w, tau, inner)]
+            want = solver._snap_and_certify(Z, y, w, tau, inner)
             same = got[2] & want[2]
             for g, r in zip(got[:2], want[:2]):
                 assert g[same].tobytes() == r[same].tobytes(), (Z.shape, tau)
             both += np.count_nonzero(same)
         assert both > 0
+
+    def test_a_walk_that_does_not_stop_reaches_the_interior_point(self, monkeypatch):
+        # one round cannot stop a walk: every vertex comes back NaN, the
+        # snap certifies none, and the whole stack runs the interior point
+        seen, frisch_newton = [], solver._frisch_newton
+
+        def spy(X, *args):
+            seen.append(X.shape[0])
+            return frisch_newton(X, *args)
+
+        monkeypatch.setattr(solver, "_frisch_newton", spy)
+        Z, y, w, tau = next(b for b in continuous_batches() if b[0].shape[2] == 2)
+        opts = SolverOptions(max_iterations=1)
+        vertex = solver._descend(Z, y, w, tau, opts)
+        assert vertex.shape == (Z.shape[0], 2) and np.all(np.isnan(vertex))
+        assert not np.any(solver._snap_and_certify(Z, y, w, tau, vertex)[2])
+        solver._solve_qr_batch(Z, y, w, tau, opts)
+        assert seen == [Z.shape[0]]
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(two_column_batches())

@@ -49,7 +49,11 @@ bytes.  The cases:
   three more index calls at tau in {0.1, 0.25, 0.9};
 - ``qr_oracle`` on 30 seeded problems of 3 to 12 rows and 1 to 4
   columns, with tied and duplicate rows and zero weights, so that its
-  test for rows in general position is checked subset by subset.
+  test for rows in general position is checked subset by subset;
+- ``solve_weighted_qr`` on one 10 x 3 problem with an intercept, its
+  design scaled by 1, 1e-150, 1e-160, 1e-165 and 1e-200, where the
+  weighted Gram's diagonal goes subnormal and then underflows to 0:
+  beta's bytes, or the error's type and message.
 
 Prints each case whose digests differ (or that one tree lacks) and exits
 1 if there is any, else 0.  Two reports help read a difference; the
@@ -410,6 +414,22 @@ def _oracle_cases(qm, np):
     return out
 
 
+def _scale_cases(qm, np):
+    out = {}
+    for scale in (1.0, 1e-150, 1e-160, 1e-165, 1e-200):
+        rng = np.random.default_rng(17)
+        Z = rng.normal(size=(10, 3))
+        Z[:, 0] = 1.0
+        y, w = rng.normal(size=10), rng.uniform(0.5, 2.0, size=10)
+        problem = qm.WeightedRegressionProblem(Z * scale, y, w, qm.LossSpec.quantile(0.3))
+        try:
+            got = (qm.solve_weighted_qr(problem).tobytes(),)
+        except qm.QmaveError as exc:
+            got = (type(exc).__name__, str(exc))
+        out[f"scale/qr/{scale:g}"] = _digest(*got)
+    return out
+
+
 def _solver_case(np, out, objectives, name, Z, y, w, tau, opts):
     """Digest one ``_solve_qr_batch`` call; record its objectives."""
     from qmave.solver import _solve_qr_batch
@@ -434,6 +454,7 @@ def _emit(src: str) -> None:
     cases, objectives, details = {}, {}, {}
     cases.update(_solver_cases(qm, np, objectives))
     cases.update(_oracle_cases(qm, np))
+    cases.update(_scale_cases(qm, np))
     cases.update(_batch_cases(qm, np))
     cases.update(_init_cases(qm, np))
     cases.update(_kernel_cases(qm, np))
