@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import LossSpec
-from .errors import InsufficientDataError, InvalidInputError, QmaveError
+from .errors import InvalidInputError, QmaveError
 from .fit import QmaveConfig, qmave_fit
 from .initial import TrimSpec
 from .localfit import Dataset
@@ -31,7 +31,8 @@ def parse_dataset_csv(path: str, y_column) -> Dataset:
     ``y_column`` selects the response by header name (or 0-based column
     index when given as an integer); the remaining columns become X in
     header order.  Row numbers in error messages are 1-based data rows,
-    header excluded.
+    header excluded.  The sample size is left to the estimator:
+    `qmave_fit` needs n >= 2(d+1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -74,14 +75,7 @@ def parse_dataset_csv(path: str, y_column) -> Dataset:
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
-    Y = arr[:, y_idx]
-    X = np.delete(arr, y_idx, axis=1)
-    d = X.shape[1]
-    if arr.shape[0] < 2 * (d + 1):
-        raise InsufficientDataError(
-            f"need at least 2(d+1) = {2 * (d + 1)} rows for d={d}, got {arr.shape[0]}"
-        )
-    return Dataset(X, Y)
+    return Dataset(np.delete(arr, y_idx, axis=1), arr[:, y_idx])
 
 
 def _library_type(make):

@@ -104,7 +104,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """Rate-correct default bandwidth, ``h = c_h * scale * (log n / n)^e``.
+    """Rate-correct default bandwidth, ``h = scale * (log n / n)^e``.
 
     ``stage`` selects the exponent: ``"index"`` uses e = 1/5 (one-dimensional
     smoothing along a candidate index), ``"full_dim"`` uses e = 1/(d+4)
@@ -113,10 +113,8 @@ class BandwidthRule:
 
     stage: str = "index"
     d: int | None = None
-    c_h: float = 1.0
 
     def __post_init__(self):
-        _check_positive("c_h", self.c_h)
         if self.stage == "index":
             if self.d is not None:
                 raise InvalidInputError("index stage takes no dimension")
@@ -126,12 +124,12 @@ class BandwidthRule:
             raise InvalidInputError(f"unknown bandwidth stage {self.stage!r}")
 
     @classmethod
-    def index(cls, c_h: float = 1.0) -> "BandwidthRule":
-        return cls("index", None, c_h)
+    def index(cls) -> "BandwidthRule":
+        return cls("index")
 
     @classmethod
-    def full_dim(cls, d: int, c_h: float = 1.0) -> "BandwidthRule":
-        return cls("full_dim", d, c_h)
+    def full_dim(cls, d: int) -> "BandwidthRule":
+        return cls("full_dim", d)
 
     @property
     def exponent(self) -> float:
@@ -188,7 +186,7 @@ def _in_support(u):
 
 
 def default_bandwidth(rule: BandwidthRule, n: int, scale: float) -> float:
-    """Bandwidth ``c_h * scale * (log n / n)**e`` for ``n`` observations.
+    """Bandwidth ``scale * (log n / n)**e`` for ``n`` observations.
 
     ``scale`` anchors the unit-free rate to the data: pass a dispersion
     estimate of the variable being smoothed (see ``index_dispersion`` and
@@ -198,7 +196,7 @@ def default_bandwidth(rule: BandwidthRule, n: int, scale: float) -> float:
     if n < 2:
         raise InvalidInputError(f"need n >= 2 to form a bandwidth, got n={n}")
     _check_positive("scale", scale)
-    return rule.c_h * scale * (math.log(n) / n) ** rule.exponent
+    return scale * (math.log(n) / n) ** rule.exponent
 
 
 def index_dispersion(values) -> float:

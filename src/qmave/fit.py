@@ -1,12 +1,12 @@
 """Alternating estimation of the index direction.
 
-Each iteration performs two steps: the inner step refits a local-linear
-model at every untrimmed anchor along the current index, and the outer
-step pools all (observation, anchor) pairs into one weighted linear
-regression whose solution, normalised to unit length, becomes the next
-index; for the squared loss, from normal equations summed over chunks of
-those pairs.  Iteration stops when successive indices agree up to sign
-within ``tol``.
+Each iteration performs two steps: the inner step (`inner_step`) refits
+a local-linear model at every untrimmed anchor along the current index,
+and the outer step pools all (observation, anchor) pairs into one
+weighted linear regression whose solution, normalised to unit length,
+becomes the next index; for the squared loss, from normal equations
+summed over chunks of those pairs.  Iteration stops when successive
+indices agree up to sign within ``tol``.
 """
 
 from __future__ import annotations
@@ -132,13 +132,9 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     order; anchors with too little local data are dropped for this
     iteration.
     """
-    return _index_step(data, theta, cfg, np.flatnonzero(trim_mask(data, cfg.trim)))
-
-
-def _index_step(data: Dataset, theta, cfg: QmaveConfig, anchors):
-    """`inner_step` at the untrimmed ``anchors``, which a fit finds once."""
     theta = _as_unit(theta, "theta", data.d)
     h = resolve_bandwidth(data, theta, cfg)
+    anchors = np.flatnonzero(trim_mask(data, cfg.trim))
     idx, a, b, effw = index_fit_batch(data, theta, anchors, h, cfg.loss, cfg.kernel)
     if idx.size < 2:
         raise InsufficientDataError(
@@ -284,7 +280,6 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
     d+1 points at moderate n, which makes the local slopes interpolation
     noise; the ladder widens h0 until the median window holds enough
     points to damp the slope variance."""
-    tau = cfg.loss.tau if cfg.loss.is_quantile else 0.5
     base = default_bandwidth(
         BandwidthRule.full_dim(data.d), data.n, coordinate_dispersion(data.X)
     )
@@ -297,10 +292,9 @@ def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:
     start = int(enough[0]) if enough.size else int(np.argmax(counts))
     for k in range(start, len(_INIT_LADDER)):
         try:
-            est = ade_initial_estimate(
-                data, tau, base * _INIT_LADDER[k], cfg.trim, cfg.kernel, loss=cfg.loss
-            )
-            return est.theta
+            return ade_initial_estimate(
+                data, cfg.loss, base * _INIT_LADDER[k], cfg.trim, cfg.kernel
+            ).theta
         except (InsufficientDataError, DegenerateDirectionError) as exc:
             last = exc
     raise type(last)(
@@ -326,7 +320,7 @@ def _check_covariates(X) -> None:
 
 
 def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
-    """Alternate inner and outer steps until the index stabilises.
+    """Alternate `inner_step` and the outer step until the index stabilises.
 
     The bandwidth is resolved once from the initial index and held fixed
     across iterations.  On hitting ``max_iter`` without convergence the
@@ -348,7 +342,6 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     else:
         theta = _auto_init(data, cfg)
     run = replace(cfg, h=resolve_bandwidth(data, theta, cfg), init=None)
-    anchors = np.flatnonzero(trim_mask(data, run.trim))
 
     # each iterate is recorded normalised as the returned index is, so that
     # the index returned is one of the recorded entries bit for bit
@@ -358,7 +351,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     iterations = 0
     for k in range(1, run.max_iter + 1):
         try:
-            objective, new = _outer(data, theta, _index_step(data, theta, run, anchors), run)
+            objective, new = _outer(data, theta, inner_step(data, theta, run), run)
         except (InsufficientDataError, DegenerateUpdateError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         objective_trace.append(objective)
@@ -373,8 +366,7 @@ def qmave_fit(data: Dataset, cfg: QmaveConfig | None = None) -> IndexFit:
     best = len(theta_trace) - 1
     if not converged:
         try:
-            fits = _index_step(data, theta, run, anchors)
-            objective_trace.append(eq_objective(data, theta, fits, run))
+            objective_trace.append(eq_objective(data, theta, inner_step(data, theta, run), run))
         except QmaveError:
             pass
         best = int(np.argmin(objective_trace))

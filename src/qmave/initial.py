@@ -4,7 +4,9 @@ The average-derivative estimate (ADE) normalises the mean of local
 full-dimensional slopes.  For even link functions the mean derivative
 vanishes and the ADE direction is noise; in that regime the estimator
 falls back to the leading eigenvector of the averaged slope outer
-products (OPG), which recovers the index direction up to sign.
+products (OPG), which recovers the index direction up to sign.  The
+local fits run under the caller's `LossSpec`, which carries the only
+quantile level.
 """
 
 from __future__ import annotations
@@ -87,25 +89,21 @@ def opg_direction(slopes) -> np.ndarray:
 
 
 def ade_initial_estimate(
-    data: Dataset,
-    tau: float,
-    h0: float,
-    trim: TrimSpec,
-    kernel: KernelSpec,
-    loss: LossSpec | None = None,
+    data: Dataset, loss: LossSpec, h0: float, trim: TrimSpec, kernel: KernelSpec
 ) -> InitialEstimate:
     """Initial index from trimmed, averaged local full-dimensional slopes.
 
-    Fits a local-linear model at every untrimmed point (level-``tau``
-    check loss unless ``loss`` overrides it), averages the slopes, and
-    normalises.  Falls back to :func:`opg_direction` when the mean slope
-    is small relative to the mean slope magnitude.  Anchors whose local
-    fit fails for lack of data are counted as trimmed.  Slopes whose
+    Fits a local-linear model under ``loss`` (the check loss at its level,
+    or the squared loss) at every untrimmed point, averages the slopes,
+    and normalises.  Falls back to :func:`opg_direction` when the mean
+    slope is small relative to the mean slope magnitude.  Anchors whose
+    local fit fails for lack of data are counted as trimmed.  A ``loss``
+    that is not a `LossSpec` raises ``InvalidInputError``; slopes whose
     squares overflow raise ``DegenerateDirectionError``.
     """
-    level = LossSpec.quantile(tau)  # checks tau even when ``loss`` overrides it
+    if not isinstance(loss, LossSpec):
+        raise InvalidInputError(f"loss must be a LossSpec, got {loss!r}")
     _check_positive("bandwidth", h0)
-    loss = level if loss is None else loss
     anchors = np.flatnonzero(trim_mask(data, trim))
     idx, _, B, _ = full_fit_batch(data, anchors, h0, loss, kernel)
     m = idx.size

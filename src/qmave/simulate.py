@@ -1,9 +1,10 @@
 """Data generation and the Monte Carlo benchmark harness.
 
 The benchmark regenerates the symmetric-bump model ``y = exp(-5 (theta0'
-X)^2) + eps`` with an AR(1)-correlated Gaussian design, fits both the
-check-loss and squared-loss variants of the alternating estimator, and
-aggregates sign-invariant estimation errors per (n, method, noise) cell.
+X)^2) + eps`` with an AR(1)-correlated Gaussian design at the default
+index ``DEFAULT_THETA0``, fits both the check-loss and squared-loss
+variants of the alternating estimator, and aggregates sign-invariant
+estimation errors per (n, method, noise) cell.
 
 All randomness flows through counter-based Philox streams keyed by hashes
 of (purpose, seed, ...) so results are byte-identical regardless of how
@@ -42,8 +43,8 @@ __all__ = [
 
 DESIGN_DIM = 5
 
-# Unit-norm default index; the benchmark model never pins one, so it is
-# configuration, not a constant.
+# Unit-norm default true index of `SimConfig`, and so of every benchmark
+# replication.
 DEFAULT_THETA0 = np.array([1.0, 2.0, 0.0, 0.0, 2.0]) / 3.0
 
 METHODS = ("MAVE", "qMAVE")
@@ -137,16 +138,16 @@ class SimConfig:
             raise InvalidInputError("theta0 must be unit-norm")
 
 
-def gen_model8(cfg: SimConfig, noise_scale: float = 1.0):
-    """Simulate ``Y = exp(-5 (theta0'X)^2) + noise_scale * eps``.
+def gen_model8(cfg: SimConfig):
+    """Simulate ``Y = exp(-5 (theta0'X)^2) + eps``, with ``eps`` the draw
+    ``gen_noise(cfg.noise, cfg.n, derive_key("model8", cfg.seed))``.
 
-    Returns ``(Dataset, theta0)``.  ``noise_scale`` exists as a test hook
-    (0 gives the noiseless link, whose range is (0, 1]).
+    Returns ``(Dataset, theta0)``.
     """
     X = gen_design(cfg.n, cfg.seed)
     eps = gen_noise(cfg.noise, cfg.n, derive_key("model8", cfg.seed))
     v = X @ cfg.theta0
-    Y = np.exp(-5.0 * v * v) + noise_scale * eps
+    Y = np.exp(-5.0 * v * v) + eps
     return Dataset(X, Y), cfg.theta0.copy()
 
 
@@ -207,9 +208,8 @@ def _fit_config(method: str, tol: float, max_iter: int) -> QmaveConfig:
 
 def _bench_rep(args):
     """One replication: simulate a dataset, fit each method on it."""
-    n, law_value, methods, seed, theta0, tol, max_iter = args
-    law = NoiseLaw(law_value)
-    data, truth = gen_model8(SimConfig(n=n, noise=law, seed=seed, theta0=theta0))
+    n, law_value, methods, seed, tol, max_iter = args
+    data, truth = gen_model8(SimConfig(n=n, noise=NoiseLaw(law_value), seed=seed))
     out = []
     for method in methods:
         try:
@@ -227,15 +227,16 @@ def run_benchmark(
     replications: int = 100,
     base_seed: int = 0,
     workers: int = 1,
-    theta0=None,
     tol: float = _BENCH_TOL,
     max_iter: int = _BENCH_MAX_ITER,
 ) -> BenchmarkReport:
     """Monte Carlo benchmark over a (n, noise law) grid.
 
-    Every method within a replication fits the same dataset; per-cell
-    seeds are derived from ``(base_seed, n, law, rep)``, so the report is
-    identical for any ``workers`` value and any scheduling order.
+    Every replication simulates `gen_model8` at the `SimConfig` default
+    true index ``DEFAULT_THETA0``, and every method within a replication
+    fits the same dataset; per-cell seeds are derived from ``(base_seed,
+    n, law, rep)``, so the report is identical for any ``workers`` value
+    and any scheduling order.
     Replications whose fit raises are excluded from the aggregates and
     counted in ``excluded``.  ``replications``, ``workers`` and each of
     ``ns`` must be integers >= 1, each of ``laws`` a `NoiseLaw`, and
@@ -254,14 +255,13 @@ def run_benchmark(
             raise InvalidInputError(f"{name} is empty: the benchmark grid needs at least one")
     for m in methods:
         _fit_config(m, tol, max_iter)  # validate names eagerly
-    theta0 = DEFAULT_THETA0.copy() if theta0 is None else np.asarray(theta0, float)
 
     jobs = []
     for n in ns:
         for law in laws:
             for rep in range(replications):
                 seed = derive_key("bench", base_seed, n, law.value, rep)
-                jobs.append((n, law.value, methods, seed, theta0, tol, max_iter))
+                jobs.append((n, law.value, methods, seed, tol, max_iter))
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a seventh of the import time

@@ -165,8 +165,11 @@ def weighted_quantile(values, weights, tau: float) -> float:
 
 def _batch_solve(A, rhs):
     """Solve stacked p x p systems with (B, p) right-hand sides, falling
-    back row-by-row, by least squares on a singular system: the interior
-    point's Grams on collinear design columns, whose optimum is uncertified."""
+    back row-by-row, by least squares on a singular system.  The interior
+    point's Newton matrices reach it: always on collinear design columns,
+    whose optimum is uncertified, and now and then on fitted data, where
+    one problem's matrix turns exactly singular partway through (a block
+    of n=1000 full fits at an auto-init bandwidth, in the tests)."""
     try:
         return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -588,8 +591,14 @@ def _check_gram(gram):
 
 def _solve_normal(gram, rhs):
     """`_solve_gram_batch` on a batch of one, raising where it gives NaN;
-    a Gram that over- or underflows is named so (`_check_gram`)."""
+    a Gram that over- or underflows is named so (`_check_gram`), and so is
+    one with a subnormal diagonal entry, which passes the rank rule but
+    solves to wrong coefficients."""
     _check_gram(gram)
+    if np.any(np.diagonal(gram, axis1=-2, axis2=-1) < np.finfo(float).tiny):
+        raise DegenerateProblemError(
+            "weighted cross-product matrix underflows: a diagonal entry is subnormal"
+        )
     beta = _solve_gram_batch(gram, rhs)[0]
     if not np.all(np.isfinite(beta)):
         raise DegenerateProblemError("weighted cross-product matrix is rank-deficient")
@@ -663,8 +672,9 @@ def solve_weighted_ls(problem: WeightedRegressionProblem):
 
     Raises ``DegenerateProblemError`` on a design column that is zero on
     every positively-weighted row (`_active_rows`), and when the weighted
-    cross-product matrix over- or underflows or fails the rank rule: its
-    smallest eigenvalue is at most ``_RANK_RTOL`` times its largest.
+    cross-product matrix over- or underflows, has a subnormal diagonal
+    entry, or fails the rank rule: its smallest eigenvalue is at most
+    ``_RANK_RTOL`` times its largest.
     """
     if problem.loss.is_quantile:
         raise InvalidInputError("solve_weighted_ls requires the squared loss")

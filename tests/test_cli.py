@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qmave import InsufficientDataError, InvalidInputError, estimation_error
+from qmave import InvalidInputError, estimation_error
 from qmave.cli import main, parse_dataset_csv
 
 
@@ -47,11 +47,47 @@ class TestParseDatasetCsv:
         with pytest.raises(InvalidInputError, match=r"row 4.*'y'.*'abc'"):
             parse_dataset_csv(str(path), "y")
 
-    def test_too_few_rows(self, tmp_path):
+    def test_too_few_rows(self, tmp_path, capsys):
+        # the size floor is the estimator's: the file parses, and the fit
+        # subcommand reports qmave_fit's n >= 2(d+1) on one error line
         path = tmp_path / "data.csv"
         write_csv(path, ["a", "b", "y"], [[1, 2, 3]] * 5)
-        with pytest.raises(InsufficientDataError):
-            parse_dataset_csv(str(path), "y")
+        data = parse_dataset_csv(str(path), "y")
+        assert (data.n, data.d) == (5, 2)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(path), "--y-col", "y", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need n >= 2(d+1) = 6 observations, got 5"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, rows, y_column, message",
+        [
+            (None, [], "y", "empty file, header row required"),
+            (["a", "y"], [[1, 2]] * 8, 2, "column index 2 out of range for 2 columns"),
+            (["a", "y"], [[1, 2]] * 8, "5", "column index 5 out of range for 2 columns"),
+            (["y"], [[1]] * 8, "y", "need at least one covariate column besides y"),
+            (["a", "y"], [[1, 2]] * 3 + [[1, 2, 3]], "y", "row 4: expected 2 cells, got 3"),
+            (["a", "y"], [], "y", "no data rows"),
+        ],
+        ids=["empty-file", "index-out-of-range", "text-index-out-of-range", "y-only",
+             "ragged-row", "no-data-rows"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, header, rows, y_column, message):
+        path = tmp_path / "data.csv"
+        if header is None:
+            path.write_text("")
+        else:
+            write_csv(path, header, rows)
+        with pytest.raises(InvalidInputError, match=message):
+            parse_dataset_csv(str(path), y_column)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n1,2\n\n3,4\n\n5,7\n")
+        data = parse_dataset_csv(str(path), "y")
+        np.testing.assert_array_equal(data.X[:, 0], [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(data.Y, [2.0, 4.0, 7.0])
 
 
 class TestCliSimulateAndFit:

@@ -216,12 +216,10 @@ class TestBandwidth:
         assert h == pytest.approx(0.8090196926711922, rel=1e-12)
 
     def test_scale_and_constant_multiply(self):
+        # the scale is the rule's one multiplicative constant
         base = default_bandwidth(BandwidthRule.index(), 50, 1.0)
         assert default_bandwidth(BandwidthRule.index(), 50, 2.5) == pytest.approx(
             2.5 * base
-        )
-        assert default_bandwidth(BandwidthRule.index(c_h=3.0), 50, 1.0) == pytest.approx(
-            3.0 * base
         )
 
     def test_positive_for_all_n(self):
@@ -243,16 +241,13 @@ class TestBandwidth:
             with pytest.raises(InvalidInputError, match="n must be an integer"):
                 default_bandwidth(BandwidthRule.index(), n, 1.0)
         with pytest.raises(InvalidInputError):
-            BandwidthRule.index(c_h=0.0)
-        with pytest.raises(InvalidInputError):
             BandwidthRule.full_dim(0)
 
-    @pytest.mark.parametrize("c_h", [float("nan"), float("inf")])
-    def test_non_finite_constant_raises(self, c_h):
-        with pytest.raises(InvalidInputError, match="c_h must be finite and positive"):
-            BandwidthRule.index(c_h=c_h)
-        with pytest.raises(InvalidInputError, match="c_h must be finite and positive"):
-            BandwidthRule.full_dim(3, c_h=c_h)
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_raises(self, scale):
+        for rule in (BandwidthRule.index(), BandwidthRule.full_dim(3)):
+            with pytest.raises(InvalidInputError, match="scale must be finite and positive"):
+                default_bandwidth(rule, 50, scale)
 
 
 class TestDomainRules:
@@ -267,9 +262,9 @@ class TestDomainRules:
             lambda: weighted_quantile([1.0, 2.0], [1.0, 1.0], None),
             lambda: check_subgradient(1.0, "abc"),
             lambda: QmaveConfig(h="x"),
-            lambda: BandwidthRule.index(c_h=None),
+            lambda: default_bandwidth(BandwidthRule.index(), 50, "1.0"),
         ],
-        ids=["tau-None", "tau-text", "weighted_quantile", "check_subgradient", "h", "c_h"],
+        ids=["tau-None", "tau-text", "weighted_quantile", "check_subgradient", "h", "scale"],
     )
     def test_non_numeric_input_is_invalid(self, call):
         with pytest.raises(InvalidInputError):

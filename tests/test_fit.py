@@ -183,9 +183,25 @@ class TestOuterStep:
         X = rng.normal(size=(60, 2))
         data = Dataset(X, X @ theta0 + 0.05 * rng.normal(size=60))
         cfg = median_cfg(h=1.0)
-        fits = inner_step(data, theta0, cfg)
+        j, a, b, effw = fits = inner_step(data, theta0, cfg)
         new = outer_step(data, theta0, fits, cfg)
         assert float(new @ theta0) > 0
+        # negated slopes negate the pooled design and so the raw update,
+        # which the step turns back to agree with the incoming theta
+        flipped = outer_step(data, theta0, (j, a, -b, effw), cfg)
+        np.testing.assert_allclose(flipped, new, atol=1e-12)
+
+    @pytest.mark.parametrize("loss", [LossSpec.quantile(0.5), LossSpec.squared()])
+    def test_zero_update_has_no_usable_direction(self, loss):
+        # local levels equal to a constant response leave every pooled
+        # response 0, so the update is the zero vector
+        rng = np.random.default_rng(64)
+        data = Dataset(rng.normal(size=(30, 2)), np.full(30, 1.0))
+        theta, cfg = unit([1.0, 0.0]), QmaveConfig(loss=loss, h=2.0)
+        j, a, b, effw = inner_step(data, theta, cfg)
+        fits = (j, np.ones_like(a), np.ones_like(b), effw)
+        with pytest.raises(DegenerateUpdateError, match="index update has no usable direction"):
+            outer_step(data, theta, fits, cfg)
 
 
     @pytest.mark.parametrize("loss", [LossSpec.quantile(0.5), LossSpec.squared()])
@@ -503,6 +519,19 @@ class TestScaleOutOfRange:
         ):
             qmave_fit(Dataset(data.X, data.Y * 2.0**-664), QmaveConfig(loss=loss))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_squared_outer_gram_is_a_degenerate_update(self):
+        # under Y * 1e-160 the pooled Gram's diagonal is subnormal: the
+        # squared loss names it at the first outer step, where it used to
+        # run 50 iterations to error 0.094 (0.054 unscaled)
+        data, _ = gen_model8(SimConfig(n=200, seed=3))
+        with pytest.raises(
+            DegenerateUpdateError,
+            match="iteration 1: weighted cross-product matrix underflows: "
+            "a diagonal entry is subnormal",
+        ):
+            qmave_fit(Dataset(data.X, data.Y * 1e-160), QmaveConfig(loss=LossSpec.squared()))
+
 
 def far_row_data():
     """n=200 model data plus one row far out along theta0 with Y = 1e308:
@@ -545,14 +574,14 @@ class TestOverflowingPooledRows:
     def test_unconverged_tail_skips_the_overflowing_objective(self, monkeypatch, loss):
         data, theta0 = far_row_data()
         cfg = QmaveConfig(loss=loss, init=theta0, tol=1e-15, max_iter=3)
-        index_step, calls = fit_module._index_step, []
+        index_step, calls = fit_module.inner_step, []
 
         def tail_overflows(*args):
             calls.append(len(calls))
             fits = index_step(*args)
             return with_far_fit(data, fits) if len(calls) > cfg.max_iter else fits
 
-        monkeypatch.setattr(fit_module, "_index_step", tail_overflows)
+        monkeypatch.setattr(fit_module, "inner_step", tail_overflows)
         fit = qmave_fit(data, cfg)
         assert len(calls) == cfg.max_iter + 1 and not fit.converged
         assert len(fit.objective_trace) == cfg.max_iter

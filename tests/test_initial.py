@@ -20,6 +20,7 @@ from qmave.localfit import full_fit_batch
 from qmave.simulate import SimConfig, gen_model8
 
 EPA = KernelSpec.epanechnikov()
+MEDIAN = LossSpec.quantile(0.5)
 
 
 def unit(v):
@@ -95,7 +96,7 @@ class TestAdeInitialEstimate:
         theta0 = unit([1.0, -2.0, 1.5])
         X = rng.normal(size=(400, 3))
         Y = X @ theta0 + 0.01 * rng.normal(size=400)
-        est = ade_initial_estimate(Dataset(X, Y), 0.5, 1.0, TrimSpec(), EPA)
+        est = ade_initial_estimate(Dataset(X, Y), MEDIAN, 1.0, TrimSpec(), EPA)
         assert est.method_used == "ADE"
         assert estimation_error(est.theta, theta0) < 0.1
 
@@ -107,7 +108,7 @@ class TestAdeInitialEstimate:
         X = np.vstack([half, -half])
         v = X @ theta0
         Y = v * v
-        est = ade_initial_estimate(Dataset(X, Y), 0.5, 1.2, TrimSpec(), EPA)
+        est = ade_initial_estimate(Dataset(X, Y), MEDIAN, 1.2, TrimSpec(), EPA)
         assert est.method_used == "OPG"
         assert estimation_error(est.theta, theta0) < 0.25
 
@@ -118,7 +119,7 @@ class TestAdeInitialEstimate:
         beta = np.array([-3.0, 1.0])
         X = rng.normal(size=(60, 2))
         Y = X @ beta
-        est = ade_initial_estimate(Dataset(X, Y), 0.5, 2.0, TrimSpec(0.0), EPA)
+        est = ade_initial_estimate(Dataset(X, Y), MEDIAN, 2.0, TrimSpec(0.0), EPA)
         assert est.method_used == "ADE"
         np.testing.assert_allclose(est.theta, unit(beta), atol=1e-6)
         assert est.theta[0] < 0
@@ -127,7 +128,7 @@ class TestAdeInitialEstimate:
         rng = np.random.default_rng(47)
         X = rng.normal(size=(120, 2))
         Y = X[:, 0] + 0.1 * rng.normal(size=120)
-        est = ade_initial_estimate(Dataset(X, Y), 0.5, 1.5, TrimSpec(), EPA)
+        est = ade_initial_estimate(Dataset(X, Y), MEDIAN, 1.5, TrimSpec(), EPA)
         assert np.linalg.norm(est.theta) == pytest.approx(1.0, abs=1e-12)
         assert 0 <= est.trimmed_count < 120
         assert est.mean_slope_norm >= 0
@@ -139,7 +140,7 @@ class TestAdeInitialEstimate:
         Y = 1e300 * (X @ unit([1.0, -2.0, 1.5]) + 0.01 * rng.normal(size=400))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateDirectionError, match="squares are not finite"):
-                ade_initial_estimate(Dataset(X, Y), 0.5, 1.0, TrimSpec(), EPA)
+                ade_initial_estimate(Dataset(X, Y), MEDIAN, 1.0, TrimSpec(), EPA)
 
     def test_selection_invariant_to_response_scaling(self):
         rng = np.random.default_rng(48)
@@ -149,8 +150,8 @@ class TestAdeInitialEstimate:
         for Y in (X @ theta0, (X @ theta0) ** 2):
             data1 = Dataset(X, Y)
             data5 = Dataset(X, 5.0 * Y)
-            m1 = ade_initial_estimate(data1, 0.5, 1.5, TrimSpec(), EPA).method_used
-            m5 = ade_initial_estimate(data5, 0.5, 1.5, TrimSpec(), EPA).method_used
+            m1 = ade_initial_estimate(data1, MEDIAN, 1.5, TrimSpec(), EPA).method_used
+            m5 = ade_initial_estimate(data5, MEDIAN, 1.5, TrimSpec(), EPA).method_used
             assert m1 == m5
 
     def test_insufficient_fits_raise(self):
@@ -158,13 +159,16 @@ class TestAdeInitialEstimate:
         X = rng.normal(size=(30, 3)) * 100
         data = Dataset(X, rng.normal(size=30))
         with pytest.raises(InsufficientDataError):
-            ade_initial_estimate(data, 0.5, 0.01, TrimSpec(), EPA)
+            ade_initial_estimate(data, MEDIAN, 0.01, TrimSpec(), EPA)
 
     def test_tau_validated(self):
+        # the level travels inside the loss, whose constructor checks it;
+        # a bare level in the loss's place is named, valid or not
         rng = np.random.default_rng(50)
         data = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
-        with pytest.raises(InvalidInputError):
-            ade_initial_estimate(data, 1.5, 1.0, TrimSpec(), EPA)
+        for level in (0.5, 1.5):
+            with pytest.raises(InvalidInputError, match="loss must be a LossSpec"):
+                ade_initial_estimate(data, level, 1.0, TrimSpec(), EPA)
 
     @pytest.mark.parametrize("h0", [-2.0, 0.0, np.nan, np.inf])
     @pytest.mark.parametrize("entry", ["ade", "full_fit_batch"])
@@ -174,6 +178,6 @@ class TestAdeInitialEstimate:
         data, _ = gen_model8(SimConfig(n=200, seed=1))
         with pytest.raises(InvalidInputError, match="bandwidth must be finite and positive"):
             if entry == "ade":
-                ade_initial_estimate(data, 0.5, h0, TrimSpec(), EPA)
+                ade_initial_estimate(data, MEDIAN, h0, TrimSpec(), EPA)
             else:
-                full_fit_batch(data, np.arange(data.n), h0, LossSpec.quantile(0.5), EPA)
+                full_fit_batch(data, np.arange(data.n), h0, MEDIAN, EPA)

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from qmave import (
+    DegenerateUpdateError,
     InvalidInputError,
     NoiseLaw,
     SimConfig,
     gen_design,
     gen_model8,
     gen_noise,
+    qmave_fit,
     run_benchmark,
 )
+from qmave import simulate
 from qmave.simulate import DEFAULT_THETA0, BenchmarkReport, derive_key
 
 
@@ -72,16 +75,23 @@ class TestGenNoise:
             gen_noise("t1", 10, seed=7)
 
 
+def noiseless(cfg):
+    """``Y`` of `gen_model8` minus the noise it adds for ``cfg``, with
+    the slack of the two roundings (the sum and this difference)."""
+    data, theta0 = gen_model8(cfg)
+    eps = gen_noise(cfg.noise, cfg.n, derive_key("model8", cfg.seed))
+    return data, theta0, data.Y - eps, 2 * np.finfo(float).eps * (1.0 + np.abs(eps))
+
+
 class TestGenModel8:
     def test_noiseless_range(self):
-        data, _ = gen_model8(SimConfig(n=500, seed=8), noise_scale=0.0)
-        assert np.all(data.Y > 0) and np.all(data.Y <= 1.0)
+        _, _, link, slack = noiseless(SimConfig(n=500, seed=8))
+        assert np.all(link > -slack) and np.all(link <= 1.0 + slack)
 
     def test_link_peak_at_zero_index(self):
-        cfg = SimConfig(n=50, seed=9)
-        data, theta0 = gen_model8(cfg, noise_scale=0.0)
+        data, theta0, link, slack = noiseless(SimConfig(n=50, seed=9))
         v = data.X @ theta0
-        np.testing.assert_allclose(data.Y, np.exp(-5.0 * v * v))
+        assert np.all(np.abs(link - np.exp(-5.0 * v * v)) <= slack)
 
     def test_reproducible_dataset(self):
         cfg = SimConfig(n=300, noise=NoiseLaw.SCALED_T1, seed=10)
@@ -200,6 +210,27 @@ class TestRunBenchmark:
     def test_bad_method_rejected(self):
         with pytest.raises(InvalidInputError):
             run_benchmark([80], [NoiseLaw.SCALED_T5], methods=("SIR",), replications=1)
+
+    def test_failed_fit_is_recorded_and_excluded(self, monkeypatch):
+        # a fit that raises is recorded by name and excluded from its cell;
+        # a cell whose every replication is excluded reads NaN
+        def fail_mave(data, cfg):
+            if not cfg.loss.is_quantile:
+                raise DegenerateUpdateError("iteration 1: made up")
+            return qmave_fit(data, cfg)
+
+        monkeypatch.setattr(simulate, "qmave_fit", fail_mave)
+        seed = derive_key("bench", 4, 80, "normal", 0)
+        mave, qmave = simulate._bench_rep(
+            (80, "normal", ("MAVE", "qMAVE"), seed, simulate._BENCH_TOL, simulate._BENCH_MAX_ITER)
+        )
+        assert mave == (False, "DegenerateUpdateError: iteration 1: made up")
+        assert qmave[0] is True and qmave[1] < 1
+        report = run_benchmark([80], [NoiseLaw.SCALED_NORMAL], replications=2, base_seed=4)
+        row = report.cell(80, "MAVE", "normal")
+        assert math.isnan(row.mean_error) and math.isnan(row.sd_error)
+        assert row.excluded == row.replications == 2 and row.flagged
+        assert report.cell(80, "qMAVE", "normal").excluded == 0
 
     def test_derive_key_stable(self):
         assert derive_key("bench", 0, 200, "t1", 3) == derive_key("bench", 0, 200, "t1", 3)

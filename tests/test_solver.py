@@ -22,6 +22,9 @@ from qmave import (
     weighted_quantile,
 )
 from qmave import solver
+from qmave.core import BandwidthRule, KernelSpec, coordinate_dispersion, default_bandwidth
+from qmave.localfit import full_fit_batch
+from qmave.simulate import SimConfig, gen_model8
 
 
 def normal_equation_problems():
@@ -354,6 +357,20 @@ class TestSolveWeightedLs:
             solve(scaled_problem(1e-200, loss))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_least_squares_gram_is_named(self):
+        # on 1e-160 the Gram's diagonal is subnormal: the normal equations
+        # pass the rank rule there but solve to wrong coefficients; on
+        # 1e-150 it is normal and the fit is the unscaled one, scaled
+        with pytest.raises(
+            DegenerateProblemError,
+            match="weighted cross-product matrix underflows: a diagonal entry is subnormal",
+        ):
+            solve_weighted_ls(scaled_problem(1e-160, LossSpec.squared()))
+        unscaled = solve_weighted_ls(scaled_problem(1.0, LossSpec.squared()))
+        scaled = solve_weighted_ls(scaled_problem(1e-150, LossSpec.squared()))
+        np.testing.assert_allclose(scaled * 1e-150, unscaled, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_gram_still_solves_to_the_optimum(self):
         # on 1e-160 the Gram's diagonal is subnormal, not 0: the quantile
         # solve still reaches the unscaled problem's optimum
@@ -395,6 +412,31 @@ class TestCollinearDesign:
         assert calls
         best = narrow.objective(qr_oracle(narrow))
         assert abs(got - best) <= 1e-9 * best
+
+    def test_full_fits_reach_the_lstsq_fallback(self, monkeypatch):
+        # program traffic, not only collinear designs: in one block of
+        # n=1000 full fits (tau 0.25, quartic, 1.5 x the default h0), one
+        # problem's 6 x 6 Newton matrix turns exactly singular (rank 5)
+        # partway through, and both solves of that step take the fallback
+        ranks = []
+        lstsq = np.linalg.lstsq
+
+        def spy(A, b, **kwargs):
+            ranks.append((np.linalg.matrix_rank(A), A.shape[0]))
+            return lstsq(A, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        data, _ = gen_model8(SimConfig(n=1000, seed=11))
+        h0 = 1.5 * default_bandwidth(
+            BandwidthRule.full_dim(data.d), data.n, coordinate_dispersion(data.X)
+        )
+        anchors = np.arange(256, 512)
+        idx, a, B, effw = full_fit_batch(
+            data, anchors, h0, LossSpec.quantile(0.25), KernelSpec.quartic()
+        )
+        assert ranks and all(rank < size for rank, size in ranks)
+        assert 0 < idx.size <= anchors.size
+        assert all(np.all(np.isfinite(v)) for v in (a, B, effw))
 
 
 class TestQrOracle:

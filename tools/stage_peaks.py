@@ -12,7 +12,8 @@ set-up, with tracing started just before the unit.  The stages are the
 ``qmave.fit`` functions
 
 - ``_auto_init``: the initial estimate (ladder probe and full fits);
-- ``_index_step``: the local index fits of an iteration;
+- ``inner_step``: the local index fits of an iteration (a tree whose
+  ``qmave_fit`` ran them through ``_index_step`` prints ``not called``);
 - ``_outer``: the pooled index update of an iteration;
 - ``eq_objective``: the objective of an unconverged fit's last iterate.
 
@@ -30,7 +31,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-STAGES = ("_auto_init", "_index_step", "_outer", "eq_objective")
+STAGES = ("_auto_init", "inner_step", "_outer", "eq_objective")
 MB = 1024 * 1024
 
 
