@@ -26,7 +26,7 @@ __all__ = ["main", "parse_dataset_csv", "run_cli"]
 
 
 def parse_dataset_csv(path: str, y_column) -> Dataset:
-    """Read a headed CSV into a Dataset.
+    """Read a headed CSV file of UTF-8 text into a Dataset.
 
     ``y_column`` selects the response by header name (or 0-based column
     index when given as an integer); the remaining columns become X in
@@ -34,44 +34,48 @@ def parse_dataset_csv(path: str, y_column) -> Dataset:
     header excluded.  The sample size is left to the estimator:
     `qmave_fit` needs n >= 2(d+1).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in header]
-        if isinstance(y_column, int) or (
-            isinstance(y_column, str) and y_column not in header and y_column.isdigit()
-        ):
-            y_idx = int(y_column)
-            if not (0 <= y_idx < len(header)):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidInputError(f"{path}: empty file, header row required")
+    header = [h.strip() for h in header]
+    if isinstance(y_column, int) or (
+        isinstance(y_column, str) and y_column not in header and y_column.isdigit()
+    ):
+        y_idx = int(y_column)
+        if not (0 <= y_idx < len(header)):
+            raise InvalidInputError(
+                f"column index {y_idx} out of range for {len(header)} columns"
+            )
+    else:
+        if y_column not in header:
+            raise InvalidInputError(f"column {y_column!r} not found in header")
+        y_idx = header.index(y_column)
+    if len(header) < 2:
+        raise InvalidInputError("need at least one covariate column besides y")
+    rows = []
+    for rownum, raw in enumerate(reader, start=1):
+        if not raw:
+            continue
+        if len(raw) != len(header):
+            raise InvalidInputError(
+                f"row {rownum}: expected {len(header)} cells, got {len(raw)}"
+            )
+        parsed = []
+        for cell, name in zip(raw, header):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise InvalidInputError(
-                    f"column index {y_idx} out of range for {len(header)} columns"
+                    f"row {rownum}, column {name!r}: could not parse {cell!r}"
                 )
-        else:
-            if y_column not in header:
-                raise InvalidInputError(f"column {y_column!r} not found in header")
-            y_idx = header.index(y_column)
-        if len(header) < 2:
-            raise InvalidInputError("need at least one covariate column besides y")
-        rows = []
-        for rownum, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise InvalidInputError(
-                    f"row {rownum}: expected {len(header)} cells, got {len(raw)}"
-                )
-            parsed = []
-            for cell, name in zip(raw, header):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise InvalidInputError(
-                        f"row {rownum}, column {name!r}: could not parse {cell!r}"
-                    )
-            rows.append(parsed)
+        rows.append(parsed)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -39,7 +39,6 @@ from .localfit import (
     _BOX_CELLS,
     Dataset,
     _as_unit,
-    _box_blocks,
     _box_offsets,
     _index_windows,
     _pair_runs,
@@ -262,15 +261,14 @@ def _median_window_count(data: Dataset, anchors, h0s) -> np.ndarray:
     one median per bandwidth in ``h0s``, for either kernel.
 
     The product kernel is positive exactly where the largest coordinate
-    offset is below h0 (`localfit._box_offsets`), so one block of those
-    offsets serves every bandwidth.
+    offset is below h0 (`localfit._box_offsets`), so one pass over chunks
+    of those offsets counts every bandwidth.
     """
-
-    def counts(block):
-        R = _box_offsets(data.X, data.X[block])
-        return [np.count_nonzero(R < h0, axis=1) for h0 in h0s]
-
-    return np.median(np.concatenate([counts(b) for b in _box_blocks(anchors)], axis=1), axis=1)
+    counts = np.empty((len(h0s), len(anchors)), dtype=np.intp)
+    for lo, Rk in _box_offsets(data.X, data.X[anchors]):
+        for row, h0 in zip(counts, h0s):
+            row[lo : lo + len(Rk)] = np.count_nonzero(Rk < h0, axis=1)
+    return np.median(counts, axis=1)
 
 
 def _auto_init(data: Dataset, cfg: QmaveConfig) -> np.ndarray:

@@ -66,8 +66,25 @@ class InitialEstimate:
 def trim_mask(data: Dataset, trim: TrimSpec) -> np.ndarray:
     """True for points whose every coordinate falls inside its empirical
     [alpha, 1-alpha] quantile interval (linear-interpolation quantiles)."""
-    lo, hi = np.quantile(data.X, [trim.alpha, 1.0 - trim.alpha], axis=0)
+    lo, hi = _trim_bounds(data.X, trim.alpha)
     return np.all((data.X >= lo) & (data.X <= hi), axis=1)
+
+
+def _trim_bounds(X, alpha):
+    """The column quantiles ``(q_alpha, q_1-alpha)`` of ``X`` (n, d) by
+    numpy's linear rule, from one column sort: at the virtual index ``v =
+    (n-1) q`` between sorted rows ``a`` and ``b``, ``a + (b-a) t`` with
+    ``t = v - floor(v)``, or ``b - (b-a)(1-t)`` where t >= 0.5.  The
+    values equal ``np.quantile``'s, which would import ``numpy.ma`` on a
+    process's first call."""
+    S, last = np.sort(X, axis=0), X.shape[0] - 1
+    bounds = []
+    for q in (alpha, 1.0 - alpha):
+        v = last * q
+        k = math.floor(v)
+        a, b, t = S[k], S[min(k + 1, last)], v - k
+        bounds.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return bounds
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

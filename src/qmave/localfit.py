@@ -20,10 +20,11 @@ responses once per call and read each window by sorted position; the
 pooled rows of the index update take their (row, anchor) pairs from the
 same runs, a chunk at a time, with each anchor's values repeated over
 its window's pairs (`_pair_runs`).  In full dimension the product kernel
-is positive on a box: the full fits and the ladder probe take their
-anchors in groups of ``_FULL_BLOCK`` (`_box_blocks`), each with one
-(group, n) matrix R of largest coordinate offsets, built inside the call
-that reads it, so one R is alive at a time.  A row lies in the box where
+is positive on a box, read off the (anchors, n) matrix R of largest
+coordinate offsets.  R is never whole: `_box_offsets` yields it a chunk
+of rows at a time, in one block reused from chunk to chunk, and the full
+fits and the ladder probe keep only what each chunk gives them (the box
+pairs, or the box sizes).  A row lies in the box where
 ``R < h0``.  For h0 > 0 that is ``_in_support(R / h0)`` exactly: IEEE
 division is correctly rounded and monotone, so ``R >= h0`` gives ``R /
 h0 >= 1``, and ``R < h0`` gives at most ``prev(h0) / h0``, which rounds
@@ -210,37 +211,41 @@ def local_linear_full_fit(
 
 def _box_offsets(X, x0):
     """Largest absolute coordinate offset of each row of ``X`` from each
-    anchor point of ``x0`` (B, d), as a (B, n) matrix R: the product kernel
-    at bandwidth h0 > 0 is positive only in the box ``R < h0`` (exactly
+    anchor point of ``x0`` (B, d): the (B, n) matrix R, as ``(lo, Rk)``
+    chunks of rows ``lo:lo + len(Rk)``.  The product kernel at bandwidth
+    h0 > 0 is positive only in the box ``R < h0`` (exactly
     ``_in_support(R / h0)``: see the module docstring), and exactly there
-    unless the product underflows.  R is filled in chunks of at most
-    ``_BOX_CELLS`` cells; each entry is formed alone, so chunks change no
-    byte."""
+    unless the product underflows.  A chunk holds at most ``2 *
+    _BOX_CELLS`` cells.  Every chunk is written into one block, beside its
+    scratch of signed offsets, so a caller must finish with one chunk
+    before it takes the next.  Each entry is formed alone, so chunks
+    change no byte."""
     B, n = x0.shape[0], X.shape[0]
-    step = max(1, _BOX_CELLS // n)
-    R, T = np.zeros((B, n)), np.empty((min(step, B), n))
+    step = max(1, 2 * _BOX_CELLS // n)
+    R, T = np.empty((2, min(step, B), n))
     cols = np.ascontiguousarray(X.T)  # each pass reads one column contiguously
     for lo in range(0, B, step):
-        Rk, Tk = R[lo : lo + step], T[: min(step, B - lo)]
-        for col, c0 in zip(cols, x0[lo : lo + step].T):
+        Rk, Tk = R[: min(step, B - lo)], T[: min(step, B - lo)]
+        c = x0[lo : lo + step].T
+        np.abs(np.subtract(cols[0], c[0][:, None], out=Rk), out=Rk)
+        for col, c0 in zip(cols[1:], c[1:]):
             np.subtract(col, c0[:, None], out=Tk)
             np.maximum(Rk, np.abs(Tk, out=Tk), out=Rk)
-    return R
+        yield lo, Rk
 
 
-# Anchors per block of full fits and of the ladder probe: bounds the
-# (block, n) box offsets.  `_box_offsets` fills them in chunks of at most
-# _BOX_CELLS cells, which stay in a core's L2 cache.
+# Anchors per group of full fits: a group's longest box window is the pad
+# width of its problems, so groups keep the bytes of their stacks.
 _FULL_BLOCK = 256
+# Cells per chunk of the pooled rows and of the full fits' weights, which
+# stay in a core's L2 cache.  A chunk of box offsets holds twice as many,
+# and its block with the scratch is 1 MB.  The block's size is chosen for
+# glibc, which sets its heap trim threshold to twice the largest mmapped
+# block freed so far: a smaller one lets the threshold fall below the
+# heap's free top between a fit's stages, and at n=1000 two 512 KB blocks
+# cost about 1,500 page faults per fit, where this one costs as few as
+# the whole R did.
 _BOX_CELLS = 4 * 8192
-
-
-def _box_blocks(anchors):
-    """Consecutive blocks of at most ``_FULL_BLOCK`` anchors: the anchors of
-    one block of `_box_offsets`.  Callers build each block's R inside the
-    call that reads it, so R is freed when that call returns and the next
-    block's R is never built beside it."""
-    return (anchors[lo : lo + _FULL_BLOCK] for lo in range(0, anchors.size, _FULL_BLOCK))
 
 
 def _design(D, h):
@@ -303,9 +308,10 @@ def _full_core(data, x0, h0, loss, kernel, opts):
     ``x0`` (B, d): the fits of `_local_fits` at the B anchors.  A problem
     holds its anchor's box rows ``R < h0`` (`_box_offsets`) of positive
     product weight, in row order, taken from the (anchor, row) pairs of
-    the boxes, which are formed once R is freed."""
-    X, (B, d) = data.X, x0.shape
-    c, r = np.divmod(np.flatnonzero(_box_offsets(X, x0) < h0), X.shape[0])
+    the boxes, which are gathered chunk by chunk of R."""
+    X, (B, d), n = data.X, x0.shape, data.n
+    pairs = (np.flatnonzero(Rk < h0) + lo * n for lo, Rk in _box_offsets(X, x0))
+    c, r = np.divmod(np.concatenate(list(pairs)), n)
     w, step = np.empty(r.size), max(1, _BOX_CELLS // d)
     for lo in range(0, r.size, step):  # each weight is formed alone
         U = np.take(X, r[lo : lo + step], axis=0)
@@ -321,8 +327,9 @@ def _full_core(data, x0, h0, loss, kernel, opts):
 
 def _box_rows(X, Y, x0, r, w, h0, block, pos, inside):
     """The `_local_fits` builder of full fits, its data bound by `partial`
-    (a closure's cells would live through `_box_offsets`): slot k of problem
-    c is box pair ``pos = start[c] + k``, of row ``r[pos]``, weight ``w[pos]``."""
+    (a closure's cells would keep `_full_core`'s locals alive through the
+    solve): slot k of problem c is box pair ``pos = start[c] + k``, of row
+    ``r[pos]``, weight ``w[pos]``."""
     gather = r[pos]
     Z = _design(np.take(X, gather, axis=0) - x0[block, None, :], h0)
     return Z, np.where(inside, w[pos], 0.0), Y[gather]
@@ -405,7 +412,8 @@ def index_fit_batch(data, theta, anchors, h, loss, kernel):
 
 
 def full_fit_batch(data, anchors, h0, loss, kernel):
-    """Full-dimensional local fits at ``X[anchors]``, anchors in blocks.
+    """Full-dimensional local fits at ``X[anchors]``, in groups of
+    ``_FULL_BLOCK`` anchors.
 
     Returns ``(kept_anchor_indices, a, B, effective_weight)`` with one
     slope row of ``B`` per kept anchor; anchors whose window fails the rank
@@ -415,7 +423,8 @@ def full_fit_batch(data, anchors, h0, loss, kernel):
     opts = SolverOptions()
     anchors = np.asarray(anchors, dtype=int)
     parts = [(anchors[:0], np.empty(0), np.empty((0, data.d)), np.empty(0))]
-    for block in _box_blocks(anchors):
+    for lo in range(0, anchors.size, _FULL_BLOCK):
+        block = anchors[lo : lo + _FULL_BLOCK]
         kept, a, B, effw, _ = _full_core(data, data.X[block], h0, loss, kernel, opts)
         parts.append((block[kept], a, B, effw))
     idx, a, B, effw = zip(*parts)

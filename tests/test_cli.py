@@ -173,6 +173,17 @@ class TestCliSimulateAndFit:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_binary_file_is_single_line_error(self, tmp_path, capsys):
+        # 300 bytes of an executable's header: not UTF-8 text
+        path = tmp_path / "data.csv"
+        path.write_bytes((b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) * 2)[:300])
+        code = main(["fit", "--input", str(path), "--y-col", "y",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and "not UTF-8 text" in err[0]
+
     def test_explicit_bandwidth_flag(self, tmp_path):
         sim_out = tmp_path / "sim.csv"
         fit_out = tmp_path / "fit.json"

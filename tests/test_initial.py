@@ -1,7 +1,16 @@
 """Trimming, the average-derivative initial estimate and the OPG fallback."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qmave
 
 from qmave import (
     Dataset,
@@ -16,6 +25,7 @@ from qmave import (
     trim_mask,
 )
 from qmave.core import LossSpec
+from qmave.initial import _trim_bounds
 from qmave.localfit import full_fit_batch
 from qmave.simulate import SimConfig, gen_model8
 
@@ -63,6 +73,61 @@ class TestTrimMask:
             trim_mask(data, TrimSpec(a)).sum() for a in (0.0, 0.05, 0.1, 0.2, 0.4)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        d=st.integers(1, 3),
+        alpha=st.one_of(st.sampled_from([0.0, 0.05, 0.25]), st.floats(0.0, 0.5, exclude_max=True)),
+        scale=st.sampled_from([1e-5, 1e-2, 1.0, 1e3, 1e5]),
+        shift=st.sampled_from([0.0, 1e6]),
+        ties=st.booleans(),
+        zeros=st.booleans(),
+    )
+    def test_bounds_are_numpy_quantiles(self, seed, n, d, alpha, scale, shift, ties, zeros):
+        # one column sort and numpy's linear rule give np.quantile's values;
+        # a bound may differ in the sign of a zero, so values and masks are
+        # compared, not bytes
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if ties:
+            X = np.round(X * 2) / 2
+        X = X * scale + shift
+        if zeros:
+            X[rng.random(size=X.shape) < 0.3] = rng.choice([0.0, -0.0])
+        lo, hi = np.quantile(X, [alpha, 1.0 - alpha], axis=0)
+        have_lo, have_hi = _trim_bounds(X, alpha)
+        assert np.array_equal(have_lo, lo) and np.array_equal(have_hi, hi)
+        data = Dataset(X, np.zeros(n))
+        want = np.all((X >= lo) & (X <= hi), axis=1)
+        np.testing.assert_array_equal(trim_mask(data, TrimSpec(alpha)), want)
+
+    def test_midpoint_takes_numpys_upper_form(self):
+        # at t = 0.5 the two forms of the linear rule round apart when the
+        # neighbours differ in magnitude; numpy takes b - (b-a)(1-t)
+        X = np.array([[-0.5369532353602852], [1000581.1181041964], [1000582.0]])
+        lo, hi = _trim_bounds(X, 0.25)
+        want = np.quantile(X, [0.25, 0.75], axis=0)
+        assert lo[0] == want[0, 0] == 500290.2905754805 and hi[0] == want[1, 0]
+
+    def test_fit_leaves_numpy_ma_unloaded(self):
+        # np.quantile imports numpy.ma on a process's first call (17 ms);
+        # a fresh interpreter's fits, under either loss, must not load it
+        code = (
+            "import sys, qmave as qm\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "data, _ = qm.gen_model8(qm.SimConfig(n=200, seed=3))\n"
+            "for loss in (qm.LossSpec.quantile(0.5), qm.LossSpec.squared()):\n"
+            "    qm.qmave_fit(data, qm.QmaveConfig(loss=loss, max_iter=2))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qmave.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestOpgDirection:

@@ -42,6 +42,7 @@ from qmave.fit import (
 from qmave.initial import TrimSpec
 from qmave.localfit import (
     _FULL_BLOCK,
+    _box_offsets,
     _design,
     _index_windows,
     _pair_runs,
@@ -875,8 +876,9 @@ class TestFullBlocks:
 
     @pytest.mark.parametrize("loss, bound", [(LossSpec.squared(), 3e6), (MEDIAN, 4e6)])
     def test_peak_memory_at_n1000(self, loss, bound):
-        # at the ladder rung auto-init takes here; a group solved as one
-        # block beside its box offsets peaks at about 7.7 MB
+        # at the ladder rung auto-init takes here the fits peak at 1.32 MB
+        # (squared loss) and 1.70 MB (tau = 0.5), 2.51 MB under either loss
+        # with the box offsets whole; TestBoxChunks holds the tighter bounds
         data, _ = gen_model8(SimConfig(n=1000, seed=3))
         base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(data.X))
         anchors = np.flatnonzero(trim_mask(data, TrimSpec()))
@@ -887,3 +889,91 @@ class TestFullBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def chunk_box_offsets(monkeypatch, rows, n):
+    """Set the chunk rule of `_box_offsets` to ``rows`` rows of n cells,
+    and record each chunk ``(lo, rows)`` that the full fits or the ladder
+    probe read."""
+    monkeypatch.setattr(localfit, "_BOX_CELLS", (rows * n + 1) // 2)
+    seen = []
+
+    def spy(X, x0):
+        for lo, Rk in _box_offsets(X, x0):
+            seen.append((lo, Rk.shape[0]))
+            yield lo, Rk
+
+    monkeypatch.setattr(localfit, "_box_offsets", spy)
+    monkeypatch.setattr(fit_module, "_box_offsets", spy)
+    return seen
+
+
+def probe_at_n1000():
+    """The ladder probe's inputs at n=1000 (seed 3): data, trimmed anchors
+    and the full-dimensional default bandwidth."""
+    data, _ = gen_model8(SimConfig(n=1000, seed=3))
+    base = default_bandwidth(BandwidthRule.full_dim(5), 1000, coordinate_dispersion(data.X))
+    return data, np.flatnonzero(trim_mask(data, TrimSpec())), base
+
+
+class TestBoxChunks:
+    """The box offsets R are never whole: `_box_offsets` yields them a chunk
+    of rows at a time, in buffers reused from chunk to chunk.  Every entry
+    is formed alone, so chunks of any size give the same bytes."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
+    @pytest.mark.parametrize("loss", [MEDIAN, LossSpec.squared()])
+    @pytest.mark.parametrize("kind", ["plain", "ties", "isolated"])
+    def test_full_fits_change_no_byte(self, monkeypatch, kind, loss, kernel):
+        data = box_data(kind)
+        anchors = np.arange(1, 120, 2)
+        want = full_fit_batch(data, anchors, 1.5, loss, kernel)
+        assert want[0].size >= 2
+        # rows per chunk: 1, 7 with a short last chunk, and the whole group
+        for rows in (1, 7, anchors.size):
+            seen = chunk_box_offsets(monkeypatch, rows, data.n)
+            have = full_fit_batch(data, anchors, 1.5, loss, kernel)
+            assert seen == [(lo, min(rows, anchors.size - lo)) for lo in range(0, anchors.size, rows)]
+            for w, g in zip(want, have):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_probe_changes_no_byte(self, monkeypatch, n):
+        data, _ = gen_model8(SimConfig(n=n, seed=15))
+        anchors = np.flatnonzero(trim_mask(data, TrimSpec()))
+        base = default_bandwidth(BandwidthRule.full_dim(5), n, coordinate_dispersion(data.X))
+        h0s = [base * mult for mult in fit_module._INIT_LADDER]
+        want = fit_module._median_window_count(data, anchors, h0s)
+        assert len(set(want)) > 1
+        for rows in (1, 7, anchors.size):
+            seen = chunk_box_offsets(monkeypatch, rows, data.n)
+            have = fit_module._median_window_count(data, anchors, h0s)
+            assert seen == [(lo, min(rows, anchors.size - lo)) for lo in range(0, anchors.size, rows)]
+            assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss, bound", [(LossSpec.squared(), 1.5e6), (MEDIAN, 1.9e6)])
+    def test_full_fits_peak_memory_at_n1000(self, loss, bound):
+        # at the ladder rung auto-init takes here: with R whole (2.05 MB)
+        # the full fits peaked at 2.51 MB under either loss
+        data, anchors, base = probe_at_n1000()
+        tracemalloc.start()
+        try:
+            full_fit_batch(data, anchors, 1.5 * base, loss, EPA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_probe_peak_memory_at_n1000(self):
+        # the probe over every rung and every anchor: with R whole it
+        # peaked at 2.50 MB
+        data, anchors, base = probe_at_n1000()
+        tracemalloc.start()
+        try:
+            fit_module._median_window_count(
+                data, anchors, [base * mult for mult in fit_module._INIT_LADDER]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35e6
