@@ -4,13 +4,15 @@ Each iteration performs two steps: the inner step (`inner_step`) refits
 a local-linear model at every untrimmed anchor along the current index,
 and the outer step pools all (observation, anchor) pairs into one
 weighted linear regression whose solution, normalised to unit length,
-becomes the next index; for the squared loss, from normal equations
-summed over chunks of those pairs.  Iteration stops when successive
-indices agree up to sign within ``tol``.
+becomes the next index: for the squared loss, from normal equations
+taken from each anchor's window moments, one matrix product per block
+of neighbouring anchors (`_squared_sums`).  Iteration stops when
+successive indices agree up to sign within ``tol``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +48,6 @@ from .localfit import (
 )
 from .solver import (
     WeightedRegressionProblem,
-    _gram_batch,
     _solve_normal,
     solve_weighted_qr,
 )
@@ -193,29 +194,106 @@ def outer_problem(data: Dataset, theta, fits, cfg: QmaveConfig) -> WeightedRegre
     return WeightedRegressionProblem(design, response, weight, cfg.loss)
 
 
+def _anchor_blocks(lo, hi, cells):
+    """Blocks ``(s, e)`` of the anchors s..e-1 of windows ``lo:hi`` in
+    window order, which makes both edges nondecreasing.  A block holds
+    the anchors whose windows start inside its first one, so its union
+    window ``lo[s]:hi[e-1]`` spans at most the first window and the last,
+    and no more of them than keep three arrays of its anchors times the
+    widest such union within ``cells``; at least one."""
+    meet = np.searchsorted(lo, hi).tolist()  # anchors before meet[s] start inside window s
+    lo, hi = lo.tolist(), hi.tolist()
+    s, blocks = 0, []
+    while s < len(lo):
+        e = s + max(1, min(meet[s] - s, cells // (3 * (hi[meet[s] - 1] - lo[s]))))
+        blocks.append((s, e))
+        s = e
+    return blocks
+
+
 def _squared_sums(data: Dataset, theta, fits, cfg: QmaveConfig, normal: bool):
     """The squared-loss pooled objective at ``theta`` and, if ``normal``,
     the (1, d, d) Gram and (1, d) right-hand side of the index update,
-    summed over the chunks of `_pooled_rows`.  Rows that are not finite
-    make their chunk's objective so, and raise ``DegenerateProblemError``."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    objective, gram, rhs = 0.0, np.zeros((1, data.d, data.d)), np.zeros((1, data.d))
+    with no pooled row formed: the kept anchors run in window order, in
+    `_anchor_blocks` of `_BOX_CELLS` cells.
+
+    A block's dense weights ``W = K((t_i - t_j)/h)`` on its union window
+    are those of `_pooled_rows`, at the unit ``theta``, and 0 off each
+    window.  Centred at its middle anchor c, ``v = [X - X_c, 1, Y - a_c]``,
+    ``W @ F`` with F the products ``v v'`` gives each anchor's window
+    moments, which are shifted to the anchor in closed form, ``Q_XX = A_XX
+    - S1 x_j' - x_j S1' + S0 x_j x_j'`` with ``x_j = X_j - X_c`` and
+    ``Q_XY`` alike, and summed as ``b_j^2 Q_XX`` and ``b_j Q_XY``.  A
+    block's windows meet, so the shift cancels few digits along the index.
+    The objective is summed cell by cell, ``W ((Y_i - a_j) - b_j (tau_i -
+    tau_j))^2`` with ``tau = (X - X_c) theta``; read from the moments it
+    would cancel digits on tied data.  A block whose objective is not
+    finite has its pooled rows checked: rows that are not finite raise
+    ``DegenerateProblemError``, and otherwise its objective is summed over
+    its windows alone, as the pooled rows' is."""
+    raw = np.asarray(theta, dtype=float).ravel()
+    theta = _as_unit(theta, "theta", data.d)
+    h = resolve_bandwidth(data, theta, cfg)
+    t, order, lo, hi = _index_windows(data, theta, fits[0], h)
+    walk = np.argsort(t[fits[0]], kind="stable")  # window order
+    j, a, b, lo, hi = (np.take(v, walk) for v in (fits[0], fits[1], fits[2], lo, hi))
+    d, k = data.d, data.d + 2
+    ts, Ys = t[order], data.Y[order]
+    Vs = np.empty((data.n, k))  # [X, 1, Y] of each row, in sorted order
+    np.take(data.X, order, axis=0, out=Vs[:, :d])
+    Vs[:, d], Vs[:, d + 1] = 1.0, Ys
+    C = np.zeros((j.size, k))  # [X_j, 0, a_j] of each anchor
+    np.take(data.X, j, axis=0, out=C[:, :d])
+    C[:, d + 1] = a
+    blocks = _anchor_blocks(lo, hi, _BOX_CELLS)
+    centre = np.repeat([(s + e - 1) // 2 for s, e in blocks], [e - s for s, e in blocks])
+    shift = C - C[centre]  # each anchor's [x_j, 0, a_j - a_c]
+    tj, tauj = t[j], shift[:, :d] @ raw
+    iu, ju = np.nonzero(~np.tri(k, k, -1, dtype=bool))  # the upper triangle of v v'
+    moments = np.empty((j.size, iu.size)) if normal else None
+    objective = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for Z, y, w in _pooled_rows(data, theta, fits, cfg)[1]:
-            r = y - Z @ theta
-            part = float(np.sum(w * (r * r)))
-            if not np.isfinite(part) and not (np.all(np.isfinite(Z)) and np.all(np.isfinite(y))):
-                raise DegenerateProblemError(_POOLED_OVERFLOW)
-            objective += part
+        for s, e in blocks:
+            rows = slice(lo[s], hi[e - 1])
+            U = np.subtract(ts[rows], tj[s:e, None])
+            U /= h
+            W = kernel_eval(cfg.kernel, U)
+            v = Vs[rows] - C[centre[s]]
             if normal:
-                g, r = _gram_batch(Z[None], y[None], w[None])
-                gram, rhs = gram + g, rhs + r
-    return objective, gram, rhs
+                np.matmul(W, v[:, iu] * v[:, ju], out=moments[s:e])
+            np.subtract(v[:, :d] @ raw, tauj[s:e, None], out=U)
+            U *= b[s:e, None]
+            R = np.subtract(Ys[rows], a[s:e, None])
+            R -= U
+            R *= R
+            part = float(np.vdot(W, R))
+            if not math.isfinite(part):
+                inside = W > 0
+                Z = b[s:e, None, None] * (Vs[None, rows, :d] - C[s:e, None, :d])
+                y = np.subtract(Ys[rows], a[s:e, None])
+                if not (np.all(np.isfinite(Z[inside])) and np.all(np.isfinite(y[inside]))):
+                    raise DegenerateProblemError(_POOLED_OVERFLOW)
+                part = float(np.sum(W[inside] * R[inside]))
+            objective += part
+        if not normal:
+            return objective, None, None
+        at = np.empty((k, k), dtype=np.intp)  # the column of each entry of v v'
+        at[iu, ju] = at[ju, iu] = np.arange(iu.size)
+        edge = moments[:, at[:, d:]]  # the entries of v v' with 1 and with Y
+        S1, XY, S0, SY = edge[:, :d, 0], edge[:, :d, 1], edge[:, d, 0], edge[:, d, 1]
+        x, ac = shift[:, :d], shift[:, d + 1]
+        bb = b * b
+        # S1 x' + x S1' - S0 x x' = u x' + x u' with u = S1 - S0 x / 2
+        cross = (bb[:, None] * (S1 - (0.5 * S0)[:, None] * x)).T @ x
+        gram = (bb @ moments)[at[:d, :d]] - cross - cross.T
+        rhs = b @ XY - (b * ac) @ S1 - (b * (SY - S0 * ac)) @ x
+    return objective, gram[None], rhs[None]
 
 
 def _outer(data: Dataset, theta, fits, cfg: QmaveConfig):
     """``(objective, new)``: the pooled objective at ``theta`` and the next
-    index, from one pass over the pooled rows; no pooled problem outlives it."""
+    index, from one pass over the pooled rows (quantile loss) or the
+    window moments (squared loss); no pooled problem outlives it."""
     j, _, b, _ = fits
     if j.size == 0:
         raise InsufficientDataError("no local fits supplied to the outer step")

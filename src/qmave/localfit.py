@@ -237,8 +237,9 @@ def _box_offsets(X, x0):
 # Anchors per group of full fits: a group's longest box window is the pad
 # width of its problems, so groups keep the bytes of their stacks.
 _FULL_BLOCK = 256
-# Cells per chunk of the pooled rows and of the full fits' weights, which
-# stay in a core's L2 cache.  A chunk of box offsets holds twice as many,
+# Cells per chunk of the pooled rows, of the full fits' weights and of a
+# block's window weights in the squared loss's outer step, which stay in
+# a core's L2 cache.  A chunk of box offsets holds twice as many,
 # and its block with the scratch is 1 MB.  The block's size is chosen for
 # glibc, which sets its heap trim threshold to twice the largest mmapped
 # block freed so far: a smaller one lets the threshold fall below the

@@ -25,12 +25,13 @@ from qmave import (
     outer_step,
     qmave_fit,
     qr_oracle,
+    solve_weighted_ls,
 )
 from qmave import fit as fit_module
 from qmave.core import BandwidthRule, coordinate_dispersion, default_bandwidth, kernel_eval
 from qmave.fit import _INIT_LADDER, _median_window_count, eq_objective, resolve_bandwidth
 from qmave.initial import TrimSpec, trim_mask
-from qmave.localfit import _index_windows
+from qmave.localfit import _as_unit, _index_windows, index_fit_batch
 
 EPA = KernelSpec.epanechnikov()
 
@@ -224,8 +225,9 @@ class TestOuterStep:
 
     @pytest.mark.parametrize("step", [outer_step, eq_objective])
     def test_squared_step_builds_no_pooled_design(self, step):
-        # the squared loss sums its normal equations and objective over
-        # chunks of the pooled rows: its peak is below one (pairs, d) design
+        # the squared loss takes its normal equations and objective from
+        # the windows a block of anchors at a time: its peak is below one
+        # (pairs, d) design
         data, _ = gen_model8(SimConfig(n=1000, seed=3))
         cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
         run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
@@ -243,8 +245,8 @@ class TestOuterStep:
 
     @pytest.mark.parametrize("step", [outer_step, eq_objective])
     def test_squared_step_forms_pairs_per_chunk(self, step):
-        # each chunk forms its (row, anchor) pairs from the windows: no
-        # index array of all ~150k pairs (2.4 MB) lives beside the chunks
+        # each block takes its weights from the windows: no index array
+        # of all ~150k pairs (2.4 MB) lives beside the blocks
         data, _ = gen_model8(SimConfig(n=1000, seed=3))
         cfg = QmaveConfig(loss=LossSpec.squared(), init=np.eye(5)[0])
         run = replace(cfg, h=resolve_bandwidth(data, cfg.init, cfg))
@@ -554,10 +556,10 @@ def with_far_fit(data, fits):
 )
 class TestOverflowingPooledRows:
     """Pooled rows that are not finite, whether the squared loss sums them
-    chunk by chunk or the quantile loss builds its pooled problem, raise
-    an error that names the overflow, with no numpy warning, and the
-    unconverged tail of a fit never ranks an iterate by such an
-    objective."""
+    a block of anchors at a time or the quantile loss builds its pooled
+    problem, raise an error that names the overflow, with no numpy
+    warning, and the unconverged tail of a fit never ranks an iterate by
+    such an objective."""
 
     def test_objective_and_step_name_the_overflow(self, loss):
         data, theta0 = far_row_data()
@@ -588,6 +590,162 @@ class TestOverflowingPooledRows:
         assert np.all(np.isfinite(fit.objective_trace))
         best = int(np.argmin(fit.objective_trace))
         assert fit.theta.tobytes() == fit.theta_trace[best].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowInOneBlock:
+    """The squared loss sums its objective a block of anchors at a time
+    (`fit._anchor_blocks`): only the block whose objective is not finite
+    has its pooled rows checked, and a cell off every window, whose weight
+    is 0, never enters the sum."""
+
+    def test_one_overflowing_block_of_several_names_the_overflow(self, monkeypatch):
+        data, theta0 = far_row_data()
+        cfg = QmaveConfig(loss=LossSpec.squared(), h=0.5)
+        fits = with_far_fit(data, inner_step(data, theta0, cfg))
+        anchor_blocks, seen = fit_module._anchor_blocks, []
+
+        def spy(*args):
+            seen.append(anchor_blocks(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(fit_module, "_BOX_CELLS", 400)
+        monkeypatch.setattr(fit_module, "_anchor_blocks", spy)
+        message = "pooled rows are not finite: Y_i - a_j or b_j"
+        with pytest.raises(DegenerateProblemError, match=message):
+            eq_objective(data, theta0, fits, cfg)
+        with pytest.raises(DegenerateUpdateError, match=message):
+            outer_step(data, theta0, fits, cfg)
+        # the far anchor, last along the index, is a block of its own
+        assert len(seen[0]) >= 5 and seen[0][-1] == (fits[0].size - 1, fits[0].size)
+        # without it, every block sums
+        normal = inner_step(data, theta0, cfg)
+        assert np.isfinite(eq_objective(data, theta0, normal, cfg))
+
+    def test_overflow_off_the_windows_is_not_summed(self):
+        # three rows far out along theta0, 0.45 apart at h = 0.5: anchors
+        # at the first and the last share a block, and the last row lies
+        # off the first anchor's window, where its residual's square
+        # overflows; in the window it is 8.1e307
+        data, theta0 = gen_model8(SimConfig(n=200, seed=3))
+        far = data.X.mean(axis=0) + np.array([25.0, 25.45, 25.9])[:, None] * theta0
+        data = Dataset(np.vstack([data.X, far]), np.append(data.Y, np.zeros(3)))
+        cfg = QmaveConfig(loss=LossSpec.squared(), h=0.5)
+        j, a, b, effw = inner_step(data, theta0, cfg)
+        fits = (
+            np.append(j, [200, 202]),
+            np.append(a, [0.0, 0.0]),
+            np.append(b, [2e154, 0.0]),
+            np.append(effw, [1.0, 1.0]),
+        )
+        want = outer_problem(data, theta0, fits, cfg).objective(theta0)
+        assert 1e307 < want < np.inf
+        assert eq_objective(data, theta0, fits, cfg) == pytest.approx(want, rel=1e-13, abs=0)
+        with pytest.raises(DegenerateUpdateError, match="matrix is not finite"):
+            outer_step(data, theta0, fits, cfg)
+
+
+def moment_window_data(kind):
+    """The window data of ``tools/same_results.py``: n=200, d=4, with
+    ``theta`` and the bandwidth at ``width`` index sd of each kind."""
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(200, 4))
+    theta = unit([1.0, -0.5, 2.0, 0.5])
+    if kind in ("ties", "grid"):
+        X = np.round(X * 4) / 4
+    if kind == "grid":
+        # index on a quarter grid: kernel edges fall exactly on rows
+        theta = np.array([1.0, 0.0, 0.0, 0.0])
+    elif kind == "duplicates":
+        X[100:] = X[:100]
+    elif kind == "shifted":
+        X = X * 1e-3 + 1e6
+    Y = np.round(X @ np.ones(4) + rng.standard_t(3, size=200), 1)
+    return Dataset(X, Y), theta
+
+
+MOMENT_CASES = [
+    (kind, width)
+    for kind in ("plain", "ties", "grid", "duplicates", "shifted")
+    for width in (0.02, 0.1, 0.5, 3.0)
+    if kind not in ("ties", "grid") or width > 0.02  # no such window holds a usable fit
+]
+
+
+def moment_case(kind, width, kernel):
+    """Data, a ``theta`` a few ulps off unit length, the squared-loss
+    index fits at every third row and their config."""
+    data, theta = moment_window_data(kind)
+    sd = np.std(data.X @ theta, ddof=1)
+    h = {0.02: 0.25, 0.1: 0.5, 0.5: 0.75, 3.0: 3.0}[width] if kind == "grid" else width * sd
+    cfg = QmaveConfig(loss=LossSpec.squared(), kernel=kernel, h=h)
+    fits = index_fit_batch(data, theta, np.arange(0, 200, 3), h, cfg.loss, kernel)
+    assert fits[0].size >= 2
+    # the windows are taken at the unit theta, whose bytes differ
+    tilt = theta * (1 + 8 * np.finfo(float).eps)
+    assert _as_unit(tilt, "theta").tobytes() != tilt.tobytes()
+    return data, tilt, fits, cfg
+
+
+class TestWindowMomentStep:
+    """The squared loss takes its index update from each anchor's window
+    moments, a block of anchors at a time, and its objective cell by cell,
+    with no pooled row formed: both agree with the pooled problem to
+    rounding, on ties, duplicates, a quarter grid and X far from 0, and
+    the blocks change only rounding."""
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()], ids=["epa", "quartic"])
+    @pytest.mark.parametrize("kind, width", MOMENT_CASES)
+    def test_matches_the_pooled_problem(self, kind, width, kernel):
+        data, theta, fits, cfg = moment_case(kind, width, kernel)
+        problem = outer_problem(data, theta, fits, cfg)
+        beta = solve_weighted_ls(problem)
+        assert estimation_error(outer_step(data, theta, fits, cfg), unit(beta)) <= 1e-13
+        want = problem.objective(theta)
+        assert eq_objective(data, theta, fits, cfg) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_shifted_windows_move_with_theta_bytes(self):
+        # the shifted case has teeth: index values near 1e6 moved by
+        # theta's last bits move the narrowest windows' weights
+        data, theta, fits, cfg = moment_case("shifted", 0.02, EPA)
+        moved = data.X @ theta - data.X @ _as_unit(theta, "theta")
+        assert np.max(np.abs(moved)) > 1e-5 * cfg.h
+
+    @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()], ids=["epa", "quartic"])
+    @pytest.mark.parametrize("kind, width", MOMENT_CASES)
+    def test_blocks_change_only_rounding(self, monkeypatch, kind, width, kernel):
+        data, theta, fits, cfg = moment_case(kind, width, kernel)
+        results = [(outer_step(data, theta, fits, cfg), eq_objective(data, theta, fits, cfg))]
+        with monkeypatch.context() as patch:  # one anchor per block
+            patch.setattr(fit_module, "_BOX_CELLS", 1)
+            results.append((outer_step(data, theta, fits, cfg), eq_objective(data, theta, fits, cfg)))
+        with monkeypatch.context() as patch:  # one block
+            patch.setattr(fit_module, "_anchor_blocks", lambda lo, hi, cells: [(0, lo.size)])
+            results.append((outer_step(data, theta, fits, cfg), eq_objective(data, theta, fits, cfg)))
+        (step, objective), one, whole = results
+        for other in (one, whole):
+            assert other[1] == pytest.approx(objective, rel=1e-14, abs=0)
+        # at 0.02 index sd the Gram's condition number is about 4e5, and
+        # one block across windows that do not meet cancels digits in the
+        # shift (5e-13 on the duplicates), which `_anchor_blocks` rules out
+        assert estimation_error(one[0], step) <= (1e-14 if width > 0.02 else 1e-13)
+        if width > 0.02:
+            assert estimation_error(whole[0], step) <= 1e-14
+
+    def test_blocks_hold_meeting_windows_within_the_budget(self):
+        data, theta, fits, cfg = moment_case("plain", 0.5, EPA)
+        t, _, lo, hi = _index_windows(data, theta, fits[0], cfg.h)
+        walk = np.argsort(t[fits[0]], kind="stable")
+        lo, hi = lo[walk], hi[walk]
+        for cells in (1, 200, 2000, 10**6):
+            blocks = fit_module._anchor_blocks(lo, hi, cells)
+            assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+            assert blocks[-1][1] == lo.size
+            for s, e in blocks:
+                assert e == s + 1 or (
+                    lo[e - 1] < hi[s] and 3 * (e - s) * (hi[e - 1] - lo[s]) <= cells
+                )
+        assert len(fit_module._anchor_blocks(lo, hi, 10**6)) > 1  # windows that do not meet
 
 
 class TestResponseAffineMap:

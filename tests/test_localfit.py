@@ -668,10 +668,10 @@ class TestPooledObjectiveIsExact:
 
 
 class TestChunkedSquaredStep:
-    """The squared-loss outer step and pooled objective sum over chunks of
-    the pooled rows instead of building the pooled problem: chunking
-    changes only rounding, and the pooled problem assembled from chunks of
-    any size has the same bytes."""
+    """The pooled problem assembled from chunks of any size has the same
+    bytes, and the squared-loss outer step and pooled objective, which
+    build no pooled problem, agree with it to rounding whatever the cell
+    budget of their blocks."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
