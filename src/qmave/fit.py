@@ -4,9 +4,10 @@ Each iteration performs two steps: the inner step (`inner_step`) refits
 a local-linear model at every untrimmed anchor along the current index,
 and the outer step pools all (observation, anchor) pairs into one
 weighted linear regression whose solution, normalised to unit length,
-becomes the next index: for the squared loss, from normal equations
-taken from each anchor's window moments, one matrix product per block
-of neighbouring anchors (`_squared_sums`).  Iteration stops when
+becomes the next index: for the quantile loss, one problem built in one
+pass over the windows (`outer_problem`); for the squared loss, normal
+equations from each anchor's window moments, one matrix product per
+block of neighbouring anchors (`_squared_sums`).  Iteration stops when
 successive indices agree up to sign within ``tol``.
 """
 
@@ -43,7 +44,6 @@ from .localfit import (
     _as_unit,
     _box_offsets,
     _index_windows,
-    _pair_runs,
     index_fit_batch,
 )
 from .solver import (
@@ -143,52 +143,40 @@ def inner_step(data: Dataset, theta, cfg: QmaveConfig):
     return idx, a, b, effw
 
 
-def _pooled_rows(data: Dataset, theta, fits, cfg: QmaveConfig):
-    """``(count, chunks)``: the number of pooled rows of the index update,
-    and a generator of their ``(design, response, weight)`` in L2-sized
-    runs of ``_BOX_CELLS // d`` rows, each formed from the windows when it
-    is needed; each entry is formed alone, so runs change no byte.  One
-    row per (i, j) pair of `_pair_runs`: response ``Y_i - a_j``, design
-    ``b_j (X_i - X_j)``, weight ``K(theta'(X_i-X_j)/h)``, with (a, b) from
-    the ``inner_step`` fits, read by sorted position and by anchor repeat."""
-    theta = _as_unit(theta, "theta", data.d)
-    h = resolve_bandwidth(data, theta, cfg)
-    j, a, b, _ = fits
-    t, order, lo, hi = windows = _index_windows(data, theta, j, h)
-    ts, Xs, Ys = t[order], np.take(data.X, order, axis=0), data.Y[order]
-    tj, Xj = t[j], np.take(data.X, j, axis=0)
-    step = max(1, _BOX_CELLS // data.d)
-
-    def chunks():
-        for pos, span, count in _pair_runs(windows, step):
-            def rep(v):  # the anchor value of each pair
-                return np.repeat(v[span], count, axis=0)
-
-            W = kernel_eval(cfg.kernel, (np.take(ts, pos) - rep(tj)) / h)
-            design = np.take(Xs, pos, axis=0)
-            design -= rep(Xj)
-            design *= rep(b)[:, None]
-            yield design, np.take(Ys, pos) - rep(a), W
-
-    return int(np.sum(hi - lo)), chunks()
-
-
 # Pooled rows can overflow where the inputs do not: a far response minus
 # a far local level, or a large slope times a far offset.
 _POOLED_OVERFLOW = "pooled rows are not finite: Y_i - a_j or b_j (X_i - X_j) overflows"
 
 
 def outer_problem(data: Dataset, theta, fits, cfg: QmaveConfig) -> WeightedRegressionProblem:
-    """Pooled regression of the index update: `_pooled_rows` as one problem.
-    Rows that are not finite raise ``DegenerateProblemError``."""
-    count, chunks = _pooled_rows(data, theta, fits, cfg)
-    design, response, weight = np.empty((count, data.d)), np.empty(count), np.empty(count)
-    lo = 0
+    """Pooled regression of the index update, in one pass over the
+    `_index_windows` of the kept anchors, window by window: one row per
+    (i, j) pair, response ``Y_i - a_j``, design ``b_j (X_i - X_j)`` and
+    weight ``K(theta'(X_i - X_j)/h)``, with (a, b) from the ``inner_step``
+    fits.  The design is formed one column at a time, so no second (pairs,
+    d) array lives beside it.  Rows that are not finite raise
+    ``DegenerateProblemError``."""
+    theta = _as_unit(theta, "theta", data.d)
+    h = resolve_bandwidth(data, theta, cfg)
+    j, a, b, _ = fits
+    t, order, lo, hi = _index_windows(data, theta, j, h)
+    size = hi - lo
+
+    def rep(v):  # the anchor value of each pair
+        return np.repeat(v, size)
+
+    row = np.arange(size.sum())
+    row += rep(lo - np.cumsum(size) + size)
+    row = np.take(order, row)  # each pair's row, by its sorted position
+    design, slope = np.empty((row.size, data.d)), rep(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        for D, r, w in chunks:
-            hi = lo + r.size
-            design[lo:hi], response[lo:hi], weight[lo:hi] = D, r, w
-            lo = hi
+        for k, Xj in enumerate(np.take(data.X, j, axis=0).T):
+            column = np.take(data.X[:, k], row)
+            column -= rep(Xj)
+            np.multiply(column, slope, out=design[:, k])
+        del slope, column  # the response and weight form beside the design alone
+        response = np.take(data.Y, row) - rep(a)
+        weight = kernel_eval(cfg.kernel, (np.take(t, row) - rep(t[j])) / h)
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
         raise DegenerateProblemError(_POOLED_OVERFLOW)
     return WeightedRegressionProblem(design, response, weight, cfg.loss)
@@ -218,7 +206,7 @@ def _squared_sums(data: Dataset, theta, fits, cfg: QmaveConfig, normal: bool):
     `_anchor_blocks` of `_BOX_CELLS` cells.
 
     A block's dense weights ``W = K((t_i - t_j)/h)`` on its union window
-    are those of `_pooled_rows`, at the unit ``theta``, and 0 off each
+    are those of `outer_problem`, at the unit ``theta``, and 0 off each
     window.  Centred at its middle anchor c, ``v = [X - X_c, 1, Y - a_c]``,
     ``W @ F`` with F the products ``v v'`` gives each anchor's window
     moments, which are shifted to the anchor in closed form, ``Q_XX = A_XX

@@ -17,9 +17,9 @@ no neighbourhood is found by evaluating a kernel.  Along an index the
 rows of an anchor's window are one run of the rows sorted by ``t = X
 theta`` (`_index_windows`).  The index fits sort the index values and
 responses once per call and read each window by sorted position; the
-pooled rows of the index update take their (row, anchor) pairs from the
-same runs, a chunk at a time, with each anchor's values repeated over
-its window's pairs (`_pair_runs`).  In full dimension the product kernel
+quantile loss's pooled problem (`fit.outer_problem`) takes its (row,
+anchor) pairs from the same runs in one pass, with each anchor's values
+repeated over its window's pairs.  In full dimension the product kernel
 is positive on a box, read off the (anchors, n) matrix R of largest
 coordinate offsets.  R is never whole: `_box_offsets` yields it a chunk
 of rows at a time, in one block reused from chunk to chunk, and the full
@@ -237,9 +237,9 @@ def _box_offsets(X, x0):
 # Anchors per group of full fits: a group's longest box window is the pad
 # width of its problems, so groups keep the bytes of their stacks.
 _FULL_BLOCK = 256
-# Cells per chunk of the pooled rows, of the full fits' weights and of a
-# block's window weights in the squared loss's outer step, which stay in
-# a core's L2 cache.  A chunk of box offsets holds twice as many,
+# Cells per chunk of the full fits' weights and of a block's window
+# weights in the squared loss's outer step, which stay in a core's L2
+# cache.  A chunk of box offsets holds twice as many,
 # and its block with the scratch is 1 MB.  The block's size is chosen for
 # glibc, which sets its heap trim threshold to twice the largest mmapped
 # block freed so far: a smaller one lets the threshold fall below the
@@ -368,25 +368,6 @@ def _index_windows(data, theta, anchors, h):
         lo[cut_lo] = np.searchsorted(ts, ts[lo[cut_lo]], side="right")
         hi[grow_hi] = np.searchsorted(ts, ts[hi[grow_hi]], side="right")
         hi[cut_hi] = np.searchsorted(ts, ts[hi[cut_hi] - 1], side="left")
-
-
-def _pair_runs(windows, step):
-    """The (row, anchor) pairs of the `_index_windows` ``windows``, window
-    by window, as runs ``(pos, span, count)`` of at most ``step`` pairs,
-    found by one search per run end: ``np.repeat(v[span], count)`` gives
-    each pair's anchor value, ``order[pos]`` its row.  Each pair is formed
-    alone, so runs change no byte."""
-    lo, size = windows[2], windows[3] - windows[2]
-    end = np.cumsum(size)
-    start = end - size
-    shift = lo - start  # a pair's sorted position less its place k among the pairs
-    total = int(end[-1]) if end.size else 0
-    for k0 in range(0, total, step):
-        k1 = min(k0 + step, total)
-        first, last = np.searchsorted(end, (k0, k1 - 1), side="right")
-        span = slice(first, last + 1)
-        count = np.minimum(end[span], k1) - np.maximum(start[span], k0)
-        yield np.arange(k0, k1) + np.repeat(shift[span], count), span, count
 
 
 def _index_rows(ts, Ys, tc, h, kernel, block, pos, inside):

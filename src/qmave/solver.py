@@ -252,6 +252,9 @@ def _dot(u, v):
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
+# Overflow in a step stays silent: a non-finite iterate fails the snap.  Not
+# on `_frisch_newton`, whose decorator's wrapper would keep ``yv`` alive.
+@np.errstate(over="ignore", invalid="ignore")
 def _newton_step(Xt, b, gap, a, s, z, w, beta):
     """One predictor-corrector step of ``_frisch_newton`` on the (B, p, n)
     transposed design ``Xt``; updates ``a, s, z, w`` and ``beta`` in place.

@@ -159,6 +159,15 @@ class TestOuterStep:
         with pytest.raises(DegenerateUpdateError):
             outer_step(data, unit([1.0, 0.0]), fits, cfg)
 
+    @pytest.mark.parametrize("loss", [LossSpec.quantile(0.5), LossSpec.squared()])
+    def test_outer_problem_without_anchors_is_invalid(self, loss):
+        # no local fit leaves no pooled row, which the problem rejects
+        data, theta = gen_model8(SimConfig(n=200, seed=3))
+        empty = np.empty(0)
+        fits = (np.empty(0, dtype=np.intp), empty, empty, empty)
+        with pytest.raises(InvalidInputError, match=r"design must be n>=1 by p>=1, got \(0, 5\)"):
+            outer_problem(data, theta, fits, QmaveConfig(loss=loss, h=0.5))
+
     def test_matches_oracle_on_tiny_instance(self):
         rng = np.random.default_rng(65)
         X = rng.normal(size=(8, 2))
@@ -509,17 +518,25 @@ class TestScaleOutOfRange:
             qmave_fit(Dataset(data.X, data.Y * scale), cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("loss", TestDegenerateCovariates.LOSSES)
-    def test_underflowing_outer_gram_is_a_degenerate_update(self, loss):
+    @pytest.mark.parametrize(
+        "loss, scale",
+        [  # the 2**-664 cases keep their plain ids
+            pytest.param(loss, scale, id=f"loss{k}{suffix}")
+            for k, loss in enumerate(TestDegenerateCovariates.LOSSES)
+            for suffix, scale in (("", 2.0**-664), ("-1e-300", 1e-300))
+        ],
+    )
+    def test_underflowing_outer_gram_is_a_degenerate_update(self, loss, scale):
         # under Y * 2**-664 the local slopes are so small that the pooled
         # Gram's diagonal underflows to 0: named at the first outer step,
-        # where the quantile fit used to converge to a wrong direction
+        # where the quantile fit used to converge to a wrong direction;
+        # under Y * 1e-300 the interior point's steps overflow first, silently
         data, _ = gen_model8(SimConfig(n=200, seed=3))
         with pytest.raises(
             DegenerateUpdateError,
             match="iteration 1: weighted cross-product matrix underflows",
         ):
-            qmave_fit(Dataset(data.X, data.Y * 2.0**-664), QmaveConfig(loss=loss))
+            qmave_fit(Dataset(data.X, data.Y * scale), QmaveConfig(loss=loss))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_squared_outer_gram_is_a_degenerate_update(self):

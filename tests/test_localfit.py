@@ -45,7 +45,6 @@ from qmave.localfit import (
     _box_offsets,
     _design,
     _index_windows,
-    _pair_runs,
     _slots,
     full_fit_batch,
     index_fit_batch,
@@ -511,7 +510,8 @@ def per_pair_runs(windows, step):
     """The (rows, cols) runs of the pairs of ``windows``, one searchsorted
     per pair: pair k lies in the window whose cumulative count first
     exceeds k, at its sorted position ``lo + k - start`` of that window.
-    The reference for the run-length `_pair_runs`."""
+    The reference for the pairs of `outer_problem`, which repeats each
+    anchor over its window's pairs instead."""
     _, order, lo, hi = windows
     end = np.cumsum(hi - lo)
     total = int(end[-1]) if end.size else 0
@@ -526,34 +526,6 @@ def index_pairs(data, theta, anchors, h):
     ``(rows, cols)`` in the order of the pooled rows."""
     windows = _index_windows(data, theta, anchors, h)
     return next(per_pair_runs(windows, data.n * len(anchors)))
-
-
-class TestPairRuns:
-    """`_pair_runs` forms each run's anchors by repeating them over the
-    windows the run spans: the same (rows, cols) as one search per pair,
-    for runs that start and end anywhere in a window."""
-
-    @pytest.mark.parametrize("kind", ["plain", "ties", "duplicates"])
-    def test_matches_per_pair_reference(self, kind):
-        data, theta = window_data(kind)
-        h = 0.75 if kind == "ties" else 0.1 * np.std(data.X @ theta, ddof=1)
-        windows = _index_windows(data, theta, np.arange(1, 120, 2), h)
-        size = windows[3] - windows[2]
-        assert size[1] > 1  # so that a run can end inside it
-        # steps of 1 and 7, one whose first boundary cuts the second
-        # window in half, and every pair in one run
-        for step in (1, 7, int(size[0] + size[1] // 2), int(size.sum())):
-            have = list(_pair_runs(windows, step))
-            want = list(per_pair_runs(windows, step))
-            assert len(have) == len(want) == -(-int(size.sum()) // step)
-            for (pos, span, count), (rows, cols) in zip(have, want):
-                assert windows[1][pos].tobytes() == rows.tobytes()
-                assert np.repeat(np.arange(span.start, span.stop), count).tobytes() == cols.tobytes()
-
-    def test_no_anchors_no_run(self):
-        data, theta = window_data("plain")
-        windows = _index_windows(data, theta, np.empty(0, dtype=int), 0.5)
-        assert list(_pair_runs(windows, 7)) == []
 
 
 class TestIndexBlocks:
@@ -668,10 +640,9 @@ class TestPooledObjectiveIsExact:
 
 
 class TestChunkedSquaredStep:
-    """The pooled problem assembled from chunks of any size has the same
-    bytes, and the squared-loss outer step and pooled objective, which
-    build no pooled problem, agree with it to rounding whatever the cell
-    budget of their blocks."""
+    """The squared-loss outer step and pooled objective, which build no
+    pooled problem, agree with the solve and objective of `outer_problem`
+    to rounding whatever the cell budget of their blocks."""
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("kernel", [EPA, KernelSpec.quartic()])
@@ -686,11 +657,8 @@ class TestChunkedSquaredStep:
         cfg = QmaveConfig(loss=LossSpec.squared(), kernel=kernel, h=h)
         fits = inner_step(data, theta, cfg)
         problem = outer_problem(data, theta, fits, cfg)
-        # rows per chunk: 1, 7, or every pair in one chunk
+        # the squared step's block budget: d cells times 1, 7 or every pair
         monkeypatch.setattr(fit_module, "_BOX_CELLS", data.d * (rows or problem.n))
-        chunked = outer_problem(data, theta, fits, cfg)
-        for want, have in zip((problem.Z, problem.y, problem.w), (chunked.Z, chunked.y, chunked.w)):
-            assert have.tobytes() == want.tobytes()
         beta = solve_weighted_ls(problem)
         new = outer_step(data, theta, fits, cfg)
         assert estimation_error(new, beta / np.linalg.norm(beta)) <= 1e-12

@@ -65,8 +65,8 @@ verdict and the exit code rest on the bytes alone:
   at most the parent's times ``1 + 1e-12``, plus a few ulps of that sum,
   so an optimum of exactly 0 may come back as rounding on either side.
 - The fit and window cases record a direction and objectives: a fit's
-  theta and objective trace, and a window case's normalised outer-problem
-  solution and pooled objective.  For each such case whose bytes differ
+  theta and objective trace, and a window case's ``outer_step`` result
+  and pooled objective.  For each such case whose bytes differ
   the tool prints the sign-invariant distance between the two directions
   and the largest relative change of the objectives.
 
@@ -258,9 +258,9 @@ def _kernel_cases(qm, np):
 
 
 def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None):
-    """Digests of the index fits, the outer problem built on them and the
-    pooled objective, all at bandwidth ``h``; with the outer problem's
-    normalised solution (None when it is degenerate) and the objective."""
+    """Digests of the index fits, the outer problem built on them, the
+    pooled objective and the outer step, all at bandwidth ``h``; with the
+    step's direction (None when it raises) and the objective."""
     from qmave.fit import eq_objective, outer_problem, outer_step
     from qmave.localfit import index_fit_batch
 
@@ -275,15 +275,10 @@ def _index_step_digests(qm, np, data, theta, anchors, h, loss, kernel, fits=None
     out["outer"] = _digest(problem.Z.tobytes(), problem.y.tobytes(), problem.w.tobytes())
     out["objective"] = _digest(objective.hex())
     try:
-        out["step"] = _digest(outer_step(data, theta, fits, cfg).tobytes())
+        step = outer_step(data, theta, fits, cfg)
+        out["step"], direction = _digest(step.tobytes()), step.tolist()
     except qm.QmaveError as exc:
-        out["step"] = _digest(type(exc).__name__, str(exc))
-    solve = qm.solve_weighted_qr if loss.is_quantile else qm.solve_weighted_ls
-    try:
-        beta = solve(problem)
-        direction = (beta / np.linalg.norm(beta)).tolist()
-    except qm.QmaveError:
-        direction = None
+        out["step"], direction = _digest(type(exc).__name__, str(exc)), None
     return out, {"theta": direction, "objective": [objective]}
 
 

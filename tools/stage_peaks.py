@@ -19,6 +19,8 @@ fit at n=1000).  The stages are the functions
 - ``inner_step``: the local index fits of an iteration (a tree whose
   ``qmave_fit`` ran them through ``_index_step`` prints ``not called``);
 - ``_outer``: the pooled index update of an iteration;
+- ``outer_problem``: the build of the quantile loss's pooled problem,
+  inside ``_outer`` and ``eq_objective`` (the squared loss builds none);
 - ``eq_objective``: the objective of an unconverged fit's last iterate.
 
 A stage's peak is the largest traced memory while any of its calls ran,
@@ -47,6 +49,7 @@ STAGES = {
     "full_fit_batch": "initial",
     "inner_step": "fit",
     "_outer": "fit",
+    "outer_problem": "fit",
     "eq_objective": "fit",
 }
 MB = 1024 * 1024
